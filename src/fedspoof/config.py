@@ -118,7 +118,7 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
     # one master seed drives every stage unless the file pinned them apart
     cfg = replace(
         cfg,
-        sim=replace(cfg.sim, rng_seed=cfg.seed, n_clients=cfg.sim.n_clients),
+        sim=replace(cfg.sim, rng_seed=cfg.seed),
         train=replace(cfg.train, rng_seed=cfg.seed),
         federation=replace(cfg.federation, init_seed=cfg.seed),
     )

@@ -3,7 +3,7 @@ gate, and the round loop.
 
 Clients keep their traces, features and labels local; the only values that
 cross the client/server boundary are flat parameter vectors, sample counts
-and unit-interval scores.  Transport is in-process message passing with
+and per-evaluator AUCs.  Transport is in-process message passing with
 value-semantic messages, so the state machines stay transport-agnostic.
 """
 
@@ -45,7 +45,6 @@ class QualityReport:
 
     candidate_client_id: int
     evaluating_client_id: int
-    predicted_labels: np.ndarray
     auc_vs_reference: float
 
     def __post_init__(self) -> None:
@@ -236,9 +235,8 @@ class LocalClient:
 
     def validation_mse(self, params: lstm.LstmModelParams) -> float:
         """MSE of params on this client's validation windows."""
-        n = self.n_train
-        n_val = max(1, int(n * self.train_cfg.validation_fraction))
-        return lstm.batch_mse(params, self.train_x[n - n_val :], self.train_y[n - n_val :])
+        start = lstm.validation_split(self.n_train, self.train_cfg.validation_fraction)
+        return lstm.batch_mse(params, self.train_x[start:], self.train_y[start:])
 
 
 def quality_gate(
@@ -267,13 +265,12 @@ def quality_gate(
         if result is None:
             log.warning("client %d abstained from gating (single-class labels)", ev.client_id)
             continue
-        scores, auc_val = result
+        # the per-window scores stay with the evaluator; only the AUC is sent
         reports.append(
             QualityReport(
                 candidate_client_id=candidate.client_id,
                 evaluating_client_id=ev.client_id,
-                predicted_labels=scores,
-                auc_vs_reference=auc_val,
+                auc_vs_reference=result[1],
             )
         )
     if not reports:

@@ -275,28 +275,39 @@ class TestC7PrivacyContract:
         "accel", "omega", "speed", "trace", "signal", "sensor",
     )
 
-    def _fields(self, message_type, seen):
-        if message_type in seen or not dataclasses.is_dataclass(message_type):
+    # the only array the server may receive: the parameter vector of an update
+    ALLOWED_ARRAY_FIELDS = {"RoundUpdate.params.vector"}
+
+    def _fields(self, message_type, path, stack):
+        if message_type in stack or not dataclasses.is_dataclass(message_type):
             return
-        seen.add(message_type)
         hints = typing.get_type_hints(message_type)
         for field in dataclasses.fields(message_type):
-            yield message_type, field.name, hints[field.name]
-            yield from self._fields(hints[field.name], seen)
+            field_path = f"{path}.{field.name}"
+            yield message_type, field.name, field_path, hints[field.name]
+            yield from self._fields(hints[field.name], field_path, stack | {message_type})
+
+    @staticmethod
+    def _mentions_array(hint):
+        if hint is np.ndarray or typing.get_origin(hint) is np.ndarray:
+            return True
+        return any(TestC7PrivacyContract._mentions_array(arg) for arg in typing.get_args(hint))
 
     def test_server_messages_carry_no_sensitive_fields(self):
         violations = []
         assert set(SERVER_RECEIVABLE_MESSAGE_TYPES) == {RoundUpdate, QualityReport}
         for msg_type in SERVER_RECEIVABLE_MESSAGE_TYPES:
-            for owner, name, hint in self._fields(msg_type, set()):
+            for owner, name, path, hint in self._fields(msg_type, msg_type.__name__, frozenset()):
                 if hint in self.FORBIDDEN_TYPES:
                     violations.append(f"{owner.__name__}.{name}: {hint}")
                 if any(tok in name.lower() for tok in self.FORBIDDEN_TOKENS):
                     violations.append(f"{owner.__name__}.{name}: name")
+                if self._mentions_array(hint) and path not in self.ALLOWED_ARRAY_FIELDS:
+                    violations.append(f"{path}: array")
         _report(
             "C7 privacy-contract",
             not violations,
-            "server receives only parameter vectors, counts and scores"
+            "server receives only parameter vectors, counts and AUCs"
             if not violations
             else f"violations: {violations}",
         )

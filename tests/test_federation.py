@@ -4,7 +4,7 @@ import typing
 import numpy as np
 import pytest
 
-from fedspoof import domain, features, fusion, labels
+from fedspoof import domain, features, fusion, labels, lstm
 from fedspoof.federation import (
     FederationConfig,
     GlobalModelState,
@@ -154,7 +154,7 @@ class TestQualityGate:
 
     def test_report_validates_auc_range(self):
         with pytest.raises(ValueError):
-            QualityReport(1, 2, np.zeros(3), 1.2)
+            QualityReport(1, 2, 1.2)
 
 
 class TestRunRounds:
@@ -189,6 +189,24 @@ class TestRunRounds:
             updates = [c.train(params, round_index, 1, mean_n) for c in clients]
             params = fedavg(updates)
         assert np.array_equal(state.params.vector, params.vector)
+
+    def test_validation_mse_scores_the_windows_training_held_out(self, rng, monkeypatch):
+        # 20% of 63 windows is 12.6, so both sides must round the split alike
+        client = _separable_client(rng, 1, n=63, seed=1)
+        scored = []
+
+        def spy(params, x, targets):
+            scored.append(np.array(x))
+            return 0.0
+
+        monkeypatch.setattr(lstm, "batch_mse", spy)
+        client.train(init_params(0, 6, 4), 1, 1, announced_mean_size=None)
+        client.validation_mse(init_params(0, 6, 4))
+        assert len(scored) == 2
+        held_out, validated = scored
+        assert held_out.shape[0] == 12
+        assert np.array_equal(held_out, validated)
+        assert np.array_equal(validated, client.train_x[-12:])
 
     def test_no_trainable_client_rejected(self):
         empty = LocalClient(1, np.empty((0, 4, 6), np.float32), np.empty(0, np.float32),

@@ -6,6 +6,7 @@ from fedspoof.lstm import (
     EarlyStopping,
     LstmModelParams,
     TrainConfig,
+    _sigmoid,
     backward,
     batch_mse,
     clip_gradient_norm,
@@ -18,6 +19,7 @@ from fedspoof.lstm import (
     save_checkpoint,
     scaled_learning_rate,
     train_local,
+    validation_split,
 )
 
 
@@ -32,6 +34,16 @@ def finite_difference_grad(params, x, y, coords, eps=1e-4):
         _, down = backward(params, x, y)
         params.vector[k] = v0
         out[k] = (up - down) / (2.0 * eps)
+    return out
+
+
+def masked_sigmoid(x):
+    """The logistic function by sign-split exponentials, as an oracle."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
     return out
 
 
@@ -59,6 +71,11 @@ class TestLayout:
         name, _, offset = [b for b in p.layout() if b[0] == "head_w"][0]
         assert np.all(p.vector[offset : offset + 3] == 7.0)
 
+    def test_cached_views_alias_vector(self):
+        p = init_params(2, input_size=4, hidden_size=3)
+        for name, _, _ in p.layout():
+            assert np.shares_memory(p.block(name), p.vector), name
+
     def test_wrong_vector_size_rejected(self):
         with pytest.raises(ValueError):
             LstmModelParams(36, 100, np.zeros(10))
@@ -80,6 +97,26 @@ class TestInit:
 
     def test_head_bias_zero(self):
         assert init_params(0).block("head_b")[0] == 0.0
+
+
+class TestSigmoid:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_masked_form_without_warnings(self, dtype):
+        x = np.concatenate([np.linspace(-1e4, 1e4, 200_001), np.linspace(-40, 40, 80_001)])
+        x = x.astype(dtype)
+        got = _sigmoid(x)
+        assert got.dtype == dtype
+        eps = np.finfo(dtype).eps
+        np.testing.assert_allclose(got, masked_sigmoid(x), rtol=2 * eps, atol=2 * eps)
+        assert got.min() >= 0.0 and got.max() <= 1.0
+
+    def test_in_place(self):
+        x = np.linspace(-5, 5, 11)
+        expected = masked_sigmoid(x)
+        out = _sigmoid(x, out=x)
+        assert out is x
+        np.testing.assert_allclose(x, expected, rtol=1e-15, atol=1e-15)
 
 
 class TestForward:
@@ -114,6 +151,22 @@ class TestForward:
         with pytest.raises(ValueError, match="non-finite"):
             forward(p, x)
 
+    def test_in_place_vector_write_reaches_forward(self, rng):
+        p = init_params(4, input_size=6, hidden_size=5)
+        x = rng.uniform(0, 1, (3, 7, 6))
+        y, _ = forward(p, x)
+        assert not np.allclose(y, 0.5)
+        p.vector[:] = 0.0
+        y, _ = forward(p, x)
+        np.testing.assert_array_equal(y, np.full(3, 0.5, dtype=np.float32))
+
+    def test_predict_independent_of_batch_size(self, rng):
+        p = init_params(5, input_size=6, hidden_size=8)
+        x = rng.uniform(0, 1, (300, 7, 6)).astype(np.float32)
+        np.testing.assert_allclose(
+            predict(p, x, batch_size=7), predict(p, x, batch_size=256), rtol=1e-6, atol=1e-6
+        )
+
     def test_wrong_width_rejected(self):
         p = init_params(0, input_size=3, hidden_size=2)
         with pytest.raises(ValueError):
@@ -140,6 +193,15 @@ class TestBackward:
         g2, mse2 = backward(p, np.repeat(x, 3, axis=0), np.repeat(y, 3))
         np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
         assert mse1 == pytest.approx(mse2)
+
+    def test_repeat_calls_bitwise_equal(self, rng):
+        p = init_params(13, input_size=6, hidden_size=5)
+        x = rng.uniform(0, 1, (9, 7, 6)).astype(np.float32)
+        y = rng.uniform(0, 1, 9).astype(np.float32)
+        g1, mse1 = backward(p, x, y)
+        g2, mse2 = backward(p, x, y)
+        assert np.array_equal(g1, g2)
+        assert mse1 == mse2
 
     def test_target_mismatch_rejected(self, rng):
         p = init_params(0, input_size=3, hidden_size=2)
@@ -262,6 +324,13 @@ class TestTrainLocal:
         val_mse = batch_mse(trained, x[-n_val:], y[-n_val:])
         assert val_mse == pytest.approx(report.best_validation_loss, rel=1e-5)
 
+    def test_validation_split_holds_out_tail(self):
+        assert validation_split(63, 0.2) == 51
+        assert validation_split(5, 0.2) == 4
+        for n in (1, 4):
+            with pytest.raises(ValueError, match="validation split"):
+                validation_split(n, 0.2)
+
     def test_tiny_dataset_rejected(self, rng):
         x = rng.uniform(0, 1, (3, 4, 3)).astype(np.float32)
         with pytest.raises(ValueError, match="validation split"):
@@ -290,6 +359,32 @@ class TestCheckpoint:
         path = tmp_path / "small.ckpt"
         save_checkpoint(p, str(path))
         assert np.array_equal(load_checkpoint(str(path)).vector, p.vector)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(9, input_size=4, hidden_size=3), str(path))
+        return path, path.read_bytes()
+
+    def test_truncated_body_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob[:-4])
+        with pytest.raises(ValueError, match="body holds") as err:
+            load_checkpoint(str(path))
+        assert str(path) in str(err.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob + b"\0\0\0\0")
+        with pytest.raises(ValueError, match="body holds") as err:
+            load_checkpoint(str(path))
+        assert str(path) in str(err.value)
+
+    def test_mismatched_manifest_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob.replace(b"block l1_wh 3x12 48", b"block l1_wh 12x3 48", 1))
+        with pytest.raises(ValueError, match="manifest") as err:
+            load_checkpoint(str(path))
+        assert str(path) in str(err.value)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
