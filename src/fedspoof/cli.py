@@ -106,7 +106,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, mode: str) -> int:
             scores = experiments.pds_pooled(bundles)
 
         curve = metrics.roc(scores, truth)
-        auc = metrics.auc(curve).value
+        auc = metrics.auc(curve)
     except metrics.SingleClassError as exc:
         raise metrics.SingleClassError(
             f"{mode} evaluation on {cfg.sim.partition_mode!r} test split: {exc}"

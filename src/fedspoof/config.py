@@ -45,23 +45,23 @@ _SECTION_TYPES = {
 _EXPERIMENT_KEYS = ("seed", "out_dir", "dataset_file", "cells", "splits")
 
 
+_FIELD_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+
+# per-stage seeds that load_config derives from [experiment] seed
+_DERIVED_SEEDS = {("sim", "rng_seed"), ("train", "rng_seed"), ("federation", "init_seed")}
+
+
 def _coerce(raw: str, target_type, key: str):
     try:
-        if target_type is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        if target_type is str:
-            return raw
+        if target_type is not bool:
+            return target_type(raw)
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    raise ConfigError(f"key {key} cannot be set from a config file")
 
 
 def _apply_section(obj, section: str, items: dict[str, str]):
@@ -70,15 +70,12 @@ def _apply_section(obj, section: str, items: dict[str, str]):
     for key, raw in items.items():
         if key not in by_name:
             raise ConfigError(f"unknown key [{section}] {key}")
-        ftype = by_name[key].type
-        target = {"int": int, "float": float, "bool": bool, "str": str}.get(
-            str(ftype).replace("<class '", "").replace("'>", ""), None
-        )
+        if (section, key) in _DERIVED_SEEDS:
+            raise ConfigError(f"[{section}] {key} follows [experiment] seed; set that instead")
+        # annotations are strings under `from __future__ import annotations`
+        target = _FIELD_TYPES.get(by_name[key].type)
         if target is None:
-            # fall back on the default value's runtime type
-            target = type(getattr(obj, key))
-            if target not in (int, float, bool, str):
-                raise ConfigError(f"key [{section}] {key} cannot be set from a config file")
+            raise ConfigError(f"key [{section}] {key} cannot be set from a config file")
         updates[key] = _coerce(raw, target, f"[{section}] {key}")
     try:
         return replace(obj, **updates)
@@ -115,7 +112,7 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
                 raise ConfigError(f"unknown config section [{section}]")
     if overrides:
         cfg = replace(cfg, **overrides)
-    # one master seed drives every stage unless the file pinned them apart
+    # one master seed drives every stage; _apply_section rejects per-stage seeds
     cfg = replace(
         cfg,
         sim=replace(cfg.sim, rng_seed=cfg.seed),

@@ -74,24 +74,6 @@ class SignalProps:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def empty(cls) -> "SignalProps":
-        return cls(np.full(N_SIGNAL_SLOTS, np.nan))
-
-    def stat_block(self, constellation: str, prop: str) -> np.ndarray:
-        """The (mean, median, min, max) block for one constellation/property."""
-        i = signal_slot(constellation, prop, STATISTICS[0])
-        return self.values[i : i + len(STATISTICS)]
-
-    def is_consistent(self) -> bool:
-        """min <= median <= max in every block where all three are valid."""
-        for c in CONSTELLATIONS:
-            for p in PROPERTIES:
-                _, med, lo, hi = self.stat_block(c, p)
-                if np.isfinite([med, lo, hi]).all() and not (lo <= med <= hi):
-                    return False
-        return True
-
 
 @dataclass(frozen=True, eq=False)
 class PlatformSample:
@@ -259,15 +241,6 @@ def read_dataset(path: str) -> list[Trace]:
             raise DatasetFormatError(f"non-monotone timestamps in trace {tid}")
         traces.append(Trace(trace_id=tid, platform_id=pid, samples=samples))
     return traces
-
-
-def haversine_m(a: GeoPos, b: GeoPos) -> float:
-    """Great-circle distance in meters."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
 def local_meters(origin: GeoPos, p: GeoPos) -> tuple[float, float]:

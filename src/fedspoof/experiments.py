@@ -143,14 +143,6 @@ def run_centralized(
     return lstm.train_local(params, x, y, cfg)
 
 
-def _auc_or_nan(scores: np.ndarray, truth: np.ndarray) -> tuple[float, int, int]:
-    n_pos = int(truth.sum())
-    n_neg = int(truth.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        return math.nan, n_pos, n_neg
-    return metrics.auc_from_scores(scores, truth), n_pos, n_neg
-
-
 @dataclass
 class MatrixRow:
     cell: str
@@ -162,10 +154,23 @@ class MatrixRow:
     n_neg: int
 
 
-def _emit_roc(scores, truth, out_dir, name) -> None:
-    if out_dir is None or truth.sum() in (0, truth.size):
-        return
-    metrics.write_roc_csv(metrics.roc(scores, truth), os.path.join(out_dir, f"roc_{name}.csv"))
+def _matrix_row(
+    cell: str, split: str, method: str, detail: str, tag: str,
+    scores: np.ndarray, truth: np.ndarray, out_dir: str | None,
+) -> MatrixRow:
+    """Score one matrix row and emit its ROC as roc_<cell>_<split>_<tag>.csv.
+
+    A single-class test split has no ROC: its AUC is NaN and no CSV is written.
+    """
+    n_pos = int(truth.sum())
+    n_neg = int(truth.size - n_pos)
+    auc = math.nan
+    if n_pos and n_neg:
+        curve = metrics.roc(scores, truth)
+        auc = metrics.auc(curve)
+        if out_dir is not None:
+            metrics.write_roc_csv(curve, os.path.join(out_dir, f"roc_{cell}_{split}_{tag}.csv"))
+    return MatrixRow(cell, split, method, detail, auc, n_pos, n_neg)
 
 
 GNUPLOT_SCRIPT = """\
@@ -215,23 +220,16 @@ def experiment_matrix(
             part = partition(traces, uniform_mode, sim_cfg.n_clients, master_seed)
             bundles = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed)
             _, truth = pooled_test(bundles)
-
             fed_params, _ = run_federated(bundles, fed_cfg)
-            scores = model_scores(fed_params, bundles)
-            auc, np_, nn_ = _auc_or_nan(scores, truth)
-            rows.append(MatrixRow("clfl", split, "federated", "all", auc, np_, nn_))
-            _emit_roc(scores, truth, out_dir, f"clfl_{split}_federated")
-
             cen_params, _ = run_centralized(bundles, train_cfg, master_seed, budget_epochs)
-            scores = model_scores(cen_params, bundles)
-            auc, np_, nn_ = _auc_or_nan(scores, truth)
-            rows.append(MatrixRow("clfl", split, "centralized", "all", auc, np_, nn_))
-            _emit_roc(scores, truth, out_dir, f"clfl_{split}_centralized")
-
-            scores = pds_pooled(bundles)
-            auc, np_, nn_ = _auc_or_nan(scores, truth)
-            rows.append(MatrixRow("clfl", split, "pds", "all", auc, np_, nn_))
-            _emit_roc(scores, truth, out_dir, f"clfl_{split}_pds")
+            for method, scores in (
+                ("federated", model_scores(fed_params, bundles)),
+                ("centralized", model_scores(cen_params, bundles)),
+                ("pds", pds_pooled(bundles)),
+            ):
+                rows.append(
+                    _matrix_row("clfl", split, method, "all", method, scores, truth, out_dir)
+                )
 
         if {"per_device", "per_model", "cross_model"} & set(cells):
             n_devices = len({t.platform_id for t in traces})
@@ -242,57 +240,49 @@ def experiment_matrix(
             by_model: dict[str, list[ClientBundle]] = {}
             for b in bundles:
                 by_model.setdefault(models[b.client.client_id], []).append(b)
+            others = {
+                name: [b for b in bundles if models[b.client.client_id] != name]
+                for name in by_model
+            }
 
             if "per_device" in cells:
                 for b in bundles:
                     if b.client.n_train == 0 or b.test_x.shape[0] == 0:
                         continue
-                    cfg = replace(
-                        train_cfg, max_epochs=budget_epochs, rng_seed=master_seed + b.client.client_id
-                    )
+                    cid = b.client.client_id
+                    cfg = replace(train_cfg, max_epochs=budget_epochs, rng_seed=master_seed + cid)
                     params, _ = lstm.train_local(
                         lstm.init_params(master_seed), b.client.train_x, b.client.train_y, cfg
                     )
-                    scores = lstm.predict(params, b.test_x)
-                    auc, np_, nn_ = _auc_or_nan(scores, b.test_truth)
-                    rows.append(
-                        MatrixRow(
-                            "per_device", split, "local",
-                            f"device_{b.client.client_id}", auc, np_, nn_,
-                        )
-                    )
-                    _emit_roc(
-                        scores, b.test_truth, out_dir,
-                        f"per_device_{split}_{b.client.client_id}",
-                    )
+                    rows.append(_matrix_row(
+                        "per_device", split, "local", f"device_{cid}", str(cid),
+                        lstm.predict(params, b.test_x), b.test_truth, out_dir,
+                    ))
 
+            # one federation per hardware family serves both its per_model row
+            # and its cross_model row; a family that covers every bundle has
+            # no cross_model row and trains only for per_model
+            family_params = {
+                name: run_federated(group, fed_cfg)[0]
+                for name, group in sorted(by_model.items())
+                if "per_model" in cells or ("cross_model" in cells and others[name])
+            }
             if "per_model" in cells:
-                for model_name, group in sorted(by_model.items()):
-                    fed_params, _ = run_federated(group, fed_cfg)
-                    scores = model_scores(fed_params, group)
+                for name, group in sorted(by_model.items()):
                     _, truth = pooled_test(group)
-                    auc, np_, nn_ = _auc_or_nan(scores, truth)
-                    rows.append(
-                        MatrixRow("per_model", split, "federated", model_name, auc, np_, nn_)
-                    )
-                    _emit_roc(scores, truth, out_dir, f"per_model_{split}_{model_name}")
-
+                    rows.append(_matrix_row(
+                        "per_model", split, "federated", name, name,
+                        model_scores(family_params[name], group), truth, out_dir,
+                    ))
             if "cross_model" in cells:
-                for model_name, group in sorted(by_model.items()):
-                    others = [b for b in bundles if models[b.client.client_id] != model_name]
-                    if not others:
+                for name in sorted(by_model):
+                    if not others[name]:
                         continue
-                    fed_params, _ = run_federated(group, fed_cfg)
-                    scores = model_scores(fed_params, others)
-                    _, truth = pooled_test(others)
-                    auc, np_, nn_ = _auc_or_nan(scores, truth)
-                    rows.append(
-                        MatrixRow(
-                            "cross_model", split, "federated",
-                            f"train_{model_name}", auc, np_, nn_,
-                        )
-                    )
-                    _emit_roc(scores, truth, out_dir, f"cross_model_{split}_{model_name}")
+                    _, truth = pooled_test(others[name])
+                    rows.append(_matrix_row(
+                        "cross_model", split, "federated", f"train_{name}", name,
+                        model_scores(family_params[name], others[name]), truth, out_dir,
+                    ))
 
     if out_dir is not None:
         write_auc_table(rows, os.path.join(out_dir, "auc_table.csv"))

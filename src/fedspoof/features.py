@@ -1,12 +1,14 @@
 """36-element feature vectors: extraction, cleaning, normalization, windowing.
 
 Each sample yields 4 position features (per-axis fused-vs-GNSS residual and
-per-axis fusion uncertainty, meters) followed by the 32 signal statistics in
-SIGNAL_SLOTS order.  Cleaning caps the position features at their training
-95th percentile (applied to magnitude, sign preserved), replaces invalid
-signal values with the minimum of their valid range, and min-max scales every
-feature to [0, 1].  Normalization is fitted per client on local training data
-only.
+the fusion uncertainty, meters) followed by the 32 signal statistics in
+SIGNAL_SLOTS order.  The fusion filter's north and east axes share one
+covariance, so slot 3 (sigma_lon_m) repeats slot 2 (sigma_lat_m); both are
+kept so the vector keeps the paper's 36-slot layout.  Cleaning caps the
+position features at their training 95th percentile (applied to magnitude,
+sign preserved), replaces invalid signal values with the minimum of their
+valid range, and min-max scales every feature to [0, 1].  Normalization is
+fitted per client on local training data only.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def extract_raw(trace: Trace, fused: list[FusedEstimate]) -> np.ndarray:
     """Raw per-sample feature matrix (n, 36); NaN marks invalid signal slots.
 
     Position residuals are signed per-axis offsets (fused minus GNSS) in
-    meters; uncertainties are the fusion sigmas.  Signal slots are copied
+    meters; slots 2 and 3 both hold the fusion sigma.  Signal slots are copied
     verbatim, invalid values staying NaN for later replacement.
     """
     n = len(trace.samples)
@@ -93,8 +95,7 @@ def extract_raw(trace: Trace, fused: list[FusedEstimate]) -> np.ndarray:
     lon_mu = np.array([f.mu.lon for f in fused])
     out[:, 0] = (lat_mu - lat_g) * M_PER_DEG
     out[:, 1] = (lon_mu - lon_g) * M_PER_DEG * np.cos(np.radians(lat_g))
-    out[:, 2] = [f.sigma[0] for f in fused]
-    out[:, 3] = [f.sigma[1] for f in fused]
+    out[:, 2] = out[:, 3] = [f.sigma for f in fused]
     out[:, N_POSITION:] = np.stack([s.signal.values for s in trace.samples])
     return out
 

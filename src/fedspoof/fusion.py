@@ -1,15 +1,17 @@
 """GNSS-independent position fusion and the position-based baseline detector.
 
 A constant-velocity Kalman filter over the network-provided position, driven
-by onboard acceleration, produces a fused position with per-axis uncertainty.
-The GNSS position is deliberately excluded from the filter so the estimate is
-unaffected by spoofing; speed and attitude rates only scale the process noise.
+by onboard acceleration, produces a fused position with one uncertainty that
+the north and east axes share.  The GNSS position is deliberately excluded
+from the filter so the estimate is unaffected by spoofing; speed and attitude
+rates only scale the process noise.
 The baseline detector scores each sample by its normalized fused-vs-GNSS
 residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,82 +42,65 @@ class FusionConfig:
 
 @dataclass(frozen=True)
 class FusedEstimate:
-    """Fused position with per-axis (north, east) standard deviations in meters."""
+    """Fused position with its standard deviation in meters, shared by the
+    north and east axes."""
 
     mu: GeoPos
-    sigma: tuple[float, float]
+    sigma: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma[0] > 0.0 and self.sigma[1] > 0.0):
-            raise ValueError("sigma components must be strictly positive")
+        if not self.sigma > 0.0:
+            raise ValueError("sigma must be strictly positive")
 
 
 def fuse_trace(trace: Trace, cfg: FusionConfig) -> list[FusedEstimate]:
     """Run the fusion filter over one trace.
 
-    State is (north, east, v_north, v_east) in a local tangent plane anchored
-    at the trace's first network position.  Propagation uses the previous
-    sample's acceleration as a control input over the elapsed interval, with
-    process noise scaled up while the platform is fast or turning.  Output
-    depends only on p_net, v, a, omega and t.
+    The state is a (north, east) position and velocity in a local tangent
+    plane anchored at the trace's first network position.  Both axes start
+    with the same variances and see the same process and measurement noise,
+    so they share one (position, velocity) covariance [[a, b], [b, c]].
+    Propagation uses the previous sample's acceleration as a control input
+    over the elapsed interval, with process noise scaled up while the
+    platform is fast or turning.  Output depends only on p_net, v, a, omega
+    and t.
     """
     samples = trace.samples
     origin = samples[0].p_net
 
-    x = np.zeros(4)
-    n0, e0 = local_meters(origin, samples[0].p_net)
-    x[0], x[1] = n0, e0
-    p = np.diag(
-        [
-            cfg.initial_sigma**2,
-            cfg.initial_sigma**2,
-            INITIAL_VELOCITY_STD**2,
-            INITIAL_VELOCITY_STD**2,
-        ]
-    )
-    r = np.eye(2) * cfg.net_meas_noise**2
-    eye4 = np.eye(4)
+    pos, vel = np.zeros(2), np.zeros(2)
+    a, b, c = cfg.initial_sigma**2, 0.0, INITIAL_VELOCITY_STD**2
+    r = cfg.net_meas_noise**2
 
     out: list[FusedEstimate] = []
     prev = None
     for smp in samples:
         if prev is not None:
             dt = smp.t - prev.t
-            f = eye4.copy()
-            f[0, 2] = dt
-            f[1, 3] = dt
-            an, ae = prev.a[0], prev.a[1]
-            x = f @ x
-            x[0] += 0.5 * an * dt * dt
-            x[1] += 0.5 * ae * dt * dt
-            x[2] += an * dt
-            x[3] += ae * dt
+            acc = prev.a[:2]
+            pos = pos + dt * vel + 0.5 * acc * dt * dt
+            vel = vel + acc * dt
             # faster or turning platforms get a looser motion model
-            q_scale = cfg.process_noise * (1.0 + float(np.linalg.norm(prev.omega)) + prev.v / 10.0)
-            q2 = q_scale * np.array(
-                [[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]
-            )
-            q = np.zeros((4, 4))
-            q[np.ix_([0, 2], [0, 2])] = q2
-            q[np.ix_([1, 3], [1, 3])] = q2
-            p = f @ p @ f.T + q
+            q = cfg.process_noise * (1.0 + float(np.linalg.norm(prev.omega)) + prev.v / 10.0)
+            b_dt = b + dt * c
+            a = (a + dt * b) + dt * b_dt + q * (dt**4 / 4.0)
+            b = b_dt + q * (dt**3 / 2.0)
+            c = c + q * dt**2
 
-        zn, ze = local_meters(origin, smp.p_net)
-        innov = np.array([zn, ze]) - x[:2]
-        s = p[:2, :2] + r
-        k = p[:, :2] @ np.linalg.inv(s)
-        x = x + k @ innov
-        kh = np.zeros((4, 4))
-        kh[:, :2] = k
-        p = (eye4 - kh) @ p
-        p = 0.5 * (p + p.T)
-
-        out.append(
-            FusedEstimate(
-                mu=offset_geopos(origin, x[0], x[1]),
-                sigma=(float(np.sqrt(p[0, 0])), float(np.sqrt(p[1, 1]))),
-            )
+        innov = np.array(local_meters(origin, smp.p_net)) - pos
+        inv_s = 1.0 / (a + r)
+        k_pos, k_vel = a * inv_s, b * inv_s
+        pos = pos + k_pos * innov
+        vel = vel + k_vel * innov
+        # (I - KH) P has the off-diagonal terms (1 - k_pos) b and b - k_vel a,
+        # equal but for rounding; symmetrising takes their mean
+        a, b, c = (
+            (1.0 - k_pos) * a,
+            0.5 * ((1.0 - k_pos) * b + (b - k_vel * a)),
+            c - k_vel * b,
         )
+
+        out.append(FusedEstimate(mu=offset_geopos(origin, pos[0], pos[1]), sigma=math.sqrt(a)))
         prev = smp
     return out
 

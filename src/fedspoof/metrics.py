@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lstm
-
 
 class SingleClassError(ValueError):
     """Raised when a score set contains only one truth class."""
@@ -30,15 +28,6 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
     thresholds: np.ndarray
-
-
-@dataclass(frozen=True)
-class AucScore:
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError(f"AUC out of range: {self.value}")
 
 
 def roc(scores: np.ndarray, truth: np.ndarray) -> RocCurve:
@@ -66,13 +55,13 @@ def roc(scores: np.ndarray, truth: np.ndarray) -> RocCurve:
     return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
 
 
-def auc(curve: RocCurve) -> AucScore:
+def auc(curve: RocCurve) -> float:
     """Trapezoidal area under the ROC curve."""
-    return AucScore(float(np.trapezoid(curve.tpr, curve.fpr)))
+    return float(np.trapezoid(curve.tpr, curve.fpr))
 
 
 def auc_from_scores(scores: np.ndarray, truth: np.ndarray) -> float:
-    return auc(roc(scores, truth)).value
+    return auc(roc(scores, truth))
 
 
 def write_roc_csv(curve: RocCurve, path: str) -> None:
@@ -82,30 +71,3 @@ def write_roc_csv(curve: RocCurve, path: str) -> None:
         for thr, fp, tp in zip(curve.thresholds, curve.fpr, curve.tpr):
             fh.write(f"{thr:.10g},{fp:.10g},{tp:.10g}\n")
 
-
-def evaluate_model(
-    model,
-    windows: np.ndarray,
-    truth: np.ndarray,
-    csv_path: str | None = None,
-) -> tuple[RocCurve, AucScore]:
-    """Score test windows and compute their ROC/AUC.
-
-    `model` is either LstmModelParams or any callable mapping windows to
-    scores.  Raises SingleClassError naming the problem when the test split
-    holds a single class.
-    """
-    truth = np.asarray(truth, dtype=bool)
-    if truth.all() or not truth.any():
-        raise SingleClassError(
-            "test split contains a single truth class; evaluation needs both"
-        )
-    if isinstance(model, lstm.LstmModelParams):
-        scores = lstm.predict(model, windows)
-    else:
-        scores = np.asarray(model(windows), dtype=np.float64)
-    curve = roc(scores, truth)
-    score = auc(curve)
-    if csv_path is not None:
-        write_roc_csv(curve, csv_path)
-    return curve, score

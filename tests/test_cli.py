@@ -81,9 +81,27 @@ class TestConfig:
             load_config(path)
 
     def test_bad_value_rejected(self, tmp_path):
-        path = _write_config(tmp_path, "[sim]\nn_traces = many\n")
-        with pytest.raises(ConfigError, match="n_traces"):
-            load_config(path)
+        for text, message in (
+            ("[sim]\nn_traces = many\n", r"bad value for \[sim\] n_traces"),
+            ("[federation]\ngate_enabled = maybe\n", r"bad value for \[federation\] gate_enabled"),
+            ("[federation]\ncorrupt_client_id = 2\n",
+             r"key \[federation\] corrupt_client_id cannot be set from a config file"),
+            ("[features]\nvalid_ranges = 1\n",
+             r"key \[features\] valid_ranges cannot be set from a config file"),
+        ):
+            path = _write_config(tmp_path, text)
+            with pytest.raises(ConfigError, match=message):
+                load_config(path)
+
+    def test_per_stage_seeds_rejected(self, tmp_path):
+        # [experiment] seed drives every stage; a per-stage seed in a file
+        # would be overwritten, so it is refused instead
+        for section, key in (("sim", "rng_seed"), ("train", "rng_seed"),
+                             ("federation", "init_seed")):
+            path = _write_config(tmp_path, f"[{section}]\n{key} = 3\n")
+            with pytest.raises(ConfigError, match=r"\[experiment\] seed"):
+                load_config(path)
+            assert _run("generate", "--config", path, "--out", str(tmp_path / "o")) == 2
 
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="cannot read"):

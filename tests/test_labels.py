@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from fedspoof import fusion, labels
-from fedspoof.domain import GeoPos, PlatformSample, SignalProps, Trace, offset_geopos
+from fedspoof.domain import (
+    N_SIGNAL_SLOTS,
+    GeoPos,
+    PlatformSample,
+    SignalProps,
+    Trace,
+    offset_geopos,
+)
 from fedspoof.fusion import FusedEstimate
 
 ANCHOR = GeoPos(48.0, 11.0)
@@ -21,14 +28,14 @@ def _trace_and_fused(residuals, scale=1.0):
             v=0.0,
             a=np.zeros(3),
             omega=np.zeros(3),
-            signal=SignalProps.empty(),
+            signal=SignalProps(np.full(N_SIGNAL_SLOTS, np.nan)),
             attacked=False,
         )
         for k in range(len(residuals))
     ]
     trace = Trace(1, 1, samples)
     fused = [
-        FusedEstimate(mu=offset_geopos(ANCHOR, float(r) * scale, 0.0), sigma=(1.0, 1.0))
+        FusedEstimate(mu=offset_geopos(ANCHOR, float(r) * scale, 0.0), sigma=1.0)
         for r in residuals
     ]
     return trace, fused

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from fedspoof.lstm import init_params
 from fedspoof.metrics import (
-    AucScore,
     SingleClassError,
     auc,
     auc_from_scores,
-    evaluate_model,
     roc,
     write_roc_csv,
 )
@@ -32,7 +29,7 @@ class TestRoc:
         scores = np.array([0.9, 0.8, 0.7, 0.2, 0.1])
         truth = np.array([True, True, True, False, False])
         curve = roc(scores, truth)
-        assert auc(curve).value == 1.0
+        assert auc(curve) == 1.0
         # passes through the (0, 1) corner
         assert any(fp == 0.0 and tp == 1.0 for fp, tp in zip(curve.fpr, curve.tpr))
 
@@ -81,37 +78,6 @@ class TestRoc:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             roc(np.array([0.1, 0.2]), np.array([True]))
-
-
-class TestAucScore:
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            AucScore(1.5)
-
-
-class TestEvaluateModel:
-    def test_callable_scores(self, rng):
-        windows = rng.uniform(0, 1, (30, 4, 3)).astype(np.float32)
-        truth = rng.random(30) < 0.5
-        truth[0], truth[1] = True, False
-        fn = lambda w: w[:, -1, 0]
-        curve, score = evaluate_model(fn, windows, truth)
-        assert 0.0 <= score.value <= 1.0
-
-    def test_params_scores_and_csv(self, rng, tmp_path):
-        params = init_params(0, input_size=3, hidden_size=2)
-        windows = rng.uniform(0, 1, (20, 4, 3)).astype(np.float32)
-        truth = np.array([i % 2 == 0 for i in range(20)])
-        path = tmp_path / "roc.csv"
-        curve, score = evaluate_model(params, windows, truth, csv_path=str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "threshold,r_fp,r_tp"
-        assert len(lines) == len(curve.fpr) + 1
-
-    def test_single_class_split_named(self, rng):
-        windows = rng.uniform(0, 1, (10, 4, 3)).astype(np.float32)
-        with pytest.raises(SingleClassError, match="single truth class"):
-            evaluate_model(lambda w: w[:, 0, 0], windows, np.ones(10, dtype=bool))
 
 
 class TestCsv:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedspoof.domain import haversine_m, signal_slot
+from fedspoof.domain import signal_slot
 from fedspoof.simulate import (
     AttackScenario,
     DEFAULT_PROFILES,
@@ -13,6 +13,8 @@ from fedspoof.simulate import (
     generate,
     partition,
 )
+
+from oracles import haversine_m
 
 
 def rank_probability_smaller(a, b):
