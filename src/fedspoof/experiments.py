@@ -20,7 +20,7 @@ from . import features as feat
 from . import lstm, metrics
 from .domain import Trace
 from .federation import FederationConfig, LocalClient, run_rounds
-from .fusion import FusionConfig, fuse_trace, pds_score
+from .fusion import FusedEstimate, FusionConfig, fuse_trace, pds_score
 from .simulate import PartitionResult, SimConfig, device_models, partition
 
 
@@ -36,12 +36,11 @@ class ClientBundle:
 
 
 def _build_test_set(
-    client: LocalClient, test_traces: list[Trace]
+    client: LocalClient, test_traces: list[Trace], fused_traces: list[list[FusedEstimate]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cfg = client.feature_cfg
     xs, truths, pds_vals = [], [], []
-    for trace in test_traces:
-        fused = fuse_trace(trace, client.fusion_cfg)
+    for trace, fused in zip(test_traces, fused_traces):
         raw = feat.extract_raw(trace, fused)
         fx = feat.apply_normalization(raw, client.feature_norm)
         wx, _, last = feat.make_windows(
@@ -70,18 +69,28 @@ def build_bundles(
     train_cfg: lstm.TrainConfig,
     master_seed: int,
 ) -> list[ClientBundle]:
-    """Run every client's local pipeline and assemble its evaluation data."""
+    """Run every client's local pipeline and assemble its evaluation data.
+
+    Each trace is fused once: in an IID partition a client's test traces are
+    its training traces, the same objects.
+    """
     bundles = []
     for client_id in sorted(part.clients):
         split = part.clients[client_id]
+        fused = {}
+        for trace in split.train + split.test:
+            if id(trace) not in fused:
+                fused[id(trace)] = fuse_trace(trace, fusion_cfg)
         client = LocalClient.from_traces(
             client_id,
             split.train,
-            fusion_cfg,
+            [fused[id(t)] for t in split.train],
             feature_cfg,
             replace(train_cfg, rng_seed=master_seed + client_id),
         )
-        test_x, truth, pds_vals = _build_test_set(client, split.test)
+        test_x, truth, pds_vals = _build_test_set(
+            client, split.test, [fused[id(t)] for t in split.test]
+        )
         bundles.append(
             ClientBundle(
                 client=client,

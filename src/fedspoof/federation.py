@@ -3,15 +3,18 @@ gate, and the round loop.
 
 Clients keep their traces, features and labels local; the only values that
 cross the client/server boundary are flat parameter vectors, sample counts
-and per-evaluator AUCs.  Transport is in-process message passing with
-value-semantic messages, so the state machines stay transport-agnostic.
+and per-evaluator AUCs.  Client work runs in shards: the server process
+itself and forked processes, up to one per usable CPU, which exchange
+pickled value-semantic messages with the server over pipes.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import multiprocessing
 import os
+import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +23,7 @@ from . import features as feat
 from . import labels as lab
 from . import lstm, metrics
 from .domain import Trace
-from .fusion import FusionConfig, fuse_trace
+from .fusion import FusedEstimate
 
 log = logging.getLogger(__name__)
 
@@ -113,7 +116,6 @@ class LocalClient:
         train_cfg: lstm.TrainConfig,
         feature_norm: feat.NormalizationState | None = None,
         label_norm: lab.LabelNorm | None = None,
-        fusion_cfg: FusionConfig | None = None,
         feature_cfg: feat.FeatureConfig | None = None,
     ):
         self.client_id = client_id
@@ -122,7 +124,6 @@ class LocalClient:
         self.train_cfg = train_cfg
         self.feature_norm = feature_norm
         self.label_norm = label_norm
-        self.fusion_cfg = fusion_cfg
         self.feature_cfg = feature_cfg
         self.reference_binary = self.train_y > 0.5
 
@@ -135,16 +136,16 @@ class LocalClient:
         cls,
         client_id: int,
         traces: list[Trace],
-        fusion_cfg: FusionConfig,
+        fused: list[list[FusedEstimate]],
         feature_cfg: feat.FeatureConfig,
         train_cfg: lstm.TrainConfig,
     ) -> "LocalClient":
-        """Run the local pipeline: fuse, self-label, normalize, window.
+        """Run the local pipeline on fused traces: self-label, normalize, window.
 
-        Feature and label normalizations are fitted on this client's data
-        only and never leave the client.
+        `fused[i]` is `fuse_trace`'s output for `traces[i]`.  Feature and
+        label normalizations are fitted on this client's data only and never
+        leave the client.
         """
-        fused = [fuse_trace(t, fusion_cfg) for t in traces]
         raws = [feat.extract_raw(t, f) for t, f in zip(traces, fused)]
         devs = [lab.raw_deviations(t, f) for t, f in zip(traces, fused)]
         fnorm = feat.fit_normalization(raws, feature_cfg)
@@ -179,7 +180,6 @@ class LocalClient:
             train_cfg,
             feature_norm=fnorm,
             label_norm=lnorm,
-            fusion_cfg=fusion_cfg,
             feature_cfg=feature_cfg,
         )
 
@@ -238,49 +238,63 @@ class LocalClient:
         start = lstm.validation_split(self.n_train, self.train_cfg.validation_fraction)
         return lstm.batch_mse(params, self.train_x[start:], self.train_y[start:])
 
+    def review(
+        self,
+        global_params: lstm.LstmModelParams,
+        candidates: list[RoundUpdate],
+        max_windows: int,
+    ) -> tuple[float | None, list[QualityReport | None]]:
+        """This client's part of one gated round.
+
+        Returns the AUC of the broadcast model and one entry per candidate:
+        a QualityReport, or None for the client's own candidate and where
+        the client abstains (single-class reference labels, AUC None too).
+        The per-window scores stay with the client.
+        """
+        result = self.score_candidate(global_params, max_windows)
+        if result is None:
+            log.warning("client %d abstained from gating (single-class labels)", self.client_id)
+        reports: list[QualityReport | None] = []
+        for candidate in candidates:
+            if candidate.client_id == self.client_id:
+                reports.append(None)
+                continue
+            scored = self.score_candidate(candidate.params, max_windows)
+            reports.append(None if scored is None else QualityReport(
+                candidate_client_id=candidate.client_id,
+                evaluating_client_id=self.client_id,
+                auc_vs_reference=scored[1],
+            ))
+        return (None if result is None else result[1]), reports
+
 
 def quality_gate(
     candidate: RoundUpdate,
-    evaluators: list[LocalClient],
+    reports: list[QualityReport | None],
     global_state: GlobalModelState,
     threshold_delta: float,
-    max_windows: int = 512,
 ) -> tuple[bool, list[QualityReport]]:
     """Cross-client screening of one candidate update.
 
-    Every evaluator except the candidate's own client scores the update on
-    its local windows against its binarized self-supervised labels; the
-    update is accepted iff the mean AUC is at least the global model's
-    rolling AUC minus threshold_delta.  Evaluators whose reference labels
-    hold a single class abstain; if all abstain the update is accepted with
-    a warning.
+    `reports` holds one entry per client other than the candidate's own, in
+    client-id order: that evaluator's QualityReport on the candidate, scored
+    on its local windows against its binarized self-supervised labels, or
+    None where it abstained.  The update is accepted iff the mean AUC is at
+    least the global model's rolling AUC minus threshold_delta; if every
+    evaluator abstained it is accepted with a warning.  Returns the verdict
+    and the reports that were given.
     """
-    others = [c for c in sorted(evaluators, key=lambda c: c.client_id)
-              if c.client_id != candidate.client_id]
-    if not others:
-        raise ValueError("quality gate needs at least one evaluator besides the candidate")
-    reports = []
-    for ev in others:
-        result = ev.score_candidate(candidate.params, max_windows)
-        if result is None:
-            log.warning("client %d abstained from gating (single-class labels)", ev.client_id)
-            continue
-        # the per-window scores stay with the evaluator; only the AUC is sent
-        reports.append(
-            QualityReport(
-                candidate_client_id=candidate.client_id,
-                evaluating_client_id=ev.client_id,
-                auc_vs_reference=result[1],
-            )
-        )
     if not reports:
+        raise ValueError("quality gate needs at least one evaluator besides the candidate")
+    given = [r for r in reports if r is not None]
+    if not given:
         log.warning(
             "all evaluators abstained for client %d; accepting by default",
             candidate.client_id,
         )
         return True, []
-    mean_auc = float(np.mean([r.auc_vs_reference for r in reports]))
-    return mean_auc >= global_state.last_auc - threshold_delta, reports
+    mean_auc = float(np.mean([r.auc_vs_reference for r in given]))
+    return mean_auc >= global_state.last_auc - threshold_delta, given
 
 
 @dataclass(frozen=True)
@@ -317,6 +331,121 @@ def _corrupt_update(update: RoundUpdate, seed: int) -> RoundUpdate:
     )
 
 
+def _shard_reply(clients: list[LocalClient], method: str, args: tuple) -> list:
+    """One shard's answer to a broadcast: `method(*args)` on each of its clients."""
+    return [getattr(client, method)(*args) for client in clients]
+
+
+def _serve(conn, clients: list[LocalClient], inherited: list) -> None:
+    """A forked shard: answer the server's requests until it hangs up.
+
+    A failure goes back to the server, which raises it; the shard keeps
+    serving.  A closed pipe, from either side, ends the shard.
+    """
+    for other in inherited:  # the server's ends of the pipes, its own included
+        other.close()
+    with conn:
+        while True:
+            try:
+                method, args = conn.recv()
+            except EOFError:
+                return
+            try:
+                reply = ("ok", _shard_reply(clients, method, args), None)
+            except Exception as exc:  # noqa: BLE001 - raised again in the server
+                reply = ("error", exc, traceback.format_exc())
+            try:
+                conn.send(reply)
+            except BrokenPipeError:
+                return
+
+
+class _Shards:
+    """The active clients spread over shards, client i to shard i mod n.
+
+    Shard 0 is the server process.  Every other shard is a process forked
+    once, when the shards are made, so it starts with its clients in memory;
+    only requests and their replies cross its pipe.  Used as a context
+    manager, which ends every forked shard on the way out.
+    """
+
+    #: seconds a shard that was hung up on may take to exit
+    EXIT_TIMEOUT_S = 10.0
+
+    def __init__(self, clients: list[LocalClient], n: int):
+        self._clients = clients
+        self._n = n
+        self._conns: list = []
+        self._procs: list = []
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for k in range(1, n):
+                here, there = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_serve, args=(there, clients[k::n], [*self._conns, here]), daemon=True
+                )
+                proc.start()
+                there.close()
+                self._conns.append(here)
+                self._procs.append(proc)
+        except BaseException:
+            self._stop(abort=True)
+            raise
+
+    def __enter__(self) -> "_Shards":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._stop(abort=exc_type is not None)
+
+    def _stop(self, abort: bool) -> None:
+        # a forked shard exits when its pipe closes; one still working on a
+        # request the server no longer waits for is terminated
+        for conn in self._conns:
+            conn.close()
+        for proc in self._procs:
+            if abort:
+                proc.terminate()
+            proc.join(self.EXIT_TIMEOUT_S)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+
+    def ask(self, method: str, *args) -> list:
+        """`method(*args)` on every client, the results in client order."""
+        for conn in self._conns:
+            conn.send((method, args))
+        replies = [_shard_reply(self._clients[:: self._n], method, args)]
+        for k, conn in enumerate(self._conns, 1):
+            try:
+                status, payload, remote_tb = conn.recv()
+            except EOFError:
+                raise RuntimeError(f"federation shard {k} exited without replying") from None
+            if status == "error":
+                raise payload from RuntimeError(f"in federation shard {k}:\n{remote_tb}")
+            replies.append(payload)
+        results: list = [None] * len(self._clients)
+        for k, reply in enumerate(replies):
+            results[k :: self._n] = reply
+        return results
+
+
+def _shard_count(n_clients: int) -> int:
+    """One shard per CPU this process may run on, at most one per client.
+
+    A process that already runs other threads stays one shard: an unpinned
+    BLAS keeps a thread per CPU, so forked shards would each bring a pool to
+    the same CPUs (a gated six-client federation ran 3.3x slower on two),
+    and a forked child can inherit a lock held by a thread it does not have.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):  # no affinity mask or /proc: not Linux
+        return 1
+    return min(cpus, n_clients) if threads == 1 else 1
+
+
 def run_rounds(
     clients: list[LocalClient],
     cfg: FederationConfig,
@@ -327,7 +456,10 @@ def run_rounds(
 
     Per round: broadcast the global parameters, train every client locally,
     screen updates through the quality gate once the warm-up has passed,
-    aggregate the accepted updates with FedAvg, and record metrics.
+    aggregate the accepted updates with FedAvg, and record metrics.  Client
+    work runs in shards, one per usable CPU (see `_shard_count`); results
+    are gathered in client order, so the outcome does not depend on the
+    shard count.
     Deterministic given client seeds and cfg.init_seed.
     """
     active = [c for c in sorted(clients, key=lambda c: c.client_id) if c.n_train > 0]
@@ -342,85 +474,79 @@ def run_rounds(
         round_index=0,
         params=lstm.init_params(cfg.init_seed, input_size, hidden_size),
     )
+    weights = np.array([c.n_train for c in active], dtype=np.float64)
     rows: list[dict] = []
 
-    for round_index in range(1, cfg.rounds + 1):
-        updates = []
-        for client in active:
-            update = client.train(
-                global_state.params, round_index, cfg.local_epochs, announced_mean
+    with _Shards(active, _shard_count(len(active))) as shards:
+        for round_index in range(1, cfg.rounds + 1):
+            updates = shards.ask(
+                "train", global_state.params, round_index, cfg.local_epochs, announced_mean
+            )
+            if cfg.corrupt_from_round is not None and round_index >= cfg.corrupt_from_round:
+                updates = [
+                    _corrupt_update(u, cfg.init_seed) if u.client_id == cfg.corrupt_client_id
+                    else u
+                    for u in updates
+                ]
+
+            gate_active = cfg.gate_enabled and round_index > cfg.gate_warmup_rounds
+            gate_aucs: list[float] = []
+            if gate_active:
+                reviews = shards.ask(
+                    "review", global_state.params, updates, cfg.gate_eval_max_windows
+                )
+                # rolling AUC of the model broadcast this round, same reference
+                # labels the candidates are judged against
+                global_aucs = [auc for auc, _ in reviews if auc is not None]
+                if global_aucs:
+                    global_state.last_auc = float(np.mean(global_aucs))
+                accepted = []
+                for j, update in enumerate(updates):
+                    ok, reports = quality_gate(
+                        update,
+                        [r[j] for i, (_, r) in enumerate(reviews) if i != j],
+                        global_state,
+                        cfg.gate_threshold_delta,
+                    )
+                    gate_aucs.extend(r.auc_vs_reference for r in reports)
+                    if ok:
+                        accepted.append(update)
+                    else:
+                        log.info(
+                            "round %d: rejected update from client %d",
+                            round_index,
+                            update.client_id,
+                        )
+            else:
+                accepted = updates
+
+            if accepted:
+                new_params = fedavg(accepted, cfg.weighted)
+            else:
+                log.warning("round %d: no update accepted; global model unchanged", round_index)
+                new_params = global_state.params
+            global_state = GlobalModelState(
+                round_index=round_index, params=new_params, last_auc=global_state.last_auc
             )
             if (
-                cfg.corrupt_client_id == client.client_id
-                and cfg.corrupt_from_round is not None
-                and round_index >= cfg.corrupt_from_round
+                cfg.checkpoint_every > 0
+                and cfg.checkpoint_dir is not None
+                and round_index % cfg.checkpoint_every == 0
             ):
-                update = _corrupt_update(update, cfg.init_seed)
-            updates.append(update)
-
-        gate_active = cfg.gate_enabled and round_index > cfg.gate_warmup_rounds
-        gate_aucs: list[float] = []
-        if gate_active:
-            # rolling AUC of the model broadcast this round, same reference
-            # labels the candidates are judged against
-            global_aucs = []
-            for client in active:
-                result = client.score_candidate(
-                    global_state.params, cfg.gate_eval_max_windows
+                lstm.save_checkpoint(
+                    new_params,
+                    os.path.join(cfg.checkpoint_dir, f"global_round_{round_index:04d}.ckpt"),
                 )
-                if result is not None:
-                    global_aucs.append(result[1])
-            if global_aucs:
-                global_state.last_auc = float(np.mean(global_aucs))
-            accepted = []
-            for update in updates:
-                ok, reports = quality_gate(
-                    update,
-                    active,
-                    global_state,
-                    cfg.gate_threshold_delta,
-                    cfg.gate_eval_max_windows,
-                )
-                gate_aucs.extend(r.auc_vs_reference for r in reports)
-                if ok:
-                    accepted.append(update)
-                else:
-                    log.info(
-                        "round %d: rejected update from client %d",
-                        round_index,
-                        update.client_id,
-                    )
-        else:
-            accepted = updates
 
-        if accepted:
-            new_params = fedavg(accepted, cfg.weighted)
-        else:
-            log.warning("round %d: no update accepted; global model unchanged", round_index)
-            new_params = global_state.params
-        global_state = GlobalModelState(
-            round_index=round_index, params=new_params, last_auc=global_state.last_auc
-        )
-        if (
-            cfg.checkpoint_every > 0
-            and cfg.checkpoint_dir is not None
-            and round_index % cfg.checkpoint_every == 0
-        ):
-            lstm.save_checkpoint(
-                new_params,
-                os.path.join(cfg.checkpoint_dir, f"global_round_{round_index:04d}.ckpt"),
+            val_mses = np.array(shards.ask("validation_mse", new_params))
+            rows.append(
+                {
+                    "round": round_index,
+                    "accepted_clients": len(accepted),
+                    "mean_gate_auc": float(np.mean(gate_aucs)) if gate_aucs else math.nan,
+                    "global_val_mse": float(np.average(val_mses, weights=weights)),
+                }
             )
-
-        weights = np.array([c.n_train for c in active], dtype=np.float64)
-        val_mses = np.array([c.validation_mse(new_params) for c in active])
-        rows.append(
-            {
-                "round": round_index,
-                "accepted_clients": len(accepted),
-                "mean_gate_auc": float(np.mean(gate_aucs)) if gate_aucs else math.nan,
-                "global_val_mse": float(np.average(val_mses, weights=weights)),
-            }
-        )
     return global_state, rows
 
 

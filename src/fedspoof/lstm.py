@@ -90,6 +90,11 @@ class LstmModelParams:
     def layout(self) -> list[tuple[str, tuple[int, ...], int]]:
         return layout_blocks(self.input_size, self.hidden_size)
 
+    def __reduce__(self):
+        # rebuild from the vector alone: pickled or deep-copied views would
+        # be arrays of their own, no longer aliasing the new `vector`
+        return LstmModelParams, (self.input_size, self.hidden_size, self.vector)
+
     def copy(self) -> "LstmModelParams":
         return LstmModelParams(self.input_size, self.hidden_size, self.vector.copy())
 

@@ -1,10 +1,15 @@
 import dataclasses
+import io
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
 
-from fedspoof import lstm
+from fedspoof import federation, lstm
 from fedspoof.federation import (
+    SERVER_RECEIVABLE_MESSAGE_TYPES,
     FederationConfig,
     GlobalModelState,
     LocalClient,
@@ -98,6 +103,14 @@ def _client_from_windows(client_id, x, y, seed=0):
     )
 
 
+def _reports(candidate, clients, max_windows=512):
+    """Every other client's report on candidate, in client order, as run_rounds
+    gathers them (None where an evaluator abstains)."""
+    return [c.review(candidate.params, [candidate], max_windows)[1][0]
+            for c in sorted(clients, key=lambda c: c.client_id)
+            if c.client_id != candidate.client_id]
+
+
 def _separable_client(rng, client_id, n=120, seed=0):
     """Windows whose first feature at the last step predicts the label."""
     x = rng.uniform(0, 1, (n, 4, feat_dim := 6)).astype(np.float32)
@@ -113,7 +126,9 @@ class TestQualityGate:
         aucs = [c.score_candidate(params, 256)[1] for c in clients]
         state.last_auc = float(np.mean(aucs))
         candidate = RoundUpdate(1, 1, params, n_samples=10)
-        accepted, reports = quality_gate(candidate, clients, state, threshold_delta=0.02)
+        accepted, reports = quality_gate(
+            candidate, _reports(candidate, clients), state, threshold_delta=0.02
+        )
         assert accepted
         assert {r.evaluating_client_id for r in reports} == {2, 3}
         assert all(r.candidate_client_id == 1 for r in reports)
@@ -125,15 +140,17 @@ class TestQualityGate:
         )
         state = GlobalModelState(0, init_params(0, 6, 4), last_auc=0.0)
         candidate = RoundUpdate(1, 1, init_params(1, 6, 4), n_samples=10)
-        accepted, reports = quality_gate(candidate, [good, degenerate], state, 0.02)
+        accepted, reports = quality_gate(candidate, _reports(candidate, [good, degenerate]),
+                                         state, 0.02)
         assert accepted  # the only evaluator abstained -> accept by default
         assert reports == []
 
     def test_needs_an_evaluator(self, rng):
         client = _separable_client(rng, 1)
         state = GlobalModelState(0, init_params(0, 6, 4))
+        candidate = RoundUpdate(1, 1, init_params(0, 6, 4), 5)
         with pytest.raises(ValueError, match="evaluator"):
-            quality_gate(RoundUpdate(1, 1, init_params(0, 6, 4), 5), [client], state, 0.02)
+            quality_gate(candidate, _reports(candidate, [client]), state, 0.02)
 
     def test_shuffled_parameters_rejected(self, rng):
         # train a competent global, then gate a parameter-shuffled clone of it
@@ -146,7 +163,7 @@ class TestQualityGate:
 
         shuffled = state.params.vector[rng.permutation(state.params.vector.size)]
         bad = RoundUpdate(1, 6, LstmModelParams(6, 8, shuffled), n_samples=240)
-        accepted, reports = quality_gate(bad, clients, state, threshold_delta=0.02)
+        accepted, reports = quality_gate(bad, _reports(bad, clients), state, threshold_delta=0.02)
         assert not accepted
         assert np.mean([r.auc_vs_reference for r in reports]) < state.last_auc - 0.02
 
@@ -246,3 +263,147 @@ class TestRunRounds:
         assert lines[0] == "round,accepted_clients,mean_gate_auc,global_val_mse"
         assert lines[1].split(",")[2] == "na"
         assert len(lines) == 4
+
+
+def _force_shards(monkeypatch, n):
+    monkeypatch.setattr(federation, "_shard_count", lambda n_clients: min(n, n_clients))
+
+
+def _fake_process(monkeypatch, cpus, threads):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "listdir", lambda path: [str(i) for i in range(threads)])
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counting_start(proc):
+        forks.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
+    return forks
+
+
+class _FailingClient(LocalClient):
+    def train(self, *args, **kwargs):
+        raise FloatingPointError(f"client {self.client_id} diverged")
+
+
+class _DyingClient(LocalClient):
+    server_pid = None
+
+    def train(self, *args, **kwargs):
+        assert os.getpid() != self.server_pid, "must only run in a forked shard"
+        os._exit(3)
+
+
+def _c7_violations(reply) -> list[str]:
+    """What a shard's reply breaks of C7: only server-receivable messages,
+    floats or None, and no array on the wire but an update's parameter vector."""
+    violations = []
+
+    def walk(obj, path):
+        if isinstance(obj, (list, tuple)):
+            for i, item in enumerate(obj):
+                walk(item, f"{path}[{i}]")
+        elif not (obj is None or isinstance(obj, (float, *SERVER_RECEIVABLE_MESSAGE_TYPES))):
+            violations.append(f"{path}: {type(obj).__name__}")
+
+    walk(reply, "reply")
+    pickled_arrays = []
+
+    class ArrayRecorder(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, np.ndarray):
+                pickled_arrays.append(obj)
+            return None
+
+    ArrayRecorder(io.BytesIO()).dump(reply)
+    vectors = {id(u.params.vector) for u in reply if isinstance(u, RoundUpdate)}
+    violations += [f"array of shape {a.shape} on the wire" for a in pickled_arrays
+                   if id(a) not in vectors]
+    return violations
+
+
+class TestShardedRounds:
+    """run_rounds spreads clients over up to one shard per usable CPU; shard
+    0 is the server process, the others are forked."""
+
+    GATED = FederationConfig(rounds=3, local_epochs=2, gate_enabled=True, gate_warmup_rounds=1,
+                             init_seed=4, corrupt_client_id=3, corrupt_from_round=2)
+
+    def _clients(self, rng, k=4):
+        return [_separable_client(rng, i + 1, seed=i) for i in range(k)]
+
+    def test_shard_count_does_not_change_the_outcome(self, rng, monkeypatch):
+        clients = self._clients(rng)
+        forks = _count_forks(monkeypatch)
+        outcomes = {}
+        for n in (1, 2, 3):
+            _force_shards(monkeypatch, n)
+            forks.clear()
+            outcomes[n] = run_rounds(clients, self.GATED, input_size=6, hidden_size=4)
+            assert len(forks) == n - 1
+        state, rows = outcomes[1]
+        assert any(r["accepted_clients"] < len(clients) for r in rows)  # the gate rejected
+        for n in (2, 3):
+            assert np.array_equal(outcomes[n][0].params.vector, state.params.vector)
+            assert outcomes[n][0].last_auc == state.last_auc
+            assert repr(outcomes[n][1]) == repr(rows)  # equal, NaN included
+
+    def test_shard_count_from_affinity_and_threads(self, monkeypatch):
+        _fake_process(monkeypatch, cpus=8, threads=1)
+        assert federation._shard_count(6) == 6
+        assert federation._shard_count(12) == 8
+        _fake_process(monkeypatch, cpus=1, threads=1)
+        assert federation._shard_count(6) == 1
+        # a process already running other threads, such as an unpinned
+        # BLAS pool, is not forked
+        _fake_process(monkeypatch, cpus=8, threads=9)
+        assert federation._shard_count(6) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert federation._shard_count(6) == 1
+
+    def test_shard_error_raised_in_server(self, rng, monkeypatch):
+        _force_shards(monkeypatch, 2)
+        good = _separable_client(rng, 1)
+        failing = _FailingClient(2, good.train_x, good.train_y, good.train_cfg)
+        with pytest.raises(FloatingPointError, match="client 2 diverged") as excinfo:
+            run_rounds([good, failing], self.GATED, input_size=6, hidden_size=4)
+        assert "in federation shard 1" in str(excinfo.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_shard_raised_in_server(self, rng, monkeypatch):
+        _force_shards(monkeypatch, 2)
+        good = _separable_client(rng, 1)
+        dying = _DyingClient(2, good.train_x, good.train_y, good.train_cfg)
+        dying.server_pid = os.getpid()
+        with pytest.raises(RuntimeError, match="shard 1 exited without replying"):
+            run_rounds([good, dying], self.GATED, input_size=6, hidden_size=4)
+        assert multiprocessing.active_children() == []
+
+    def test_shard_replies_keep_the_privacy_contract(self, rng, monkeypatch):
+        _force_shards(monkeypatch, 2)
+        checked = []
+        reply_of = federation._shard_reply
+
+        def checked_reply(clients, method, args):
+            reply = reply_of(clients, method, args)
+            violations = _c7_violations(reply)
+            assert not violations, f"{method}: {violations}"  # raised in the server
+            checked.append(method)
+            return reply
+
+        monkeypatch.setattr(federation, "_shard_reply", checked_reply)
+        run_rounds(self._clients(rng), self.GATED, input_size=6, hidden_size=4)
+        # shard 0's replies, checked here; the forked shard's are checked there
+        assert sorted(set(checked)) == ["review", "train", "validation_mse"]
+
+    def test_views_in_a_reply_would_break_the_contract(self, rng):
+        update = _update(1, _rand_vec(rng))
+        assert _c7_violations([update, 0.5, None]) == []
+        assert _c7_violations([update.params.vector]) != []
+        assert _c7_violations([update.params.block("l1_wx")]) != []
+        assert _c7_violations([1]) == ["reply[0]: int"]

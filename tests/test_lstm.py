@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,20 @@ class TestLayout:
         p = init_params(2, input_size=4, hidden_size=3)
         for name, _, _ in p.layout():
             assert np.shares_memory(p.block(name), p.vector), name
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_views_alias_vector_after_round_trip(self, round_trip):
+        p = round_trip(init_params(2))
+        p.vector[0] = 42.0  # l1_wx opens the vector
+        assert p.block("l1_wx")[0, 0] == 42.0
+        for name, _, _ in p.layout():
+            assert np.shares_memory(p.block(name), p.vector), name
+
+    def test_pickle_carries_the_vector_once(self):
+        p = init_params(2)
+        assert len(pickle.dumps(p)) < 4 * param_count(36, 100) + 1024
 
     def test_wrong_vector_size_rejected(self):
         with pytest.raises(ValueError):
