@@ -2,15 +2,16 @@
 
 One record per timestamped observation of one mobile platform: true,
 GNSS-provided and network-provided positions, speed, acceleration, attitude
-rates, and per-constellation satellite signal statistics.  Datasets are stored
-as line-delimited text with a single self-describing header so they diff and
-stream cleanly.
+rates, and per-constellation satellite signal statistics.  A trace holds its
+records as one numpy column per field.  Datasets are stored as line-delimited
+text with a single self-describing header so they diff and stream cleanly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,93 +43,89 @@ class DatasetFormatError(ValueError):
     """Raised when a dataset file cannot be parsed or violates ordering rules."""
 
 
-@dataclass(frozen=True)
-class GeoPos:
-    """WGS-84 position in degrees."""
+#: Shape of one sample's entry in each Trace column.
+COLUMN_SHAPES = {
+    "t": (),
+    "p_true": (2,),
+    "p_gnss": (2,),
+    "p_net": (2,),
+    "v": (),
+    "a": (3,),
+    "omega": (3,),
+    "signal": (N_SIGNAL_SLOTS,),
+    "attacked": (),
+}
 
-    lat: float
-    lon: float
+#: Latitude and longitude limits of the three (lat, lon) position pairs.
+_DEGREE_LIMITS = np.array([90.0, 180.0] * 3)
 
-    def __post_init__(self) -> None:
-        if not (-90.0 <= self.lat <= 90.0):
-            raise ValueError(f"latitude out of range: {self.lat}")
-        if not (-180.0 <= self.lon <= 180.0):
-            raise ValueError(f"longitude out of range: {self.lon}")
+
+def frozen_column(values, dtype=np.float64) -> np.ndarray:
+    """An owned, read-only array copy of values."""
+    col = np.array(values, dtype=dtype)
+    col.setflags(write=False)
+    return col
+
+
+def _first_bad_position(latlon: np.ndarray) -> tuple[int, str] | None:
+    """Row and message of the first value outside the WGS-84 degree ranges in
+    (n, 6) rows of (lat, lon) pairs, or None; NaN is out of range."""
+    bad = np.flatnonzero(~(np.abs(latlon) <= _DEGREE_LIMITS))
+    if bad.size == 0:
+        return None
+    row, col = divmod(int(bad[0]), latlon.shape[1])
+    axis = "latitude" if col % 2 == 0 else "longitude"
+    return row, f"{axis} out of range: {float(latlon[row, col])}"
 
 
 @dataclass(frozen=True, eq=False)
-class SignalProps:
-    """32 satellite-signal statistics; NaN marks an invalid/missing value.
+class Trace:
+    """Time-ordered samples of one platform over one recording, held as one
+    read-only numpy column per field.
 
-    Holds {mean, median, min, max} of AGC, antenna C/N0, baseband C/N0 and
-    Doppler shift over the visible satellites of GPS L1 and Galileo E1, in
-    SIGNAL_SLOTS order.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.float64)  # owned copy, frozen below
-        if v.shape != (N_SIGNAL_SLOTS,):
-            raise ValueError(f"signal vector must have {N_SIGNAL_SLOTS} slots, got {v.shape}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True, eq=False)
-class PlatformSample:
-    """One timestamped record for one platform.
-
+    Positions are (n, 2) columns of WGS-84 latitude and longitude in degrees.
     `p_true` and `attacked` are simulator ground truth carried for evaluation
     only; the feature and label pipelines must never read them.
     """
 
-    platform_id: int
-    trace_id: int
-    t: float
-    p_true: GeoPos
-    p_gnss: GeoPos
-    p_net: GeoPos
-    v: float
-    a: np.ndarray  # (north, east, up) m/s^2
-    omega: np.ndarray  # attitude rates rad/s
-    signal: SignalProps
-    attacked: bool
-
-    def __post_init__(self) -> None:
-        a = np.array(self.a, dtype=np.float64)  # owned copies, frozen below
-        w = np.array(self.omega, dtype=np.float64)
-        if a.shape != (3,) or w.shape != (3,):
-            raise ValueError("acceleration and attitude-rate vectors must have 3 axes")
-        a.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "omega", w)
-
-
-@dataclass
-class Trace:
-    """Time-ordered samples of one platform over one recording."""
-
     trace_id: int
     platform_id: int
-    samples: list[PlatformSample] = field(default_factory=list)
+    t: np.ndarray  # (n,) seconds, strictly increasing
+    p_true: np.ndarray  # (n, 2)
+    p_gnss: np.ndarray  # (n, 2) GNSS-provided position
+    p_net: np.ndarray  # (n, 2) network-provided position
+    v: np.ndarray  # (n,) speed m/s
+    a: np.ndarray  # (n, 3) (north, east, up) m/s^2
+    omega: np.ndarray  # (n, 3) attitude rates rad/s
+    signal: np.ndarray  # (n, 32) in SIGNAL_SLOTS order; NaN marks an invalid/missing value
+    attacked: np.ndarray  # (n,) bool
 
     def __post_init__(self) -> None:
-        if not self.samples:
+        for name, tail in COLUMN_SHAPES.items():
+            col = frozen_column(getattr(self, name), bool if name == "attacked" else np.float64)
+            if col.ndim != len(tail) + 1 or col.shape[1:] != tail:
+                if name == "signal":
+                    raise ValueError(
+                        f"signal vector must have {N_SIGNAL_SLOTS} slots, got {col.shape[1:]}"
+                    )
+                if name in ("a", "omega"):
+                    raise ValueError("acceleration and attitude-rate vectors must have 3 axes")
+                raise ValueError(f"column {name} must have shape {('n', *tail)}, got {col.shape}")
+            object.__setattr__(self, name, col)
+        n = len(self.t)
+        if n == 0:
             raise ValueError("trace must contain at least one sample")
-        for s in self.samples:
-            if s.trace_id != self.trace_id or s.platform_id != self.platform_id:
-                raise ValueError(
-                    f"sample ids ({s.platform_id},{s.trace_id}) do not match "
-                    f"trace ({self.platform_id},{self.trace_id})"
-                )
-        t = [s.t for s in self.samples]
-        if any(b <= a for a, b in zip(t, t[1:])):
+        lengths = {name: len(getattr(self, name)) for name in COLUMN_SHAPES}
+        if set(lengths.values()) != {n}:
+            raise ValueError(f"column lengths differ in trace {self.trace_id}: {lengths}")
+        fault = _first_bad_position(np.hstack([self.p_true, self.p_gnss, self.p_net]))
+        if fault is not None:
+            raise ValueError(fault[1])
+        if not np.all(np.diff(self.t) > 0.0):
             raise ValueError(f"timestamps not strictly increasing in trace {self.trace_id}")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.t)
 
 
 HEADER_COLUMNS = (
@@ -154,10 +151,9 @@ HEADER_COLUMNS = (
 
 MISSING_TOKEN = "na"
 
-
-def _fmt(x: float) -> str:
-    # repr round-trips doubles exactly under float()
-    return MISSING_TOKEN if math.isnan(x) else repr(float(x))
+#: Record columns between the ids and the signal block, in file order.
+_NUMERIC_COLUMNS = ("t", "p_true", "p_gnss", "p_net", "v", "a", "omega")
+_SIGNAL_START = HEADER_COLUMNS.index(SIGNAL_SLOTS[0])
 
 
 def write_dataset(traces: list[Trace], path: str) -> None:
@@ -170,40 +166,33 @@ def write_dataset(traces: list[Trace], path: str) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(",".join(HEADER_COLUMNS) + "\n")
             for trace in traces:
-                for s in trace.samples:
-                    cols = [
-                        str(s.platform_id),
-                        str(s.trace_id),
-                        repr(float(s.t)),
-                        repr(float(s.p_true.lat)),
-                        repr(float(s.p_true.lon)),
-                        repr(float(s.p_gnss.lat)),
-                        repr(float(s.p_gnss.lon)),
-                        repr(float(s.p_net.lat)),
-                        repr(float(s.p_net.lon)),
-                        repr(float(s.v)),
-                        *(repr(float(x)) for x in s.a),
-                        *(repr(float(x)) for x in s.omega),
-                        *(_fmt(x) for x in s.signal.values),
-                        "1" if s.attacked else "0",
-                    ]
-                    fh.write(",".join(cols) + "\n")
+                ids = f"{trace.platform_id},{trace.trace_id},"
+                numeric = np.column_stack([getattr(trace, c) for c in _NUMERIC_COLUMNS])
+                for row, sig, hit in zip(numeric, trace.signal, trace.attacked):
+                    # repr round-trips doubles exactly under float(); in the
+                    # signal block only a NaN formats to a token holding "nan"
+                    fh.write(
+                        ids
+                        + ",".join(map(repr, row.tolist()))
+                        + ","
+                        + ",".join(map(repr, sig.tolist())).replace("nan", MISSING_TOKEN)
+                        + (",1\n" if hit else ",0\n")
+                    )
     except OSError as exc:
         raise OSError(f"cannot write dataset {path!r}: {exc}") from exc
 
 
-def _parse_float(token: str) -> float:
-    return math.nan if token == MISSING_TOKEN else float(token)
-
-
 def read_dataset(path: str) -> list[Trace]:
-    """Read a dataset file back into traces.
+    """Read a dataset file back into traces, one line at a time.
 
     Traces are grouped by (platform_id, trace_id) and ordered by t.  Malformed
-    records raise DatasetFormatError naming the line; a repeated timestamp
-    within a trace raises naming the trace.
+    records, a non-finite time, position or motion value, an attacked flag
+    other than 0/1 and an out-of-range position raise DatasetFormatError
+    naming the line; a repeated timestamp within a trace raises naming the
+    trace.
     """
-    groups: dict[tuple[int, int], list[PlatformSample]] = {}
+    # (numeric values, signal values, attacked flags, line numbers) per trace
+    groups: dict[tuple[int, int], tuple[array, array, bytearray, list[int]]] = {}
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         if header.split(",") != list(HEADER_COLUMNS):
@@ -215,48 +204,75 @@ def read_dataset(path: str) -> list[Trace]:
                     f"line {lineno}: expected {len(HEADER_COLUMNS)} fields, got {len(cols)}"
                 )
             try:
-                pid, tid = int(cols[0]), int(cols[1])
-                sample = PlatformSample(
-                    platform_id=pid,
-                    trace_id=tid,
-                    t=float(cols[2]),
-                    p_true=GeoPos(float(cols[3]), float(cols[4])),
-                    p_gnss=GeoPos(float(cols[5]), float(cols[6])),
-                    p_net=GeoPos(float(cols[7]), float(cols[8])),
-                    v=float(cols[9]),
-                    a=np.array([float(c) for c in cols[10:13]]),
-                    omega=np.array([float(c) for c in cols[13:16]]),
-                    signal=SignalProps(np.array([_parse_float(c) for c in cols[16:48]])),
-                    attacked=cols[48] == "1",
-                )
-            except (ValueError, IndexError) as exc:
+                key = (int(cols[0]), int(cols[1]))
+                numeric = [float(c) for c in cols[2:_SIGNAL_START]]
+                signal = [
+                    math.nan if c == MISSING_TOKEN else float(c) for c in cols[_SIGNAL_START:-1]
+                ]
+            except ValueError as exc:
                 raise DatasetFormatError(f"line {lineno}: {exc}") from exc
-            groups.setdefault((pid, tid), []).append(sample)
+            if not all(map(math.isfinite, numeric)):
+                j = 2 + next(i for i, x in enumerate(numeric) if not math.isfinite(x))
+                raise DatasetFormatError(
+                    f"line {lineno}: {HEADER_COLUMNS[j]} is not finite: {cols[j]}"
+                )
+            if cols[-1] not in ("0", "1"):
+                raise DatasetFormatError(
+                    f"line {lineno}: attacked must be 0 or 1, got {cols[-1]!r}"
+                )
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (array("d"), array("d"), bytearray(), [])
+            group[0].extend(numeric)
+            group[1].extend(signal)
+            group[2].append(cols[-1] == "1")
+            group[3].append(lineno)
 
     traces = []
-    for (pid, tid) in sorted(groups):
-        samples = sorted(groups[(pid, tid)], key=lambda s: s.t)
-        t = [s.t for s in samples]
-        if any(b <= a for a, b in zip(t, t[1:])):
+    for pid, tid in sorted(groups):
+        numeric_buf, signal_buf, attacked_buf, lines = groups.pop((pid, tid))
+        num = np.frombuffer(numeric_buf).reshape(len(lines), -1)
+        order = np.argsort(num[:, 0], kind="stable")
+        num = num[order]
+        fault = _first_bad_position(num[:, 1:7])
+        if fault is not None:
+            row, message = fault
+            raise DatasetFormatError(f"line {lines[order[row]]}: {message}")
+        if np.any(np.diff(num[:, 0]) <= 0.0):
             raise DatasetFormatError(f"non-monotone timestamps in trace {tid}")
-        traces.append(Trace(trace_id=tid, platform_id=pid, samples=samples))
+        traces.append(Trace(
+            trace_id=tid,
+            platform_id=pid,
+            t=num[:, 0],
+            p_true=num[:, 1:3],
+            p_gnss=num[:, 3:5],
+            p_net=num[:, 5:7],
+            v=num[:, 7],
+            a=num[:, 8:11],
+            omega=num[:, 11:14],
+            signal=np.frombuffer(signal_buf).reshape(len(lines), N_SIGNAL_SLOTS)[order],
+            attacked=np.frombuffer(attacked_buf, dtype=bool)[order],
+        ))
     return traces
 
 
-def local_meters(origin: GeoPos, p: GeoPos) -> tuple[float, float]:
-    """(north, east) meters from origin to p, equirectangular at the origin.
+def local_meters(lat0, lon0, lat, lon) -> tuple[np.ndarray, np.ndarray]:
+    """(north, east) meters from (lat0, lon0) to (lat, lon), equirectangular
+    at the origin.
 
-    Agrees with the great-circle distance to better than 1e-4 relative at
-    sub-kilometer range and mid latitudes, ample for the residuals and local
-    tangent planes this package works in.
+    Degrees in, scalars or arrays that broadcast.  Agrees with the
+    great-circle distance to better than 1e-4 relative at sub-kilometer range
+    and mid latitudes, ample for the residuals and local tangent planes this
+    package works in.
     """
-    north = (p.lat - origin.lat) * M_PER_DEG
-    east = (p.lon - origin.lon) * M_PER_DEG * math.cos(math.radians(origin.lat))
+    north = (lat - lat0) * M_PER_DEG
+    east = (lon - lon0) * M_PER_DEG * np.cos(np.radians(lat0))
     return north, east
 
 
-def offset_geopos(origin: GeoPos, north_m: float, east_m: float) -> GeoPos:
-    """Inverse of local_meters."""
-    lat = origin.lat + north_m / M_PER_DEG
-    lon = origin.lon + east_m / (M_PER_DEG * math.cos(math.radians(origin.lat)))
-    return GeoPos(float(lat), float(lon))
+def offset_geopos(lat0, lon0, north_m, east_m) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of local_meters: (lat, lon) degrees of the points north_m and
+    east_m meters from (lat0, lon0)."""
+    lat = lat0 + north_m / M_PER_DEG
+    lon = lon0 + east_m / (M_PER_DEG * np.cos(np.radians(lat0)))
+    return lat, lon

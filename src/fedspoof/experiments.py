@@ -36,7 +36,7 @@ class ClientBundle:
 
 
 def _build_test_set(
-    client: LocalClient, test_traces: list[Trace], fused_traces: list[list[FusedEstimate]]
+    client: LocalClient, test_traces: list[Trace], fused_traces: list[FusedEstimate]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cfg = client.feature_cfg
     xs, truths, pds_vals = [], [], []
@@ -48,9 +48,8 @@ def _build_test_set(
         )
         if wx.shape[0] == 0:
             continue
-        attacked = np.array([s.attacked for s in trace.samples], dtype=bool)
         xs.append(wx)
-        truths.append(attacked[last])
+        truths.append(trace.attacked[last])
         pds_vals.append(pds_score(trace, fused)[last])
     if not xs:
         w = cfg.window_len
@@ -62,25 +61,36 @@ def _build_test_set(
     return np.concatenate(xs), np.concatenate(truths), np.concatenate(pds_vals)
 
 
+def fuse_each(traces: list[Trace], fusion_cfg: FusionConfig) -> dict[int, FusedEstimate]:
+    """`fuse_trace` of every distinct trace object, keyed by `id(trace)`."""
+    fused: dict[int, FusedEstimate] = {}
+    for trace in traces:
+        if id(trace) not in fused:
+            fused[id(trace)] = fuse_trace(trace, fusion_cfg)
+    return fused
+
+
 def build_bundles(
     part: PartitionResult,
     fusion_cfg: FusionConfig,
     feature_cfg: feat.FeatureConfig,
     train_cfg: lstm.TrainConfig,
     master_seed: int,
+    fused: dict[int, FusedEstimate] | None = None,
 ) -> list[ClientBundle]:
     """Run every client's local pipeline and assemble its evaluation data.
 
-    Each trace is fused once: in an IID partition a client's test traces are
-    its training traces, the same objects.
+    `fused` holds `fuse_each`'s estimates for the partition's traces; without
+    it each trace is fused here, once: in an IID partition a client's test
+    traces are its training traces, the same objects.
     """
+    if fused is None:
+        fused = fuse_each(
+            [t for split in part.clients.values() for t in split.train + split.test], fusion_cfg
+        )
     bundles = []
     for client_id in sorted(part.clients):
         split = part.clients[client_id]
-        fused = {}
-        for trace in split.train + split.test:
-            if id(trace) not in fused:
-                fused[id(trace)] = fuse_trace(trace, fusion_cfg)
         client = LocalClient.from_traces(
             client_id,
             split.train,
@@ -218,6 +228,8 @@ def experiment_matrix(
     a trace-split variant (held-out test traces).
     """
     models = device_models(sim_cfg)
+    # every partition below holds these trace objects; fuse each one once
+    fused = fuse_each(traces, fusion_cfg)
     budget_epochs = fed_cfg.rounds * fed_cfg.local_epochs
     rows: list[MatrixRow] = []
 
@@ -227,7 +239,7 @@ def experiment_matrix(
 
         if "clfl" in cells:
             part = partition(traces, uniform_mode, sim_cfg.n_clients, master_seed)
-            bundles = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed)
+            bundles = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed, fused)
             _, truth = pooled_test(bundles)
             fed_params, _ = run_federated(bundles, fed_cfg)
             cen_params, _ = run_centralized(bundles, train_cfg, master_seed, budget_epochs)
@@ -245,7 +257,7 @@ def experiment_matrix(
             part = partition(
                 traces, "non-iid-by-device", n_devices, master_seed, trace_holdout=holdout
             )
-            bundles = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed)
+            bundles = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed, fused)
             by_model: dict[str, list[ClientBundle]] = {}
             for b in bundles:
                 by_model.setdefault(models[b.client.client_id], []).append(b)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import M_PER_DEG, SIGNAL_SLOTS, Trace
+from .domain import SIGNAL_SLOTS, Trace, local_meters
 from .fusion import FusedEstimate
 
 POSITION_FEATURES = ("res_lat_m", "res_lon_m", "sigma_lat_m", "sigma_lon_m")
@@ -78,25 +78,20 @@ class NormalizationState:
         return self.hi <= self.lo
 
 
-def extract_raw(trace: Trace, fused: list[FusedEstimate]) -> np.ndarray:
+def extract_raw(trace: Trace, fused: FusedEstimate) -> np.ndarray:
     """Raw per-sample feature matrix (n, 36); NaN marks invalid signal slots.
 
     Position residuals are signed per-axis offsets (fused minus GNSS) in
     meters; slots 2 and 3 both hold the fusion sigma.  Signal slots are copied
     verbatim, invalid values staying NaN for later replacement.
     """
-    n = len(trace.samples)
+    n = len(trace)
     if len(fused) != n:
         raise ValueError("trace and fused estimate lengths differ")
     out = np.empty((n, N_FEATURES))
-    lat_g = np.array([s.p_gnss.lat for s in trace.samples])
-    lon_g = np.array([s.p_gnss.lon for s in trace.samples])
-    lat_mu = np.array([f.mu.lat for f in fused])
-    lon_mu = np.array([f.mu.lon for f in fused])
-    out[:, 0] = (lat_mu - lat_g) * M_PER_DEG
-    out[:, 1] = (lon_mu - lon_g) * M_PER_DEG * np.cos(np.radians(lat_g))
-    out[:, 2] = out[:, 3] = [f.sigma for f in fused]
-    out[:, N_POSITION:] = np.stack([s.signal.values for s in trace.samples])
+    out[:, 0], out[:, 1] = local_meters(*trace.p_gnss.T, fused.lat, fused.lon)
+    out[:, 2] = out[:, 3] = fused.sigma
+    out[:, N_POSITION:] = trace.signal
     return out
 
 
@@ -186,36 +181,3 @@ def make_windows(
     last = np.arange(window_len - 1, n, stride, dtype=np.int64)
     seqs = np.stack([features[i - window_len + 1 : i + 1] for i in last])
     return seqs, labels[last], last
-
-
-def save_normalization(state: NormalizationState, path: str) -> None:
-    """Persist a fitted normalization as a plain-text sidecar."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("fedspoof-normalization v1\n")
-        for j, name in enumerate(FEATURE_NAMES):
-            rep = repr(float(state.replacements[j - N_POSITION])) if j >= N_POSITION else "na"
-            fh.write(
-                f"{name} cap={repr(float(state.caps[j]))} lo={repr(float(state.lo[j]))} "
-                f"hi={repr(float(state.hi[j]))} replace={rep}\n"
-            )
-
-
-def load_normalization(path: str) -> NormalizationState:
-    caps = np.empty(N_FEATURES)
-    lo = np.empty(N_FEATURES)
-    hi = np.empty(N_FEATURES)
-    replacements = np.empty(len(SIGNAL_SLOTS))
-    with open(path, "r", encoding="ascii") as fh:
-        if fh.readline().strip() != "fedspoof-normalization v1":
-            raise ValueError(f"unrecognized normalization file {path!r}")
-        for j, line in enumerate(fh):
-            name, *pairs = line.split()
-            if j >= N_FEATURES or name != FEATURE_NAMES[j]:
-                raise ValueError(f"unexpected feature line {j + 2} in {path!r}")
-            kv = dict(p.split("=", 1) for p in pairs)
-            caps[j] = float(kv["cap"])
-            lo[j] = float(kv["lo"])
-            hi[j] = float(kv["hi"])
-            if j >= N_POSITION:
-                replacements[j - N_POSITION] = float(kv["replace"])
-    return NormalizationState(caps=caps, replacements=replacements, lo=lo, hi=hi)

@@ -136,7 +136,7 @@ class LocalClient:
         cls,
         client_id: int,
         traces: list[Trace],
-        fused: list[list[FusedEstimate]],
+        fused: list[FusedEstimate],
         feature_cfg: feat.FeatureConfig,
         train_cfg: lstm.TrainConfig,
     ) -> "LocalClient":

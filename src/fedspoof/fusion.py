@@ -11,12 +11,11 @@ residual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GeoPos, Trace, local_meters, offset_geopos
+from .domain import Trace, frozen_column, local_meters, offset_geopos
 
 # Initial velocity uncertainty of the filter, m/s.
 INITIAL_VELOCITY_STD = 10.0
@@ -40,20 +39,29 @@ class FusionConfig:
                 raise ValueError(f"{name} must be strictly positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusedEstimate:
-    """Fused position with its standard deviation in meters, shared by the
-    north and east axes."""
+    """Fused positions of one trace, one read-only column per field: latitude
+    and longitude in degrees and the standard deviation in meters that the
+    north and east axes share."""
 
-    mu: GeoPos
-    sigma: float
+    lat: np.ndarray  # (n,)
+    lon: np.ndarray  # (n,)
+    sigma: np.ndarray  # (n,)
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
+        for name in ("lat", "lon", "sigma"):
+            object.__setattr__(self, name, frozen_column(getattr(self, name)))
+        if self.lat.ndim != 1 or not self.lat.shape == self.lon.shape == self.sigma.shape:
+            raise ValueError("lat, lon and sigma must be columns of one length")
+        if not np.all(self.sigma > 0.0):
             raise ValueError("sigma must be strictly positive")
 
+    def __len__(self) -> int:
+        return len(self.sigma)
 
-def fuse_trace(trace: Trace, cfg: FusionConfig) -> list[FusedEstimate]:
+
+def fuse_trace(trace: Trace, cfg: FusionConfig) -> FusedEstimate:
     """Run the fusion filter over one trace.
 
     The state is a (north, east) position and velocity in a local tangent
@@ -65,33 +73,42 @@ def fuse_trace(trace: Trace, cfg: FusionConfig) -> list[FusedEstimate]:
     platform is fast or turning.  Output depends only on p_net, v, a, omega
     and t.
     """
-    samples = trace.samples
-    origin = samples[0].p_net
+    lat0, lon0 = trace.p_net[0]
+    z_north, z_east = local_meters(lat0, lon0, *trace.p_net.T)
+    # faster or turning platforms get a looser motion model; the stacked
+    # matmul takes each |omega| through the same dot product as np.linalg.norm
+    omega_norm = np.sqrt(np.matmul(trace.omega[:, None, :], trace.omega[:, :, None]).ravel())
+    q_scale = cfg.process_noise * (1.0 + omega_norm + trace.v / 10.0)
+    # the step into sample k spans the interval since sample k-1 and uses that
+    # sample's acceleration and process noise
+    steps = zip(np.diff(trace.t).tolist(), trace.a[:-1, 0].tolist(), trace.a[:-1, 1].tolist(),
+                q_scale[:-1].tolist())
 
-    pos, vel = np.zeros(2), np.zeros(2)
+    pn = pe = vn = ve = 0.0
     a, b, c = cfg.initial_sigma**2, 0.0, INITIAL_VELOCITY_STD**2
     r = cfg.net_meas_noise**2
 
-    out: list[FusedEstimate] = []
-    prev = None
-    for smp in samples:
-        if prev is not None:
-            dt = smp.t - prev.t
-            acc = prev.a[:2]
-            pos = pos + dt * vel + 0.5 * acc * dt * dt
-            vel = vel + acc * dt
-            # faster or turning platforms get a looser motion model
-            q = cfg.process_noise * (1.0 + float(np.linalg.norm(prev.omega)) + prev.v / 10.0)
+    n = len(trace)
+    mu_north, mu_east, var = np.empty(n), np.empty(n), np.empty(n)
+    for k, (zn, ze) in enumerate(zip(z_north.tolist(), z_east.tolist())):
+        if k:
+            dt, an, ae, q = next(steps)
+            pn = pn + dt * vn + 0.5 * an * dt * dt
+            pe = pe + dt * ve + 0.5 * ae * dt * dt
+            vn = vn + an * dt
+            ve = ve + ae * dt
             b_dt = b + dt * c
             a = (a + dt * b) + dt * b_dt + q * (dt**4 / 4.0)
             b = b_dt + q * (dt**3 / 2.0)
             c = c + q * dt**2
 
-        innov = np.array(local_meters(origin, smp.p_net)) - pos
         inv_s = 1.0 / (a + r)
         k_pos, k_vel = a * inv_s, b * inv_s
-        pos = pos + k_pos * innov
-        vel = vel + k_vel * innov
+        innov_n, innov_e = zn - pn, ze - pe
+        pn = pn + k_pos * innov_n
+        pe = pe + k_pos * innov_e
+        vn = vn + k_vel * innov_n
+        ve = ve + k_vel * innov_e
         # (I - KH) P has the off-diagonal terms (1 - k_pos) b and b - k_vel a,
         # equal but for rounding; symmetrising takes their mean
         a, b, c = (
@@ -99,21 +116,17 @@ def fuse_trace(trace: Trace, cfg: FusionConfig) -> list[FusedEstimate]:
             0.5 * ((1.0 - k_pos) * b + (b - k_vel * a)),
             c - k_vel * b,
         )
+        mu_north[k], mu_east[k], var[k] = pn, pe, a
 
-        out.append(FusedEstimate(mu=offset_geopos(origin, pos[0], pos[1]), sigma=math.sqrt(a)))
-        prev = smp
-    return out
+    lat, lon = offset_geopos(lat0, lon0, mu_north, mu_east)
+    return FusedEstimate(lat=lat, lon=lon, sigma=np.sqrt(var))
 
 
-def residual_norm_m(trace: Trace, fused: list[FusedEstimate]) -> np.ndarray:
+def residual_norm_m(trace: Trace, fused: FusedEstimate) -> np.ndarray:
     """Per-sample metric norm of (fused position - GNSS position)."""
-    if len(fused) != len(trace.samples):
+    if len(fused) != len(trace):
         raise ValueError("trace and fused estimate lengths differ")
-    d = np.empty(len(fused))
-    for i, (smp, est) in enumerate(zip(trace.samples, fused)):
-        north, east = local_meters(smp.p_gnss, est.mu)
-        d[i] = np.hypot(north, east)
-    return d
+    return np.hypot(*local_meters(*trace.p_gnss.T, fused.lat, fused.lon))
 
 
 def fit_cap_minmax(values: np.ndarray, percentile: float = 95.0) -> tuple[float, float, float]:
@@ -135,7 +148,7 @@ def apply_cap_minmax(values: np.ndarray, cap: float, lo: float, hi: float) -> np
     return np.clip((capped - lo) / (hi - lo), 0.0, 1.0)
 
 
-def pds_score(trace: Trace, fused: list[FusedEstimate]) -> np.ndarray:
+def pds_score(trace: Trace, fused: FusedEstimate) -> np.ndarray:
     """Baseline detection score per sample: the trace's normalized residual.
 
     Residuals are capped at the trace's own 95th percentile and min-max scaled

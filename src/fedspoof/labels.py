@@ -35,7 +35,7 @@ class LabelSeries:
     value_max: float
 
 
-def raw_deviations(trace: Trace, fused: list[FusedEstimate]) -> np.ndarray:
+def raw_deviations(trace: Trace, fused: FusedEstimate) -> np.ndarray:
     """Unnormalized per-sample deviation in meters."""
     return residual_norm_m(trace, fused)
 
@@ -55,7 +55,7 @@ def fit_label_norm(deviations: list[np.ndarray] | np.ndarray) -> LabelNorm:
     return LabelNorm(cap=cap, lo=lo, hi=hi)
 
 
-def generate(trace: Trace, fused: list[FusedEstimate], norm: LabelNorm | None = None) -> LabelSeries:
+def generate(trace: Trace, fused: FusedEstimate, norm: LabelNorm | None = None) -> LabelSeries:
     """Labels for one trace.
 
     With norm=None the cap and scaling are fitted on this trace alone;

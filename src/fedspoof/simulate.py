@@ -16,16 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    CONSTELLATIONS,
-    GeoPos,
-    PlatformSample,
-    SignalProps,
-    STATISTICS,
-    Trace,
-    offset_geopos,
-    signal_slot,
-)
+from .domain import CONSTELLATIONS, STATISTICS, Trace, offset_geopos, signal_slot
 
 MAX_SPEED_MPS = 24.0
 MIN_SPEED_MPS = 3.0
@@ -386,37 +377,24 @@ def _generate_trace(
 
     signal = _signal_matrix(rng, profile, n, speed, attacked, cfg.signal_effect)
 
-    anchor = GeoPos(cfg.anchor_lat, cfg.anchor_lon)
-    samples = []
-    for k in range(n):
-        samples.append(
-            PlatformSample(
-                platform_id=device,
-                trace_id=trace_id,
-                t=float(t[k]),
-                p_true=offset_geopos(anchor, north[k], east[k]),
-                p_gnss=offset_geopos(anchor, gnss_n[k], gnss_e[k]),
-                p_net=offset_geopos(anchor, net_n[k], net_e[k]),
-                v=float(speed[k] + rng.normal(0.0, 0.1)),
-                a=np.array(
-                    [
-                        acc_n[k] + rng.normal(0.0, 0.05),
-                        acc_e[k] + rng.normal(0.0, 0.05),
-                        rng.normal(0.0, 0.05),
-                    ]
-                ),
-                omega=np.array(
-                    [
-                        rng.normal(0.0, 0.01),
-                        rng.normal(0.0, 0.01),
-                        yaw_rate[k] + rng.normal(0.0, 0.005),
-                    ]
-                ),
-                signal=SignalProps(signal[k]),
-                attacked=bool(attacked[k]),
-            )
-        )
-    return Trace(trace_id=trace_id, platform_id=device, samples=samples)
+    def position(north_m: np.ndarray, east_m: np.ndarray) -> np.ndarray:
+        return np.column_stack(offset_geopos(cfg.anchor_lat, cfg.anchor_lon, north_m, east_m))
+
+    # per sample: speed, acceleration (north, east, up), attitude rate (x, y, z)
+    noise = rng.normal(0.0, [0.1, 0.05, 0.05, 0.05, 0.01, 0.01, 0.005], size=(n, 7))
+    return Trace(
+        trace_id=trace_id,
+        platform_id=device,
+        t=t,
+        p_true=position(north, east),
+        p_gnss=position(gnss_n, gnss_e),
+        p_net=position(net_n, net_e),
+        v=speed + noise[:, 0],
+        a=np.column_stack([acc_n + noise[:, 1], acc_e + noise[:, 2], noise[:, 3]]),
+        omega=np.column_stack([noise[:, 4], noise[:, 5], yaw_rate + noise[:, 6]]),
+        signal=signal,
+        attacked=attacked,
+    )
 
 
 def generate(cfg: SimConfig) -> list[Trace]:

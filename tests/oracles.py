@@ -2,12 +2,12 @@
 
 import math
 
-from fedspoof.domain import EARTH_RADIUS_M, GeoPos
+from fedspoof.domain import EARTH_RADIUS_M
 
 
-def haversine_m(a: GeoPos, b: GeoPos) -> float:
-    """Great-circle distance in meters."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
+def haversine_m(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
+    """Great-circle distance in meters between two points given in degrees."""
+    lat1, lon1, lat2, lon2 = map(math.radians, (lat_a, lon_a, lat_b, lon_b))
     dlat = lat2 - lat1
     dlon = lon2 - lon1
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2

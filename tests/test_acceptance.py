@@ -266,8 +266,7 @@ class TestC6QualityGateEfficacy:
 
 class TestC7PrivacyContract:
     FORBIDDEN_TYPES = (
-        domain.GeoPos, domain.PlatformSample, domain.SignalProps, domain.Trace,
-        fusion.FusedEstimate, features.NormalizationState,
+        domain.Trace, fusion.FusedEstimate, features.NormalizationState,
         labels.LabelSeries, labels.LabelNorm,
     )
     FORBIDDEN_TOKENS = (

@@ -1,15 +1,15 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fedspoof import simulate
 from fedspoof.domain import (
+    COLUMN_SHAPES,
     DatasetFormatError,
-    GeoPos,
     HEADER_COLUMNS,
-    PlatformSample,
-    SignalProps,
     Trace,
     local_meters,
     offset_geopos,
@@ -21,40 +21,32 @@ from fedspoof.domain import (
 from oracles import haversine_m
 
 
-def _sample(pid=1, tid=1, t=0.0, attacked=False, lat=10.0, lon=20.0):
-    sig = np.arange(32, dtype=float)
-    return PlatformSample(
-        platform_id=pid,
-        trace_id=tid,
-        t=t,
-        p_true=GeoPos(lat, lon),
-        p_gnss=GeoPos(lat + 1e-5, lon - 1e-5),
-        p_net=GeoPos(lat - 2e-5, lon + 3e-5),
-        v=12.5,
-        a=np.array([0.1, -0.2, 0.01]),
-        omega=np.array([0.0, 0.001, -0.03]),
-        signal=SignalProps(sig),
-        attacked=attacked,
+def _trace(n=1, tid=1, pid=1, t=None, lat=10.0, lon=20.0, **columns):
+    """An n-sample trace with the same readings at every step."""
+    cols = dict(
+        t=np.arange(n, dtype=float) if t is None else t,
+        p_true=np.tile([lat, lon], (n, 1)),
+        p_gnss=np.tile([lat + 1e-5, lon - 1e-5], (n, 1)),
+        p_net=np.tile([lat - 2e-5, lon + 3e-5], (n, 1)),
+        v=np.full(n, 12.5),
+        a=np.tile([0.1, -0.2, 0.01], (n, 1)),
+        omega=np.tile([0.0, 0.001, -0.03], (n, 1)),
+        signal=np.tile(np.arange(32, dtype=float), (n, 1)),
+        attacked=np.zeros(n, dtype=bool),
     )
+    cols.update(columns)
+    return Trace(trace_id=tid, platform_id=pid, **cols)
 
 
-class TestGeoPos:
-    def test_valid_range_enforced(self):
-        with pytest.raises(ValueError):
-            GeoPos(91.0, 0.0)
-        with pytest.raises(ValueError):
-            GeoPos(0.0, -180.5)
-
-    def test_boundary_values_ok(self):
-        GeoPos(90.0, 180.0)
-        GeoPos(-90.0, -180.0)
+def _assert_traces_equal(a, b):
+    assert (a.trace_id, a.platform_id) == (b.trace_id, b.platform_id)
+    for name in COLUMN_SHAPES:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
 
 
-class TestSignalProps:
-    def test_requires_32_slots(self):
-        with pytest.raises(ValueError):
-            SignalProps(np.zeros(31))
-
+class TestSignalSlots:
     def test_slot_index_layout(self):
         assert signal_slot("gps_l1", "agc_db", "mean") == 0
         assert signal_slot("gps_l1", "agc_db", "max") == 3
@@ -64,16 +56,51 @@ class TestSignalProps:
 
 class TestTrace:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Trace(trace_id=1, platform_id=1, samples=[])
+        with pytest.raises(ValueError, match="at least one sample"):
+            _trace(n=0)
 
-    def test_rejects_id_mismatch(self):
-        with pytest.raises(ValueError, match="do not match"):
-            Trace(trace_id=2, platform_id=1, samples=[_sample(tid=1)])
+    def test_out_of_range_position_names_value(self):
+        with pytest.raises(ValueError, match="latitude out of range: 91.0"):
+            _trace(lat=91.0)
+        with pytest.raises(ValueError, match="longitude out of range: -180.5"):
+            _trace(p_gnss=[[0.0, -180.5]])
+        with pytest.raises(ValueError, match="latitude out of range: nan"):
+            _trace(n=2, p_net=[[0.0, 0.0], [np.nan, 0.0]])
+
+    def test_boundary_positions_ok(self):
+        _trace(lat=90.0, lon=180.0, p_gnss=[[90.0, 180.0]], p_net=[[90.0, 180.0]])
+        _trace(lat=-90.0, lon=-180.0, p_gnss=[[-90.0, -180.0]], p_net=[[-90.0, -180.0]])
+
+    def test_requires_32_signal_slots(self):
+        with pytest.raises(ValueError, match="must have 32 slots, got \\(31,\\)"):
+            _trace(n=2, signal=np.zeros((2, 31)))
+
+    def test_requires_3_axes(self):
+        with pytest.raises(ValueError, match="3 axes"):
+            _trace(n=2, a=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="3 axes"):
+            _trace(n=2, omega=np.zeros(2))
+
+    def test_rejects_mismatched_column_lengths(self):
+        with pytest.raises(ValueError, match="column lengths differ"):
+            _trace(n=3, v=np.zeros(2))
+        with pytest.raises(ValueError, match="column lengths differ"):
+            _trace(n=3, attacked=np.zeros(4, dtype=bool))
 
     def test_rejects_non_monotone_time(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            Trace(1, 1, [_sample(t=0.0), _sample(t=0.0)])
+            _trace(n=2, t=np.array([0.0, 0.0]))
+
+    def test_columns_are_read_only_copies(self):
+        t = np.arange(3.0)
+        trace = _trace(n=3, t=t)
+        t[0] = -1.0
+        assert trace.t[0] == 0.0
+        for name in COLUMN_SHAPES:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(trace, name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.v = np.zeros(3)
 
 
 class TestDatasetRoundTrip:
@@ -85,18 +112,12 @@ class TestDatasetRoundTrip:
         assert read_dataset(str(path)) == []
 
     def test_small_round_trip_identity(self, tmp_path):
-        trace = Trace(1, 1, [_sample(t=float(k)) for k in range(3)])
+        trace = _trace(n=3, attacked=np.array([False, True, False]))
         path = tmp_path / "d.csv"
         write_dataset([trace], str(path))
         (back,) = read_dataset(str(path))
         assert len(back) == 3
-        for a, b in zip(trace.samples, back.samples):
-            assert a.t == b.t
-            assert a.p_true == b.p_true and a.p_gnss == b.p_gnss and a.p_net == b.p_net
-            assert a.v == b.v
-            assert np.array_equal(a.a, b.a) and np.array_equal(a.omega, b.omega)
-            assert np.array_equal(a.signal.values, b.signal.values)
-            assert a.attacked == b.attacked
+        _assert_traces_equal(trace, back)
 
     def test_generated_corpus_round_trips(self, tmp_path):
         # 85 traces across 6 platforms, including NaN signal slots
@@ -109,16 +130,13 @@ class TestDatasetRoundTrip:
         key = lambda t: (t.platform_id, t.trace_id)
         assert sorted(key(t) for t in traces) == [key(t) for t in back]
         by_key = {key(t): t for t in traces}
+        assert any(np.isnan(t.signal).any() for t in traces)
         for t in back:
-            orig = by_key[key(t)]
-            assert len(t) == len(orig)
-            for a, b in zip(orig.samples, t.samples):
-                assert a.t == b.t and a.p_gnss == b.p_gnss and a.attacked == b.attacked
-                assert np.array_equal(a.signal.values, b.signal.values, equal_nan=True)
+            _assert_traces_equal(by_key[key(t)], t)
 
     def test_malformed_record_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_dataset([Trace(1, 1, [_sample()])], str(path))
+        write_dataset([_trace()], str(path))
         with open(path, "a") as fh:
             fh.write("1,2,garbage\n")
         with pytest.raises(DatasetFormatError, match="line 3"):
@@ -126,13 +144,33 @@ class TestDatasetRoundTrip:
 
     def test_duplicate_timestamp_names_trace(self, tmp_path):
         path = tmp_path / "dup.csv"
-        write_dataset([Trace(7, 1, [_sample(tid=7, t=1.0)])], str(path))
+        write_dataset([_trace(tid=7, t=np.array([1.0]))], str(path))
         with open(path) as fh:
             fh.readline()
             row = fh.readline()
         with open(path, "a") as fh:
             fh.write(row)
         with pytest.raises(DatasetFormatError, match="trace 7"):
+            read_dataset(str(path))
+
+    @pytest.mark.parametrize("column, token, message", [
+        ("lat_gnss_deg", "91.0", "line 3: latitude out of range: 91.0"),
+        ("attacked", "yes", "line 3: attacked must be 0 or 1, got 'yes'"),
+        ("t_s", "nan", "line 3: t_s is not finite: nan"),
+        ("speed_mps", "inf", "line 3: speed_mps is not finite: inf"),
+        ("lon_net_deg", "-inf", "line 3: lon_net_deg is not finite: -inf"),
+        ("accel_u_mps2", "nan", "line 3: accel_u_mps2 is not finite: nan"),
+        ("omega_x_rads", "inf", "line 3: omega_x_rads is not finite: inf"),
+    ])
+    def test_bad_value_names_line(self, tmp_path, column, token, message):
+        path = tmp_path / "bad.csv"
+        write_dataset([_trace(n=3)], str(path))
+        lines = path.read_text().splitlines()
+        cols = lines[2].split(",")
+        cols[HEADER_COLUMNS.index(column)] = token
+        lines[2] = ",".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=re.escape(message)):
             read_dataset(str(path))
 
     def test_bad_header_rejected(self, tmp_path):
@@ -144,47 +182,53 @@ class TestDatasetRoundTrip:
 
 class TestHaversine:
     def test_identical_points_zero(self):
-        p = GeoPos(45.0, 9.0)
-        assert haversine_m(p, p) == 0.0
+        assert haversine_m(45.0, 9.0, 45.0, 9.0) == 0.0
 
     def test_equator_milli_degree(self):
         # independent oracle: R * radians(0.001)
         expected = 6_371_000.0 * math.radians(0.001)
-        got = haversine_m(GeoPos(0.0, 0.0), GeoPos(0.0, 0.001))
+        got = haversine_m(0.0, 0.0, 0.0, 0.001)
         assert got == pytest.approx(expected, abs=1e-6)
         assert got == pytest.approx(111.19, abs=0.01)
 
     def test_symmetry_and_nonnegativity(self, rng):
         for _ in range(200):
-            a = GeoPos(rng.uniform(-80, 80), rng.uniform(-179, 179))
-            b = GeoPos(rng.uniform(-80, 80), rng.uniform(-179, 179))
-            d_ab = haversine_m(a, b)
+            a = (rng.uniform(-80, 80), rng.uniform(-179, 179))
+            b = (rng.uniform(-80, 80), rng.uniform(-179, 179))
+            d_ab = haversine_m(*a, *b)
             assert d_ab >= 0.0
-            assert d_ab == pytest.approx(haversine_m(b, a), rel=1e-12)
+            assert d_ab == pytest.approx(haversine_m(*b, *a), rel=1e-12)
 
     def test_triangle_inequality(self, rng):
         for _ in range(200):
-            pts = [GeoPos(rng.uniform(-80, 80), rng.uniform(-179, 179)) for _ in range(3)]
-            a, b, c = pts
-            lhs = haversine_m(a, c)
-            rhs = haversine_m(a, b) + haversine_m(b, c)
+            a, b, c = [(rng.uniform(-80, 80), rng.uniform(-179, 179)) for _ in range(3)]
+            lhs = haversine_m(*a, *c)
+            rhs = haversine_m(*a, *b) + haversine_m(*b, *c)
             assert lhs <= rhs * (1.0 + 1e-6)
 
 
 class TestLocalPlane:
     def test_round_trip(self, rng):
-        origin = GeoPos(59.3, 18.1)
+        origin = (59.3, 18.1)
         for _ in range(50):
             n, e = rng.uniform(-800, 800, 2)
-            p = offset_geopos(origin, n, e)
-            n2, e2 = local_meters(origin, p)
+            n2, e2 = local_meters(*origin, *offset_geopos(*origin, n, e))
             assert n2 == pytest.approx(n, abs=1e-6)
             assert e2 == pytest.approx(e, abs=1e-6)
 
+    def test_round_trip_on_arrays(self, rng):
+        origin = (59.3, 18.1)
+        n, e = rng.uniform(-800, 800, (2, 50))
+        lat, lon = offset_geopos(*origin, n, e)
+        assert lat.shape == lon.shape == (50,)
+        n2, e2 = local_meters(*origin, lat, lon)
+        np.testing.assert_allclose(n2, n, atol=1e-6)
+        np.testing.assert_allclose(e2, e, atol=1e-6)
+
     def test_matches_haversine_at_small_range(self, rng):
-        origin = GeoPos(40.0, -3.0)
+        origin = (40.0, -3.0)
         for _ in range(50):
             n, e = rng.uniform(-500, 500, 2)
-            p = offset_geopos(origin, n, e)
-            planar = math.hypot(*local_meters(origin, p))
-            assert planar == pytest.approx(haversine_m(origin, p), rel=1e-4)
+            p = offset_geopos(*origin, n, e)
+            planar = math.hypot(*local_meters(*origin, *p))
+            assert planar == pytest.approx(haversine_m(*origin, *p), rel=1e-4)

@@ -98,6 +98,23 @@ class TestMatrixFederations:
         assert calls == [(1,), (1,)]
         assert [(r.cell, r.split) for r in rows] == [("per_model", "iid"), ("per_model", "trace")]
 
+    def test_each_trace_fused_once_per_matrix(self, monkeypatch):
+        # clfl and the by-device partitions of both splits share the traces
+        real = experiments.fuse_trace
+        fused = []
+
+        def spy(trace, cfg):
+            fused.append(trace.trace_id)
+            return real(trace, cfg)
+
+        monkeypatch.setattr(experiments, "fuse_trace", spy)
+        sim, traces, fc, tc = _micro_setup(n_traces=6)
+        fed_cfg = FederationConfig(rounds=1, local_epochs=1, gate_enabled=False,
+                                   init_seed=sim.rng_seed)
+        experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed,
+                          cells=("clfl", "per_device"))
+        assert sorted(fused) == sorted(t.trace_id for t in traces)
+
 
 @pytest.mark.slow
 class TestEndToEnd:

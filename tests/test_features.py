@@ -12,9 +12,7 @@ from fedspoof.features import (
     apply_normalization,
     extract_raw,
     fit_normalization,
-    load_normalization,
     make_windows,
-    save_normalization,
 )
 
 
@@ -57,17 +55,16 @@ class TestSlotMap:
         raw = extract_raw(trace, fused)
         assert raw.shape == (len(trace), 36)
         k = 5
-        sig = trace.samples[k].signal.values
-        np.testing.assert_array_equal(raw[k, 4:], sig, strict=False)
+        np.testing.assert_array_equal(raw[k, 4:], trace.signal[k], strict=False)
         # one shared covariance: slot 3 repeats slot 2
-        assert raw[k, 2] == raw[k, 3] == fused[k].sigma
+        assert raw[k, 2] == raw[k, 3] == fused.sigma[k]
 
     def test_zero_residual_when_fused_equals_gnss(self, tiny_corpus):
         _, traces = tiny_corpus
         trace = traces[0]
-        fused = [
-            fusion.FusedEstimate(mu=s.p_gnss, sigma=1.0) for s in trace.samples
-        ]
+        fused = fusion.FusedEstimate(
+            lat=trace.p_gnss[:, 0], lon=trace.p_gnss[:, 1], sigma=np.ones(len(trace))
+        )
         raw = extract_raw(trace, fused)
         np.testing.assert_array_equal(raw[:, 0], np.zeros(len(trace)))
         np.testing.assert_array_equal(raw[:, 1], np.zeros(len(trace)))
@@ -222,21 +219,6 @@ class TestWindows:
             assert x.shape[0] == expected
             if expected:
                 assert idx.min() == w - 1 and idx.max() == n - 1
-
-
-class TestSidecar:
-    def test_round_trip(self, tmp_path, tiny_corpus):
-        _, traces = tiny_corpus
-        cfg = fusion.FusionConfig()
-        raws = [extract_raw(t, fusion.fuse_trace(t, cfg)) for t in traces]
-        state = fit_normalization(raws)
-        path = tmp_path / "norm.txt"
-        save_normalization(state, str(path))
-        back = load_normalization(str(path))
-        np.testing.assert_array_equal(state.caps, back.caps)
-        np.testing.assert_array_equal(state.lo, back.lo)
-        np.testing.assert_array_equal(state.hi, back.hi)
-        np.testing.assert_array_equal(state.replacements, back.replacements)
 
 
 class TestConfigValidation:

@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedspoof.domain import (
-    N_SIGNAL_SLOTS,
-    GeoPos,
-    PlatformSample,
-    SignalProps,
-    Trace,
-    local_meters,
-    offset_geopos,
-)
+from fedspoof.domain import N_SIGNAL_SLOTS, Trace, local_meters, offset_geopos
 from fedspoof.fusion import (
     INITIAL_VELOCITY_STD,
     FusedEstimate,
@@ -25,33 +17,31 @@ from fedspoof.fusion import (
 
 from oracles import haversine_m
 
-ANCHOR = GeoPos(59.0, 18.0)
+ANCHOR = (59.0, 18.0)
 
 
 def _make_trace(positions_ne, p_net_ne=None, p_gnss_ne=None, v=None, a=None, omega=None,
                 trace_id=1, t=None):
     """Trace from (north, east) meter tracks; defaults: net == gnss == true."""
     n = len(positions_ne)
-    p_net_ne = p_net_ne if p_net_ne is not None else positions_ne
-    p_gnss_ne = p_gnss_ne if p_gnss_ne is not None else positions_ne
-    samples = []
-    for k in range(n):
-        samples.append(
-            PlatformSample(
-                platform_id=1,
-                trace_id=trace_id,
-                t=float(t[k]) if t is not None else float(k),
-                p_true=offset_geopos(ANCHOR, *positions_ne[k]),
-                p_gnss=offset_geopos(ANCHOR, *p_gnss_ne[k]),
-                p_net=offset_geopos(ANCHOR, *p_net_ne[k]),
-                v=v[k] if v is not None else 0.0,
-                a=np.array(a[k]) if a is not None else np.zeros(3),
-                omega=np.array(omega[k]) if omega is not None else np.zeros(3),
-                signal=SignalProps(np.full(N_SIGNAL_SLOTS, np.nan)),
-                attacked=False,
-            )
-        )
-    return Trace(trace_id=trace_id, platform_id=1, samples=samples)
+
+    def position(track):
+        north, east = np.asarray(track, dtype=float).T
+        return np.column_stack(offset_geopos(*ANCHOR, north, east))
+
+    return Trace(
+        trace_id=trace_id,
+        platform_id=1,
+        t=np.arange(n, dtype=float) if t is None else t,
+        p_true=position(positions_ne),
+        p_gnss=position(positions_ne if p_gnss_ne is None else p_gnss_ne),
+        p_net=position(positions_ne if p_net_ne is None else p_net_ne),
+        v=np.zeros(n) if v is None else v,
+        a=np.zeros((n, 3)) if a is None else a,
+        omega=np.zeros((n, 3)) if omega is None else omega,
+        signal=np.full((n, N_SIGNAL_SLOTS), np.nan),
+        attacked=np.zeros(n, dtype=bool),
+    )
 
 
 def matmul_in_order(x, y):
@@ -71,39 +61,39 @@ def matmul_in_order(x, y):
 def reference_fuse_4x4(trace, cfg, matmul=np.matmul):
     """The filter as a 4x4 (north, east, v_north, v_east) Kalman filter.
 
-    Returns (mu, (sigma_north, sigma_east)) per sample.  With np.matmul the
+    Returns ((lat, lon), (sigma_north, sigma_east)) per sample.  With np.matmul the
     products go through BLAS, which may fuse a multiply and an add into one
     rounding (FMA); matmul_in_order never does, as fuse_trace never does.
     """
-    samples = trace.samples
-    origin = samples[0].p_net
+    origin = trace.p_net[0]
     x = np.zeros(4)
-    x[0], x[1] = local_meters(origin, samples[0].p_net)
+    x[0], x[1] = local_meters(*origin, *trace.p_net[0])
     p = np.diag([cfg.initial_sigma**2, cfg.initial_sigma**2,
                  INITIAL_VELOCITY_STD**2, INITIAL_VELOCITY_STD**2])
     r = np.eye(2) * cfg.net_meas_noise**2
     eye4 = np.eye(4)
     out = []
-    prev = None
-    for smp in samples:
-        if prev is not None:
-            dt = smp.t - prev.t
+    for k in range(len(trace)):
+        if k:
+            dt = float(trace.t[k] - trace.t[k - 1])
             f = eye4.copy()
             f[0, 2] = dt
             f[1, 3] = dt
-            an, ae = prev.a[0], prev.a[1]
+            an, ae = trace.a[k - 1, 0], trace.a[k - 1, 1]
             x = matmul(f, x)
             x[0] += 0.5 * an * dt * dt
             x[1] += 0.5 * ae * dt * dt
             x[2] += an * dt
             x[3] += ae * dt
-            q_scale = cfg.process_noise * (1.0 + float(np.linalg.norm(prev.omega)) + prev.v / 10.0)
+            q_scale = cfg.process_noise * (
+                1.0 + float(np.linalg.norm(trace.omega[k - 1])) + float(trace.v[k - 1]) / 10.0
+            )
             q2 = q_scale * np.array([[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]])
             q = np.zeros((4, 4))
             q[np.ix_([0, 2], [0, 2])] = q2
             q[np.ix_([1, 3], [1, 3])] = q2
             p = matmul(matmul(f, p), f.T) + q
-        zn, ze = local_meters(origin, smp.p_net)
+        zn, ze = local_meters(*origin, *trace.p_net[k])
         innov = np.array([zn, ze]) - x[:2]
         s = p[:2, :2] + r
         k = matmul(p[:, :2], np.linalg.inv(s))
@@ -112,9 +102,8 @@ def reference_fuse_4x4(trace, cfg, matmul=np.matmul):
         kh[:, :2] = k
         p = matmul(eye4 - kh, p)
         p = 0.5 * (p + p.T)
-        out.append((offset_geopos(origin, x[0], x[1]),
+        out.append((offset_geopos(*origin, x[0], x[1]),
                     (float(np.sqrt(p[0, 0])), float(np.sqrt(p[1, 1])))))
-        prev = smp
     return out
 
 
@@ -122,10 +111,10 @@ def _assert_matches_reference(trace, cfg, matmul=np.matmul):
     fused = fuse_trace(trace, cfg)
     reference = reference_fuse_4x4(trace, cfg, matmul)
     assert len(fused) == len(reference)
-    for k, (est, (mu, (sigma_n, sigma_e))) in enumerate(zip(fused, reference)):
+    for k, ((lat, lon), (sigma_n, sigma_e)) in enumerate(reference):
         assert sigma_n == sigma_e, f"sample {k}: the 4x4 axes differ"
-        assert est.mu == mu, f"sample {k}"
-        assert est.sigma == sigma_n, f"sample {k}"
+        assert (fused.lat[k], fused.lon[k]) == (lat, lon), f"sample {k}"
+        assert fused.sigma[k] == sigma_n, f"sample {k}"
 
 
 class TestConfig:
@@ -137,7 +126,7 @@ class TestConfig:
 
     def test_estimate_requires_positive_sigma(self):
         with pytest.raises(ValueError):
-            FusedEstimate(mu=ANCHOR, sigma=0.0)
+            FusedEstimate(lat=[ANCHOR[0]], lon=[ANCHOR[1]], sigma=[0.0])
 
 
 class TestFuseTrace:
@@ -148,10 +137,9 @@ class TestFuseTrace:
         fused = fuse_trace(trace, cfg)
         assert len(fused) == 60
         # converges onto the constant measurement
-        assert haversine_m(fused[-1].mu, trace.samples[-1].p_net) < 0.5
+        assert haversine_m(fused.lat[-1], fused.lon[-1], *trace.p_net[-1]) < 0.5
         # zero-process-noise limit: covariance never grows
-        sig = np.array([f.sigma for f in fused])
-        assert np.all(np.diff(sig) <= 1e-9)
+        assert np.all(np.diff(fused.sigma) <= 1e-9)
 
     def test_tracks_straight_constant_velocity(self):
         track = [(10.0 * k, 5.0 * k) for k in range(90)]
@@ -159,8 +147,8 @@ class TestFuseTrace:
         trace = _make_trace(track, v=v)
         cfg = FusionConfig()
         fused = fuse_trace(trace, cfg)
-        for smp, est in zip(trace.samples, fused):
-            assert haversine_m(est.mu, smp.p_true) < cfg.net_meas_noise
+        for k in range(len(trace)):
+            assert haversine_m(fused.lat[k], fused.lon[k], *trace.p_true[k]) < cfg.net_meas_noise
 
     def test_independent_of_gnss_position(self, rng):
         track = [(3.0 * k, -2.0 * k) for k in range(40)]
@@ -171,15 +159,14 @@ class TestFuseTrace:
         cfg = FusionConfig()
         fa = fuse_trace(clean, cfg)
         fb = fuse_trace(spoofed, cfg)
-        for a, b in zip(fa, fb):
-            assert a.mu == b.mu
-            assert a.sigma == b.sigma
+        assert np.array_equal(fa.lat, fb.lat) and np.array_equal(fa.lon, fb.lon)
+        assert np.array_equal(fa.sigma, fb.sigma)
 
     def test_sigma_reflects_covariance_scale(self):
         trace = _make_trace([(0.0, 0.0)] * 30)
         small = fuse_trace(trace, FusionConfig(net_meas_noise=1.0))
         large = fuse_trace(trace, FusionConfig(net_meas_noise=40.0))
-        assert small[-1].sigma < large[-1].sigma
+        assert small.sigma[-1] < large.sigma[-1]
 
 
     def test_bitwise_equal_to_4x4_reference_on_corpus(self, tiny_corpus):
@@ -206,10 +193,9 @@ class TestFuseTrace:
             # through BLAS the 4x4 filter may differ by FMA roundings only
             fused = fuse_trace(trace, cfg)
             blas = reference_fuse_4x4(trace, cfg)
-            np.testing.assert_allclose([f.sigma for f in fused], [s for _, (s, _) in blas],
-                                       rtol=1e-12)
-            np.testing.assert_allclose([(f.mu.lat, f.mu.lon) for f in fused],
-                                       [(m.lat, m.lon) for m, _ in blas], rtol=1e-12)
+            np.testing.assert_allclose(fused.sigma, [s for _, (s, _) in blas], rtol=1e-12)
+            np.testing.assert_allclose(np.column_stack([fused.lat, fused.lon]),
+                                       [m for m, _ in blas], rtol=1e-12)
 
 class TestCapMinmaxChain:
     def test_linear_interpolation_percentile(self):
@@ -231,11 +217,8 @@ class TestPdsScore:
         n = len(residuals)
         track = [(0.0, 0.0)] * n
         trace = _make_trace(track)
-        fused = [
-            FusedEstimate(mu=offset_geopos(ANCHOR, float(r) * scale, 0.0), sigma=1.0)
-            for r in residuals
-        ]
-        return trace, fused
+        lat, lon = offset_geopos(*ANCHOR, np.asarray(residuals, dtype=float) * scale, np.zeros(n))
+        return trace, FusedEstimate(lat=lat, lon=lon, sigma=np.ones(n))
 
     def test_zero_residual_scores_zero(self):
         trace, fused = self._trace_with_residuals([0.0] * 10)
@@ -272,4 +255,4 @@ class TestPdsScore:
     def test_length_mismatch_rejected(self):
         trace, fused = self._trace_with_residuals([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
-            residual_norm_m(trace, fused[:-1])
+            residual_norm_m(trace, FusedEstimate(fused.lat[:-1], fused.lon[:-1], fused.sigma[:-1]))

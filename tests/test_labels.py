@@ -1,44 +1,34 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedspoof import fusion, labels
-from fedspoof.domain import (
-    N_SIGNAL_SLOTS,
-    GeoPos,
-    PlatformSample,
-    SignalProps,
-    Trace,
-    offset_geopos,
-)
+from fedspoof.domain import N_SIGNAL_SLOTS, Trace, offset_geopos
 from fedspoof.fusion import FusedEstimate
 
-ANCHOR = GeoPos(48.0, 11.0)
+ANCHOR = (48.0, 11.0)
 
 
 def _trace_and_fused(residuals, scale=1.0):
     """p_gnss pinned at the anchor; fused mu displaced north by each residual."""
-    samples = [
-        PlatformSample(
-            platform_id=1,
-            trace_id=1,
-            t=float(k),
-            p_true=ANCHOR,
-            p_gnss=ANCHOR,
-            p_net=ANCHOR,
-            v=0.0,
-            a=np.zeros(3),
-            omega=np.zeros(3),
-            signal=SignalProps(np.full(N_SIGNAL_SLOTS, np.nan)),
-            attacked=False,
-        )
-        for k in range(len(residuals))
-    ]
-    trace = Trace(1, 1, samples)
-    fused = [
-        FusedEstimate(mu=offset_geopos(ANCHOR, float(r) * scale, 0.0), sigma=1.0)
-        for r in residuals
-    ]
-    return trace, fused
+    n = len(residuals)
+    at_anchor = np.tile(ANCHOR, (n, 1))
+    trace = Trace(
+        trace_id=1,
+        platform_id=1,
+        t=np.arange(n, dtype=float),
+        p_true=at_anchor,
+        p_gnss=at_anchor,
+        p_net=at_anchor,
+        v=np.zeros(n),
+        a=np.zeros((n, 3)),
+        omega=np.zeros((n, 3)),
+        signal=np.full((n, N_SIGNAL_SLOTS), np.nan),
+        attacked=np.zeros(n, dtype=bool),
+    )
+    lat, lon = offset_geopos(*ANCHOR, np.asarray(residuals, dtype=float) * scale, np.zeros(n))
+    return trace, FusedEstimate(lat=lat, lon=lon, sigma=np.ones(n))
 
 
 class TestGenerate:
@@ -86,23 +76,11 @@ class TestGroundTruthIndependence:
         fused = fusion.fuse_trace(trace, cfg)
         baseline = labels.generate(trace, fused)
 
-        tampered_samples = [
-            PlatformSample(
-                platform_id=s.platform_id,
-                trace_id=s.trace_id,
-                t=s.t,
-                p_true=offset_geopos(s.p_true, 5000.0, -5000.0),
-                p_gnss=s.p_gnss,
-                p_net=s.p_net,
-                v=s.v,
-                a=s.a,
-                omega=s.omega,
-                signal=s.signal,
-                attacked=not s.attacked,
-            )
-            for s in trace.samples
-        ]
-        tampered = Trace(trace.trace_id, trace.platform_id, tampered_samples)
+        lat, lon = offset_geopos(*trace.p_true.T, 5000.0, -5000.0)
+        tampered = dataclasses.replace(
+            trace, p_true=np.column_stack([lat, lon]), attacked=~trace.attacked
+        )
+        assert not np.array_equal(tampered.p_true, trace.p_true)
         fused_t = fusion.fuse_trace(tampered, cfg)
         series = labels.generate(tampered, fused_t)
         assert np.array_equal(series.values, baseline.values)

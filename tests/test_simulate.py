@@ -63,9 +63,9 @@ class TestGenerate:
         cfg = SimConfig(n_traces=4, duration_s=60.0, attack_fraction=0.0, rng_seed=5)
         traces = generate(cfg)
         for trace in traces:
-            assert not any(s.attacked for s in trace.samples)
-            for s in trace.samples:
-                assert haversine_m(s.p_gnss, s.p_true) < 6.0 * cfg.gnss_noise_m
+            assert not trace.attacked.any()
+            for k in range(len(trace)):
+                assert haversine_m(*trace.p_gnss[k], *trace.p_true[k]) < 6.0 * cfg.gnss_noise_m
 
     def test_step_offset_lands_in_band(self):
         cfg = SimConfig(
@@ -76,10 +76,9 @@ class TestGenerate:
         traces = generate(cfg)
         attacked_found = 0
         for trace in traces:
-            for s in trace.samples:
-                if s.attacked:
-                    attacked_found += 1
-                    assert 250.0 <= haversine_m(s.p_gnss, s.p_true) <= 350.0
+            for k in np.flatnonzero(trace.attacked):
+                attacked_found += 1
+                assert 250.0 <= haversine_m(*trace.p_gnss[k], *trace.p_true[k]) <= 350.0
         assert attacked_found > 0
 
     def test_deterministic_per_seed(self):
@@ -88,26 +87,24 @@ class TestGenerate:
         b = generate(cfg)
         for ta, tb in zip(a, b):
             assert ta.platform_id == tb.platform_id
-            for sa, sb in zip(ta.samples, tb.samples):
-                assert sa.p_gnss == sb.p_gnss and sa.p_net == sb.p_net
-                assert sa.v == sb.v and sa.attacked == sb.attacked
-                assert np.array_equal(sa.signal.values, sb.signal.values, equal_nan=True)
+            assert np.array_equal(ta.p_gnss, tb.p_gnss) and np.array_equal(ta.p_net, tb.p_net)
+            assert np.array_equal(ta.v, tb.v) and np.array_equal(ta.attacked, tb.attacked)
+            assert np.array_equal(ta.signal, tb.signal, equal_nan=True)
 
     def test_different_seeds_differ(self):
         a = generate(SimConfig(n_traces=2, duration_s=30.0, rng_seed=1))
         b = generate(SimConfig(n_traces=2, duration_s=30.0, rng_seed=2))
-        assert a[0].samples[0].p_true != b[0].samples[0].p_true
+        assert not np.array_equal(a[0].p_true[0], b[0].p_true[0])
 
     def test_speed_bounded(self):
         traces = generate(SimConfig(n_traces=3, duration_s=60.0, rng_seed=4))
         for trace in traces:
-            for s in trace.samples:
-                assert s.v <= 25.0
+            assert np.all(trace.v <= 25.0)
 
     def test_attack_fraction_roughly_respected(self):
         cfg = SimConfig(n_traces=30, duration_s=120.0, attack_fraction=0.2, rng_seed=13)
         traces = generate(cfg)
-        flags = np.array([s.attacked for t in traces for s in t.samples])
+        flags = np.concatenate([t.attacked for t in traces])
         assert 0.12 <= flags.mean() <= 0.28
 
     def test_attacked_cn0_spread_stochastically_smaller(self):
@@ -118,11 +115,10 @@ class TestGenerate:
         hi = signal_slot("gps_l1", "cn0_ant_dbhz", "max")
         spread_att, spread_ben = [], []
         for trace in traces:
-            for s in trace.samples:
-                v = s.signal.values
-                if np.isnan(v[lo]) or np.isnan(v[hi]):
-                    continue
-                (spread_att if s.attacked else spread_ben).append(v[hi] - v[lo])
+            valid = ~(np.isnan(trace.signal[:, lo]) | np.isnan(trace.signal[:, hi]))
+            spread = trace.signal[:, hi] - trace.signal[:, lo]
+            spread_att.extend(spread[valid & trace.attacked])
+            spread_ben.extend(spread[valid & ~trace.attacked])
         assert len(spread_att) > 30 and len(spread_ben) > 30
         assert rank_probability_smaller(spread_att, spread_ben) > 0.9
 
@@ -131,12 +127,9 @@ class TestGenerate:
                                     rng_seed=23))
         lo = signal_slot("gps_l1", "doppler_hz", "min")
         hi = signal_slot("gps_l1", "doppler_hz", "max")
-        spreads = [
-            s.signal.values[hi] - s.signal.values[lo]
-            for t in traces
-            for s in t.samples
-            if not np.isnan(s.signal.values[lo])
-        ]
+        signal = np.concatenate([t.signal for t in traces])
+        valid = ~np.isnan(signal[:, lo])
+        spreads = signal[valid, hi] - signal[valid, lo]
         assert np.median(spreads) > 500.0
 
     def test_dropout_produces_missing_blocks(self):
@@ -145,7 +138,7 @@ class TestGenerate:
         cfg = SimConfig(n_traces=2, n_devices=1, n_clients=1, duration_s=60.0,
                         rng_seed=3, profiles=profiles)
         traces = generate(cfg)
-        values = np.stack([s.signal.values for t in traces for s in t.samples])
+        values = np.concatenate([t.signal for t in traces])
         assert np.isnan(values).any()
         # a dropped block loses all four statistics together
         nan_pattern = np.isnan(values.reshape(-1, 8, 4))
