@@ -7,6 +7,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass, fields, replace
 
+from .experiments import ALL_CELLS, ALL_SPLITS
 from .features import FeatureConfig
 from .federation import FederationConfig
 from .fusion import FusionConfig
@@ -25,8 +26,8 @@ class ExperimentConfig:
     seed: int = 7
     out_dir: str = "out"
     dataset_file: str = "dataset.csv"
-    cells: tuple[str, ...] = ("clfl", "per_device", "per_model", "cross_model")
-    splits: tuple[str, ...] = ("iid", "trace")
+    cells: tuple[str, ...] = ALL_CELLS
+    splits: tuple[str, ...] = ALL_SPLITS
     sim: SimConfig = SimConfig()
     fusion: FusionConfig = FusionConfig()
     features: FeatureConfig = FeatureConfig()
@@ -120,10 +121,10 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
         federation=replace(cfg.federation, init_seed=cfg.seed),
     )
     for cell in cfg.cells:
-        if cell not in ("clfl", "per_device", "per_model", "cross_model"):
+        if cell not in ALL_CELLS:
             raise ConfigError(f"unknown experiment cell {cell!r}")
     for split in cfg.splits:
-        if split not in ("iid", "trace"):
+        if split not in ALL_SPLITS:
             raise ConfigError(f"unknown split {split!r}")
     return cfg
 

@@ -32,20 +32,19 @@ class ClientBundle:
     test_x: np.ndarray
     test_truth: np.ndarray
     test_pds: np.ndarray
-    platform_ids: tuple[int, ...]
 
 
 def _build_test_set(
-    client: LocalClient, test_traces: list[Trace], fused_traces: list[FusedEstimate]
+    client: LocalClient,
+    test_traces: list[Trace],
+    fused_traces: list[FusedEstimate],
+    cfg: feat.FeatureConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cfg = client.feature_cfg
     xs, truths, pds_vals = [], [], []
     for trace, fused in zip(test_traces, fused_traces):
         raw = feat.extract_raw(trace, fused)
         fx = feat.apply_normalization(raw, client.feature_norm)
-        wx, _, last = feat.make_windows(
-            fx, np.zeros(fx.shape[0], dtype=np.float32), cfg.window_len, cfg.stride
-        )
+        wx, last = feat.make_windows(fx, cfg.window_len, cfg.stride)
         if wx.shape[0] == 0:
             continue
         xs.append(wx)
@@ -99,16 +98,10 @@ def build_bundles(
             replace(train_cfg, rng_seed=master_seed + client_id),
         )
         test_x, truth, pds_vals = _build_test_set(
-            client, split.test, [fused[id(t)] for t in split.test]
+            client, split.test, [fused[id(t)] for t in split.test], feature_cfg
         )
         bundles.append(
-            ClientBundle(
-                client=client,
-                test_x=test_x,
-                test_truth=truth,
-                test_pds=pds_vals,
-                platform_ids=tuple(sorted({t.platform_id for t in split.train + split.test})),
-            )
+            ClientBundle(client=client, test_x=test_x, test_truth=truth, test_pds=pds_vals)
         )
     return bundles
 

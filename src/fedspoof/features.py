@@ -13,7 +13,7 @@ fitted per client on local training data only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class FeatureConfig:
     window_len: int = 10
     stride: int = 1
     cap_percentile: float = 95.0
-    valid_ranges: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_VALID_RANGES)
-    )
 
     def __post_init__(self) -> None:
         if self.window_len < 1 or self.stride < 1:
@@ -73,10 +70,6 @@ class NormalizationState:
     lo: np.ndarray  # (36,)
     hi: np.ndarray  # (36,)
 
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.hi <= self.lo
-
 
 def extract_raw(trace: Trace, fused: FusedEstimate) -> np.ndarray:
     """Raw per-sample feature matrix (n, 36); NaN marks invalid signal slots.
@@ -96,21 +89,22 @@ def extract_raw(trace: Trace, fused: FusedEstimate) -> np.ndarray:
 
 
 def fit_normalization(
-    raw: list[np.ndarray] | np.ndarray, cfg: FeatureConfig | None = None
+    raws: list[np.ndarray], cfg: FeatureConfig | None = None
 ) -> NormalizationState:
-    """Fit cleaning parameters on pooled raw training features.
+    """Fit cleaning parameters on the pooled raw training features of a
+    client's traces, one (n_i, 36) matrix each.
 
     Caps are empirical 95th percentiles of the position-feature magnitudes
     (linear interpolation between order statistics); min/max are taken after
     capping and invalid-value replacement.
     """
     cfg = cfg or FeatureConfig()
-    mat = np.vstack(raw) if isinstance(raw, list) else np.asarray(raw, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[1] != N_FEATURES or mat.shape[0] == 0:
-        raise ValueError(f"expected non-empty (n, {N_FEATURES}) matrix")
+    mat = np.vstack(raws)
+    if mat.shape[1] != N_FEATURES or mat.shape[0] == 0:
+        raise ValueError(f"expected non-empty (n, {N_FEATURES}) matrices")
 
     replacements = np.array(
-        [cfg.valid_ranges[_slot_property(name)][0] for name in SIGNAL_SLOTS]
+        [DEFAULT_VALID_RANGES[_slot_property(name)][0] for name in SIGNAL_SLOTS]
     )
     caps = np.full(N_FEATURES, np.inf)
     for j in range(N_POSITION):
@@ -152,32 +146,25 @@ def apply_normalization(raw: np.ndarray, state: NormalizationState) -> np.ndarra
 
 
 def make_windows(
-    features: np.ndarray,
-    labels: np.ndarray,
-    window_len: int,
-    stride: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    features: np.ndarray, window_len: int, stride: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
     """Sliding windows over one trace's features.
 
-    Returns (sequences, targets, last_index): sequences is (k, window_len, 36),
-    the target is the label at each window's final timestep, and last_index
-    maps windows back to sample positions.  A trace shorter than the window
-    yields zero windows.  Windows never span trace boundaries because this
-    operates on a single trace.
+    Returns (sequences, last_index): sequences is (k, window_len, 36) and
+    last_index maps each window to the sample position of its final
+    timestep, where callers read the window's target, truth or score.  A
+    trace shorter than the window yields zero windows.  Windows never span
+    trace boundaries because this operates on a single trace.
     """
     if window_len < 1 or stride < 1:
         raise ValueError("window_len and stride must be >= 1")
     features = np.asarray(features, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.float32)
     n = features.shape[0]
-    if labels.shape[0] != n:
-        raise ValueError("features and labels lengths differ")
     if n < window_len:
         return (
             np.empty((0, window_len, features.shape[1]), dtype=np.float32),
-            np.empty(0, dtype=np.float32),
             np.empty(0, dtype=np.int64),
         )
     last = np.arange(window_len - 1, n, stride, dtype=np.int64)
     seqs = np.stack([features[i - window_len + 1 : i + 1] for i in last])
-    return seqs, labels[last], last
+    return seqs, last

@@ -68,7 +68,7 @@ class GlobalModelState:
 SERVER_RECEIVABLE_MESSAGE_TYPES = (RoundUpdate, QualityReport)
 
 
-def fedavg(updates: list[RoundUpdate], weighted: bool = True) -> lstm.LstmModelParams:
+def fedavg(updates: list[RoundUpdate]) -> lstm.LstmModelParams:
     """Coordinate-wise mean of client parameters, weighted by sample counts.
 
     Accumulates in 64-bit and returns the updates' dtype.  Updates are
@@ -95,8 +95,7 @@ def fedavg(updates: list[RoundUpdate], weighted: bool = True) -> lstm.LstmModelP
     total = float(sum(u.n_samples for u in ordered))
     acc = np.zeros(first.params.vector.size, dtype=np.float64)
     for u in ordered:
-        w = u.n_samples / total if weighted else 1.0 / len(ordered)
-        acc += w * u.params.vector.astype(np.float64)
+        acc += (u.n_samples / total) * u.params.vector.astype(np.float64)
     return lstm.LstmModelParams(
         first.params.input_size,
         first.params.hidden_size,
@@ -115,16 +114,12 @@ class LocalClient:
         train_y: np.ndarray,
         train_cfg: lstm.TrainConfig,
         feature_norm: feat.NormalizationState | None = None,
-        label_norm: lab.LabelNorm | None = None,
-        feature_cfg: feat.FeatureConfig | None = None,
     ):
         self.client_id = client_id
         self.train_x = np.asarray(train_x, dtype=np.float32)
         self.train_y = np.asarray(train_y, dtype=np.float32)
         self.train_cfg = train_cfg
         self.feature_norm = feature_norm
-        self.label_norm = label_norm
-        self.feature_cfg = feature_cfg
         self.reference_binary = self.train_y > 0.5
 
     @property
@@ -153,11 +148,8 @@ class LocalClient:
 
         xs, ys = [], []
         for trace, fused_t, raw in zip(traces, fused, raws):
-            series = lab.generate(trace, fused_t, lnorm)
             fx = feat.apply_normalization(raw, fnorm)
-            wx, wy, _ = feat.make_windows(
-                fx, series.values, feature_cfg.window_len, feature_cfg.stride
-            )
+            wx, last = feat.make_windows(fx, feature_cfg.window_len, feature_cfg.stride)
             if wx.shape[0] == 0:
                 log.warning(
                     "trace %d of client %d shorter than window; skipped",
@@ -166,22 +158,14 @@ class LocalClient:
                 )
                 continue
             xs.append(wx)
-            ys.append(wy)
+            ys.append(lab.generate(trace, fused_t, lnorm)[last])
         if not xs:
             train_x = np.empty((0, feature_cfg.window_len, feat.N_FEATURES), dtype=np.float32)
             train_y = np.empty(0, dtype=np.float32)
         else:
             train_x = np.concatenate(xs)
             train_y = np.concatenate(ys)
-        return cls(
-            client_id,
-            train_x,
-            train_y,
-            train_cfg,
-            feature_norm=fnorm,
-            label_norm=lnorm,
-            feature_cfg=feature_cfg,
-        )
+        return cls(client_id, train_x, train_y, train_cfg, feature_norm=fnorm)
 
     def _round_seed(self, round_index: int) -> int:
         # stable combination so identical client seeds give identical rounds
@@ -303,15 +287,11 @@ class FederationConfig:
 
     rounds: int = 100
     local_epochs: int = 5
-    weighted: bool = True
     gate_enabled: bool = True
     gate_warmup_rounds: int = 10
     gate_threshold_delta: float = 0.02
     gate_eval_max_windows: int = 512
     init_seed: int = 0
-    # write the global model every N rounds (0 disables periodic checkpoints)
-    checkpoint_every: int = 0
-    checkpoint_dir: str | None = None
     # fault injection used by the quality-gate evaluation: the named client
     # submits parameter-shuffled updates from the given round onward
     corrupt_client_id: int | None = None
@@ -456,10 +436,11 @@ def run_rounds(
 
     Per round: broadcast the global parameters, train every client locally,
     screen updates through the quality gate once the warm-up has passed,
-    aggregate the accepted updates with FedAvg, and record metrics.  Client
-    work runs in shards, one per usable CPU (see `_shard_count`); results
-    are gathered in client order, so the outcome does not depend on the
-    shard count.
+    aggregate the accepted updates with FedAvg, and record metrics.  A
+    federation with one active client runs ungated: no other client can
+    review its updates.  Client work runs in shards, one per usable CPU (see
+    `_shard_count`); results are gathered in client order, so the outcome
+    does not depend on the shard count.
     Deterministic given client seeds and cfg.init_seed.
     """
     active = [c for c in sorted(clients, key=lambda c: c.client_id) if c.n_train > 0]
@@ -468,6 +449,10 @@ def run_rounds(
             log.warning("client %d has no training windows; skipped", c.client_id)
     if not active:
         raise ValueError("no client has training windows")
+    gate_enabled = cfg.gate_enabled
+    if gate_enabled and len(active) < 2:
+        log.warning("one active client and no evaluator for its updates; running ungated")
+        gate_enabled = False
 
     announced_mean = float(np.mean([c.n_train for c in active]))
     global_state = GlobalModelState(
@@ -489,7 +474,7 @@ def run_rounds(
                     for u in updates
                 ]
 
-            gate_active = cfg.gate_enabled and round_index > cfg.gate_warmup_rounds
+            gate_active = gate_enabled and round_index > cfg.gate_warmup_rounds
             gate_aucs: list[float] = []
             if gate_active:
                 reviews = shards.ask(
@@ -521,22 +506,13 @@ def run_rounds(
                 accepted = updates
 
             if accepted:
-                new_params = fedavg(accepted, cfg.weighted)
+                new_params = fedavg(accepted)
             else:
                 log.warning("round %d: no update accepted; global model unchanged", round_index)
                 new_params = global_state.params
             global_state = GlobalModelState(
                 round_index=round_index, params=new_params, last_auc=global_state.last_auc
             )
-            if (
-                cfg.checkpoint_every > 0
-                and cfg.checkpoint_dir is not None
-                and round_index % cfg.checkpoint_every == 0
-            ):
-                lstm.save_checkpoint(
-                    new_params,
-                    os.path.join(cfg.checkpoint_dir, f"global_round_{round_index:04d}.ckpt"),
-                )
 
             val_mses = np.array(shards.ask("validation_mse", new_params))
             rows.append(

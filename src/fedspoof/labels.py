@@ -25,46 +25,28 @@ class LabelNorm:
     hi: float
 
 
-@dataclass
-class LabelSeries:
-    """Unit-interval labels aligned to one trace, plus the scaling used."""
-
-    values: np.ndarray
-    cap_value: float
-    value_min: float
-    value_max: float
-
-
 def raw_deviations(trace: Trace, fused: FusedEstimate) -> np.ndarray:
     """Unnormalized per-sample deviation in meters."""
     return residual_norm_m(trace, fused)
 
 
-def fit_label_norm(deviations: list[np.ndarray] | np.ndarray) -> LabelNorm:
-    """Fit the cap/min/max over a client's pooled training deviations.
+def fit_label_norm(deviations: list[np.ndarray]) -> LabelNorm:
+    """Fit the cap/min/max over a client's pooled training deviations, one
+    array per trace.
 
     Pooling keeps labels comparable across the client's traces; fit on
     training traces only to avoid leaking validation statistics.
     """
-    pooled = np.concatenate([np.asarray(d) for d in deviations]) if isinstance(
-        deviations, list
-    ) else np.asarray(deviations)
+    pooled = np.concatenate(deviations)
     if pooled.size == 0:
         raise ValueError("cannot fit label normalization on empty deviations")
     cap, lo, hi = fit_cap_minmax(pooled)
     return LabelNorm(cap=cap, lo=lo, hi=hi)
 
 
-def generate(trace: Trace, fused: FusedEstimate, norm: LabelNorm | None = None) -> LabelSeries:
-    """Labels for one trace.
-
-    With norm=None the cap and scaling are fitted on this trace alone;
-    pipelines pass a LabelNorm fitted on the client's pooled training
-    deviations.  All-equal deviations yield all-zero labels.
+def generate(trace: Trace, fused: FusedEstimate, norm: LabelNorm) -> np.ndarray:
+    """Unit-interval labels for one trace, one per sample, scaled by `norm`
+    (fitted on the client's pooled training deviations).  A degenerate norm
+    (lo == hi) yields all-zero labels.
     """
-    d = raw_deviations(trace, fused)
-    if norm is None:
-        cap, lo, hi = fit_cap_minmax(d)
-        norm = LabelNorm(cap=cap, lo=lo, hi=hi)
-    values = apply_cap_minmax(d, norm.cap, norm.lo, norm.hi)
-    return LabelSeries(values=values, cap_value=norm.cap, value_min=norm.lo, value_max=norm.hi)
+    return apply_cap_minmax(raw_deviations(trace, fused), norm.cap, norm.lo, norm.hi)

@@ -98,9 +98,6 @@ class LstmModelParams:
     def copy(self) -> "LstmModelParams":
         return LstmModelParams(self.input_size, self.hidden_size, self.vector.copy())
 
-    def astype(self, dtype) -> "LstmModelParams":
-        return LstmModelParams(self.input_size, self.hidden_size, self.vector.astype(dtype))
-
 
 def init_params(
     seed: int,
@@ -236,14 +233,10 @@ def _layer_backward(wx, wh, cache, d_hs, need_dx=True):
 def forward(params: LstmModelParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Model output for a batch of sequences.
 
-    x is (B, W, input_size) or a single (W, input_size) sequence.  Returns
-    (predictions in (0, 1), cached activations, which one backward pass
-    consumes).
+    x is (B, W, input_size).  Returns (predictions in (0, 1), cached
+    activations, which one backward pass consumes).
     """
     x = np.asarray(x)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
     if x.ndim != 3 or x.shape[2] != params.input_size:
         raise ValueError(f"input must be (B, W, {params.input_size}), got {x.shape}")
     if not np.isfinite(x).all():
@@ -258,7 +251,7 @@ def forward(params: LstmModelParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     u = h_last @ blocks["head_w"] + blocks["head_b"][0]
     y = _sigmoid(u)
     cache = {"cache1": cache1, "cache2": cache2, "h2_last": h_last, "y": y}
-    return (y[0] if single else y), cache
+    return y, cache
 
 
 def predict(params: LstmModelParams, x: np.ndarray, batch_size: int = 64) -> np.ndarray:

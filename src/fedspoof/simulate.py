@@ -424,8 +424,6 @@ class ClientSplit:
 @dataclass
 class PartitionResult:
     clients: dict[int, ClientSplit]
-    mode: str
-    held_out_trace_ids: tuple[int, ...] = ()
 
 
 def partition(
@@ -479,8 +477,4 @@ def partition(
             split.train.append(trace)
             if not holdout:
                 split.test.append(trace)
-    return PartitionResult(
-        clients=clients,
-        mode=mode,
-        held_out_trace_ids=tuple(sorted(traces[i].trace_id for i in held)),
-    )
+    return PartitionResult(clients=clients)

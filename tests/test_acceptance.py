@@ -95,7 +95,8 @@ class TestC1GradientCorrectness:
     def test_bptt_matches_central_differences(self):
         started = time.perf_counter()
         rng = np.random.default_rng(SEED)
-        params = init_params(SEED, input_size=5, hidden_size=3).astype(np.float64)
+        init = init_params(SEED, input_size=5, hidden_size=3)
+        params = LstmModelParams(5, 3, init.vector.astype(np.float64))
         x = rng.uniform(0.0, 1.0, (2, 4, 5))
         y = rng.uniform(0.1, 0.9, 2)
         grad, _ = backward(params, x, y)
@@ -266,8 +267,7 @@ class TestC6QualityGateEfficacy:
 
 class TestC7PrivacyContract:
     FORBIDDEN_TYPES = (
-        domain.Trace, fusion.FusedEstimate, features.NormalizationState,
-        labels.LabelSeries, labels.LabelNorm,
+        domain.Trace, fusion.FusedEstimate, features.NormalizationState, labels.LabelNorm,
     )
     FORBIDDEN_TOKENS = (
         "lat", "lon", "pos", "gnss", "net", "coord", "feature", "window",

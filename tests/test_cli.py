@@ -1,9 +1,12 @@
+import glob
 import os
 
 import pytest
 
 from fedspoof import cli
 from fedspoof.config import ConfigError, config_hash, load_config
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MICRO_CONFIG = """\
 [experiment]
@@ -70,9 +73,22 @@ class TestConfig:
         assert cfg.seed == 99
         assert cfg.sim.rng_seed == 99
 
-    def test_unknown_key_rejected(self, tmp_path):
-        path = _write_config(tmp_path, "[sim]\nwarp_drive = 9\n")
-        with pytest.raises(ConfigError, match="warp_drive"):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        for section, key in (("sim", "warp_drive"), ("federation", "checkpoint_every"),
+                             ("federation", "checkpoint_dir"), ("federation", "weighted"),
+                             ("features", "valid_ranges")):
+            path = _write_config(tmp_path, f"[{section}]\n{key} = 1\n")
+            message = rf"unknown key \[{section}\] {key}"
+            with pytest.raises(ConfigError, match=message):
+                load_config(path)
+            assert _run("generate", "--config", path, "--out", str(tmp_path / "o")) == 2
+            assert key in capsys.readouterr().err
+
+    def test_shipped_configs_load(self):
+        paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini")))
+        paths.append(os.path.join(ROOT, "bench", "matrix.ini"))
+        assert len(paths) >= 3
+        for path in paths:
             load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -86,8 +102,8 @@ class TestConfig:
             ("[federation]\ngate_enabled = maybe\n", r"bad value for \[federation\] gate_enabled"),
             ("[federation]\ncorrupt_client_id = 2\n",
              r"key \[federation\] corrupt_client_id cannot be set from a config file"),
-            ("[features]\nvalid_ranges = 1\n",
-             r"key \[features\] valid_ranges cannot be set from a config file"),
+            ("[sim]\nprofiles = 1\n",
+             r"key \[sim\] profiles cannot be set from a config file"),
         ):
             path = _write_config(tmp_path, text)
             with pytest.raises(ConfigError, match=message):

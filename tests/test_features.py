@@ -74,7 +74,7 @@ class TestFitNormalization:
     def test_cap_is_95th_percentile_linear_interpolation(self):
         mat = np.ones((20, N_FEATURES))
         mat[:, 0] = np.arange(1.0, 21.0)
-        state = fit_normalization(mat)
+        state = fit_normalization([mat])
         assert state.caps[0] == pytest.approx(19.05)
         assert state.caps[0] == pytest.approx(brute_force_percentile(mat[:, 0], 95))
 
@@ -83,7 +83,7 @@ class TestFitNormalization:
             n = rng.integers(2, 200)
             mat = np.ones((n, N_FEATURES))
             mat[:, :4] = rng.normal(0, 50, (n, 4))
-            state = fit_normalization(mat)
+            state = fit_normalization([mat])
             for j in range(4):
                 assert state.caps[j] == pytest.approx(
                     brute_force_percentile(np.abs(mat[:, j]), 95), rel=1e-12
@@ -92,22 +92,22 @@ class TestFitNormalization:
     def test_single_element_percentile_is_that_element(self):
         mat = np.ones((1, N_FEATURES))
         mat[0, 0] = 42.0
-        assert fit_normalization(mat).caps[0] == 42.0
+        assert fit_normalization([mat]).caps[0] == 42.0
 
     def test_degenerate_feature_scales_to_zero(self):
         mat = np.ones((10, N_FEATURES)) * 3.0
-        state = fit_normalization(mat)
-        assert state.degenerate.all()
+        state = fit_normalization([mat])
+        assert np.array_equal(state.lo, state.hi)
         out = apply_normalization(mat, state)
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            fit_normalization(np.empty((0, N_FEATURES)))
+            fit_normalization([np.empty((0, N_FEATURES))])
 
     def test_signal_replacement_is_valid_range_minimum(self):
         mat = np.ones((5, N_FEATURES))
-        state = fit_normalization(mat)
+        state = fit_normalization([mat])
         agc = N_POSITION + signal_slot("gps_l1", "agc_db", "mean")
         cn0 = N_POSITION + signal_slot("gal_e1", "cn0_ant_dbhz", "min")
         dop = N_POSITION + signal_slot("gps_l1", "doppler_hz", "max")
@@ -169,7 +169,7 @@ class TestApplyNormalization:
     def test_at_most_five_percent_at_cap_boundary(self, rng):
         mat = np.ones((400, N_FEATURES))
         mat[:, :4] = rng.normal(0, 20, (400, 4))
-        state = fit_normalization(mat)
+        state = fit_normalization([mat])
         out = apply_normalization(mat, state)
         assert out.max() <= 1.0
         for j in range(4):
@@ -182,39 +182,39 @@ class TestWindows:
         return np.tile(np.arange(n, dtype=np.float32)[:, None], (1, N_FEATURES))
 
     def test_exact_length_gives_one_window(self):
-        x, y, idx = make_windows(self._feats(5), np.arange(5, dtype=np.float32), 5)
+        x, idx = make_windows(self._feats(5), 5)
         assert x.shape == (1, 5, N_FEATURES)
-        assert y[0] == 4.0
+        assert x[0, -1, 0] == 4.0
         assert idx[0] == 4
 
     def test_seven_samples_window_five_gives_three(self):
-        x, y, idx = make_windows(self._feats(7), np.arange(7, dtype=np.float32), 5)
+        x, idx = make_windows(self._feats(7), 5)
         assert x.shape[0] == 3
         assert list(idx) == [4, 5, 6]
 
     def test_short_trace_yields_zero_windows(self):
-        x, y, idx = make_windows(self._feats(3), np.zeros(3, dtype=np.float32), 5)
+        x, idx = make_windows(self._feats(3), 5)
         assert x.shape == (0, 5, N_FEATURES)
-        assert y.size == 0 and idx.size == 0
+        assert idx.size == 0
 
     def test_windows_never_span_trace_boundaries(self):
         # two traces of 5 samples each, windowed per trace: exactly one window per trace
         count = 0
         for _ in range(2):
-            x, _, _ = make_windows(self._feats(5), np.zeros(5, dtype=np.float32), 5)
+            x, _ = make_windows(self._feats(5), 5)
             count += x.shape[0]
             assert np.array_equal(x[0, :, 0], np.arange(5.0, dtype=np.float32))
         assert count == 2
 
     def test_stride_respected(self):
-        x, _, idx = make_windows(self._feats(10), np.zeros(10, dtype=np.float32), 4, stride=3)
+        x, idx = make_windows(self._feats(10), 4, stride=3)
         assert list(idx) == [3, 6, 9]
 
     def test_random_lengths_boundary_property(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 40))
             w = int(rng.integers(1, 12))
-            x, _, idx = make_windows(self._feats(n), np.zeros(n, dtype=np.float32), w)
+            x, idx = make_windows(self._feats(n), w)
             expected = max(0, n - w + 1)
             assert x.shape[0] == expected
             if expected:

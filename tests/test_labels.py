@@ -31,41 +31,43 @@ def _trace_and_fused(residuals, scale=1.0):
     return trace, FusedEstimate(lat=lat, lon=lon, sigma=np.ones(n))
 
 
+def _self_labeled(trace, fused):
+    """Labels scaled by a norm fitted on the trace's own deviations, and the norm."""
+    norm = labels.fit_label_norm([labels.raw_deviations(trace, fused)])
+    return labels.generate(trace, fused, norm), norm
+
+
 class TestGenerate:
     def test_zero_deviation_gives_zero_labels(self):
-        trace, fused = _trace_and_fused([0.0] * 12)
-        series = labels.generate(trace, fused)
-        assert np.array_equal(series.values, np.zeros(12))
+        values, _ = _self_labeled(*_trace_and_fused([0.0] * 12))
+        assert np.array_equal(values, np.zeros(12))
 
     def test_single_spike_in_twenty_samples(self):
         # deviations 0 x19 plus one 100 m spike: p95 = 0 + 0.05*100 = 5;
         # after cap and min-max the spike is exactly 1, the rest exactly 0
-        trace, fused = _trace_and_fused([0.0] * 19 + [100.0])
-        series = labels.generate(trace, fused)
-        assert series.values[-1] == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(series.values[:-1], np.zeros(19), atol=1e-12)
-        assert series.cap_value == pytest.approx(5.0, rel=1e-9)
+        values, norm = _self_labeled(*_trace_and_fused([0.0] * 19 + [100.0]))
+        assert values[-1] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(values[:-1], np.zeros(19), atol=1e-12)
+        assert norm.cap == pytest.approx(5.0, rel=1e-9)
 
     def test_invariant_under_uniform_scaling(self):
         devs = [3.0, 9.0, 1.0, 14.0, 6.0, 2.0, 11.0, 8.0, 5.0, 7.0]
-        a = labels.generate(*_trace_and_fused(devs))
-        b = labels.generate(*_trace_and_fused(devs, scale=4.2))
-        np.testing.assert_allclose(a.values, b.values, atol=1e-9)
+        a, _ = _self_labeled(*_trace_and_fused(devs))
+        b, _ = _self_labeled(*_trace_and_fused(devs, scale=4.2))
+        np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_monotone_below_cap(self, rng):
         devs = rng.uniform(0.0, 200.0, 50)
-        trace, fused = _trace_and_fused(devs)
-        series = labels.generate(trace, fused)
-        cap = series.cap_value
-        below = np.nonzero(devs < cap)[0]
+        values, norm = _self_labeled(*_trace_and_fused(devs))
+        below = np.nonzero(devs < norm.cap)[0]
         order = below[np.argsort(devs[below])]
-        assert np.all(np.diff(series.values[order]) >= -1e-12)
+        assert np.all(np.diff(values[order]) >= -1e-12)
 
     def test_values_always_unit_interval(self, rng):
         for _ in range(10):
             devs = rng.uniform(0.0, 500.0, int(rng.integers(2, 60)))
-            series = labels.generate(*_trace_and_fused(devs))
-            assert series.values.min() >= 0.0 and series.values.max() <= 1.0
+            values, _ = _self_labeled(*_trace_and_fused(devs))
+            assert values.min() >= 0.0 and values.max() <= 1.0
 
 
 class TestGroundTruthIndependence:
@@ -74,7 +76,7 @@ class TestGroundTruthIndependence:
         trace = traces[0]
         cfg = fusion.FusionConfig()
         fused = fusion.fuse_trace(trace, cfg)
-        baseline = labels.generate(trace, fused)
+        baseline, _ = _self_labeled(trace, fused)
 
         lat, lon = offset_geopos(*trace.p_true.T, 5000.0, -5000.0)
         tampered = dataclasses.replace(
@@ -82,8 +84,8 @@ class TestGroundTruthIndependence:
         )
         assert not np.array_equal(tampered.p_true, trace.p_true)
         fused_t = fusion.fuse_trace(tampered, cfg)
-        series = labels.generate(tampered, fused_t)
-        assert np.array_equal(series.values, baseline.values)
+        values, _ = _self_labeled(tampered, fused_t)
+        assert np.array_equal(values, baseline)
 
 
 class TestPooledNorm:
@@ -93,11 +95,8 @@ class TestPooledNorm:
         norm = labels.fit_label_norm(
             [labels.raw_deviations(t1, f1), labels.raw_deviations(t2, f2)]
         )
-        s1 = labels.generate(t1, f1, norm)
-        s2 = labels.generate(t2, f2, norm)
         # shared scaling keeps cross-trace ordering comparable
-        assert s1.values[2] < s2.values[0]
-        assert s1.cap_value == s2.cap_value == norm.cap
+        assert labels.generate(t1, f1, norm)[2] < labels.generate(t2, f2, norm)[0]
 
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError):

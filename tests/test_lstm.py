@@ -40,6 +40,10 @@ def finite_difference_grad(params, x, y, coords, eps=1e-4):
     return out
 
 
+def _float64(params):
+    return LstmModelParams(params.input_size, params.hidden_size, params.vector.astype(np.float64))
+
+
 def masked_sigmoid(x):
     """The logistic function by sign-split exponentials, as an oracle."""
     out = np.empty_like(x)
@@ -156,11 +160,6 @@ class TestForward:
         y_b, _ = forward(p, swapped)
         assert abs(float(y_a[0]) - float(y_b[0])) > 1e-7
 
-    def test_single_sequence_accepted(self, rng):
-        p = init_params(4, input_size=6, hidden_size=5)
-        y, _ = forward(p, rng.uniform(0, 1, (7, 6)))
-        assert np.isscalar(float(y))
-
     def test_non_finite_input_rejected(self):
         p = init_params(0, input_size=3, hidden_size=2)
         x = np.zeros((1, 4, 3))
@@ -188,11 +187,13 @@ class TestForward:
         p = init_params(0, input_size=3, hidden_size=2)
         with pytest.raises(ValueError):
             forward(p, np.zeros((1, 4, 5)))
+        with pytest.raises(ValueError):  # one sequence without its batch axis
+            forward(p, np.zeros((4, 3)))
 
 
 class TestBackward:
     def test_gradient_matches_finite_differences(self, rng):
-        p = init_params(11, input_size=5, hidden_size=3).astype(np.float64)
+        p = _float64(init_params(11, input_size=5, hidden_size=3))
         x = rng.uniform(0, 1, (2, 4, 5))
         y = rng.uniform(0.1, 0.9, 2)
         grad, _ = backward(p, x, y)
@@ -203,7 +204,7 @@ class TestBackward:
             assert rel < 1e-4, f"coordinate {k}: {grad[k]} vs {fd_val}"
 
     def test_duplicated_rows_leave_gradient_unchanged(self, rng):
-        p = init_params(12, input_size=4, hidden_size=3).astype(np.float64)
+        p = _float64(init_params(12, input_size=4, hidden_size=3))
         x = rng.uniform(0, 1, (1, 5, 4))
         y = np.array([0.4])
         g1, mse1 = backward(p, x, y)

@@ -176,7 +176,6 @@ class TestPartition:
     def test_trace_split_holds_out_nine_of_85(self):
         # 85 * 0.1 = 8.5 rounds half up to 9
         part = partition(self._traces(85), "non-iid-by-trace", 6, seed=1)
-        assert len(part.held_out_trace_ids) == 9
         train = sum(len(s.train) for s in part.clients.values())
         test = sum(len(s.test) for s in part.clients.values())
         assert train == 76 and test == 9
@@ -216,16 +215,16 @@ class TestPartition:
         traces = self._traces(20)
         a = partition(traces, "non-iid-by-trace", 4, seed=9)
         b = partition(traces, "non-iid-by-trace", 4, seed=9)
-        assert a.held_out_trace_ids == b.held_out_trace_ids
         for cid in a.clients:
-            assert [t.trace_id for t in a.clients[cid].train] == [
-                t.trace_id for t in b.clients[cid].train
-            ]
+            for side in ("train", "test"):
+                assert [t.trace_id for t in getattr(a.clients[cid], side)] == [
+                    t.trace_id for t in getattr(b.clients[cid], side)
+                ]
 
     def test_holdout_override_on_device_partition(self):
         traces = self._traces(30)
         part = partition(traces, "non-iid-by-device", 6, seed=5, trace_holdout=True)
-        assert part.held_out_trace_ids
+        assert any(split.test for split in part.clients.values())
         for split in part.clients.values():
             held = {t.trace_id for t in split.test}
             assert held.isdisjoint({t.trace_id for t in split.train})
