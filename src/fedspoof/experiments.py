@@ -21,7 +21,7 @@ from . import lstm, metrics
 from .domain import Trace
 from .federation import FederationConfig, LocalClient, run_rounds
 from .fusion import FusedEstimate, FusionConfig, fuse_trace, pds_score
-from .simulate import PartitionResult, SimConfig, device_models, partition
+from .simulate import ClientSplit, SimConfig, device_models, partition
 
 
 @dataclass
@@ -70,7 +70,7 @@ def fuse_each(traces: list[Trace], fusion_cfg: FusionConfig) -> dict[int, FusedE
 
 
 def build_bundles(
-    part: PartitionResult,
+    clients: dict[int, ClientSplit],
     fusion_cfg: FusionConfig,
     feature_cfg: feat.FeatureConfig,
     train_cfg: lstm.TrainConfig,
@@ -85,11 +85,11 @@ def build_bundles(
     """
     if fused is None:
         fused = fuse_each(
-            [t for split in part.clients.values() for t in split.train + split.test], fusion_cfg
+            [t for split in clients.values() for t in split.train + split.test], fusion_cfg
         )
     bundles = []
-    for client_id in sorted(part.clients):
-        split = part.clients[client_id]
+    for client_id in sorted(clients):
+        split = clients[client_id]
         client = LocalClient.from_traces(
             client_id,
             split.train,
@@ -130,16 +130,12 @@ def run_federated(
 def pooled_training_set(bundles: list[ClientBundle]) -> tuple[np.ndarray, np.ndarray]:
     """All clients' windows in one array, interleaved by window position so
     the time-ordered validation tail still mixes every client."""
-    xs = [b.client.train_x for b in bundles]
-    ys = [b.client.train_y for b in bundles]
-    order = [
-        (ci, wi)
-        for wi in range(max(len(y) for y in ys))
-        for ci in range(len(bundles))
-        if wi < len(ys[ci])
-    ]
-    x = np.concatenate([xs[ci][wi : wi + 1] for ci, wi in order])
-    y = np.array([ys[ci][wi] for ci, wi in order], dtype=np.float32)
+    sizes = [b.client.n_train for b in bundles]
+    client = np.repeat(np.arange(len(bundles)), sizes)
+    position = np.concatenate([np.arange(n) for n in sizes])
+    order = np.lexsort((client, position))
+    x = np.concatenate([b.client.train_x for b in bundles])[order]
+    y = np.concatenate([b.client.train_y for b in bundles])[order]
     return x, y
 
 

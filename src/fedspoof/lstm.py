@@ -8,14 +8,20 @@ vector with a fixed layout so they can be averaged coordinate-wise and
 checkpointed bit-exactly.  Gate packing order within each 4H block is
 (input, forget, cell, output).
 
-Each layer works in one (B, T, 4H) gate buffer.  The forward pass fills it
-with the input projection of every step in a single (B*T, D) @ (D, 4H) GEMM
-plus the bias; step t then adds h_{t-1} @ wh into its own slice and
-overwrites that slice with the gate activations, which stay there for BPTT.
-The backward pass overwrites each step's slice with the gradient on its gate
+The kernels work time-major.  `forward` transposes a (B, T, D) batch once to
+(T, B, D), and each layer keeps one (T, B, 4H) gate buffer, so the slab of
+step t, `gates[t]`, is one contiguous (B, 4H) block; layer 2 reads layer 1's
+(T, B, H) output as it is.  The forward pass fills the buffer with the input
+projection of every step in a single (T*B, D) @ (D, 4H) GEMM plus the bias;
+step t then adds h_{t-1} @ wh into its slab and overwrites the slab with the
+gate activations, which stay there for BPTT.  Sigmoids use the exact,
+overflow-free form 0.5 * (1 + tanh(z / 2)): per call, the sigmoid gates'
+(i, f, o) columns of wx, wh and b are multiplied by 0.5 in copies (a power
+of two, so the GEMMs yield z/2 bit for bit and the stored parameters are
+untouched), and one tanh covers the whole slab.  The backward pass
+overwrites each slab with the gradient on its (unscaled) gate
 pre-activations, so the input-weight, bias and input gradients are one GEMM
-or reduction over the whole buffer after the time loop.  Sigmoids use the
-exact, overflow-free form 0.5 * (1 + tanh(x / 2)).
+or reduction over the whole buffer after the time loop.
 """
 
 from __future__ import annotations
@@ -139,60 +145,80 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _layer_forward(wx, wh, b, x):
-    """One LSTM layer over a batch.  x is (B, T, D); returns the hidden
-    sequence (B, T, H) and the cache BPTT needs.
+    """One LSTM layer over a time-major batch.  x is (T, B, D); returns the
+    hidden sequence (T, B, H) and the cache BPTT needs.
 
-    The input projection of every step is one GEMM into the (B, T, 4H) gate
-    buffer; each step then adds its recurrent term to its own slice and
-    overwrites that slice with the gate activations.
+    With the sigmoid columns of the weights halved, one tanh over a step's
+    slab gives tanh(z/2) on (i, f, o) and tanh(z) on the cell candidate g.
+    One multiply-add over the slab then makes the former 0.5 * tanh(z/2) + 0.5,
+    bitwise 0.5 * (1 + tanh(z/2)), and leaves g as g * 1 + (-0.0), bitwise g.
     """
-    bsz, steps, in_dim = x.shape
+    steps, bsz, in_dim = x.shape
     h_dim = wh.shape[0]
-    gates = np.matmul(x.reshape(bsz * steps, in_dim), wx).reshape(bsz, steps, 4 * h_dim)
-    gates += b
-    cs = np.empty((bsz, steps, h_dim), dtype=gates.dtype)
+    scale = np.full(4 * h_dim, 0.5, dtype=wx.dtype)
+    scale[2 * h_dim : 3 * h_dim] = 1.0
+    shift = scale.copy()
+    shift[2 * h_dim : 3 * h_dim] = -0.0
+    # full (B, 4H) operands: a broadcast row costs numpy a loop per row
+    scale_slab = np.tile(scale, (bsz, 1))
+    shift_slab = np.tile(shift, (bsz, 1))
+    gates = np.matmul(x.reshape(steps * bsz, in_dim), wx * scale).reshape(steps, bsz, 4 * h_dim)
+    gates += b * scale
+    wh_half = wh * scale
+    cs = np.empty((steps, bsz, h_dim), dtype=gates.dtype)
     tc = np.empty_like(cs)
     hs = np.empty_like(cs)
     rec = np.empty((bsz, 4 * h_dim), dtype=gates.dtype)
+    fc = np.empty((bsz, h_dim), dtype=gates.dtype)
     for t in range(steps):
-        z = gates[:, t]
+        z = gates[t]
         if t > 0:
-            z += np.matmul(hs[:, t - 1], wh, out=rec)
-        i_f, g, o = z[:, : 2 * h_dim], z[:, 2 * h_dim : 3 * h_dim], z[:, 3 * h_dim :]
-        _sigmoid(i_f, out=i_f)
-        np.tanh(g, out=g)
-        _sigmoid(o, out=o)
-        c = np.multiply(i_f[:, :h_dim], g, out=cs[:, t])
+            z += np.matmul(hs[t - 1], wh_half, out=rec)
+        np.tanh(z, out=z)
+        z *= scale_slab
+        z += shift_slab
+        i, f, g, o = (z[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
+        c = np.multiply(i, g, out=cs[t])
         if t > 0:
-            c += np.multiply(i_f[:, h_dim:], cs[:, t - 1], out=rec[:, :h_dim])
-        np.multiply(o, np.tanh(c, out=tc[:, t]), out=hs[:, t])
+            c += np.multiply(f, cs[t - 1], out=fc)
+        np.multiply(o, np.tanh(c, out=tc[t]), out=hs[t])
     return hs, {"x": x, "gates": gates, "c": cs, "tc": tc, "hs": hs}
 
 
-def _layer_backward(wx, wh, cache, d_hs, need_dx=True):
-    """BPTT through one layer given upstream gradients on every hidden state.
+def _batch_major(a):
+    """(T, B, N) -> contiguous (B*T, N) rows in batch-major order."""
+    steps, bsz, n = a.shape
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(bsz * steps, n)
 
-    Each step's gradient on the gate pre-activations overwrites that step's
-    activations in the cache's gate buffer, which is then reduced with one
-    GEMM per weight; the cache cannot be used again.  Returns gradients for
-    the layer inputs (None unless need_dx) and for (wx, wh, b).
+
+def _layer_backward(wx, wh, cache, d_hs, need_dx=True):
+    """BPTT through one layer given upstream gradients on every hidden state,
+    all time-major.
+
+    Each step's gradient on the gate pre-activations (the unscaled z, so the
+    stored weights serve as they are) overwrites that step's activations in
+    the cache's gate buffer, which is then reduced with one GEMM per weight;
+    the cache cannot be used again.  The input-weight and bias reductions run
+    over batch-major copies of the buffer and the input: a sum over the B*T
+    rows in another order would change their bits.  Returns gradients for the
+    layer inputs (time-major; None unless need_dx) and for (wx, wh, b).
     """
     x, gates, cs, tc, hs = cache["x"], cache["gates"], cache["c"], cache["tc"], cache["hs"]
-    bsz, steps, in_dim = x.shape
+    steps, bsz, in_dim = x.shape
     h_dim = wh.shape[0]
     d_act = np.empty((bsz, 4 * h_dim), dtype=gates.dtype)
-    tmp = np.empty((bsz, 3 * h_dim), dtype=gates.dtype)
+    d_gate = np.empty_like(d_act)
     d_wh = np.zeros_like(wh)
     dh_rec = dc_rec = None
     for t in range(steps - 1, -1, -1):
-        z = gates[:, t]
+        z = gates[t]
         i, f, g, o = (z[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
-        t_c = tc[:, t]
+        t_c = tc[t]
         if dh_rec is None:
-            dh = d_hs[:, t]
+            dh = d_hs[t]
         else:
             dh = dh_rec
-            dh += d_hs[:, t]
+            dh += d_hs[t]
 
         # dc = dh * o * (1 - tanh(c)^2) + dc from step t + 1
         dc = np.multiply(t_c, t_c)
@@ -204,7 +230,7 @@ def _layer_backward(wx, wh, cache, d_hs, need_dx=True):
         # gradients on the activations (i, f, g, o)
         np.multiply(dc, g, out=d_act[:, :h_dim])
         if t > 0:
-            np.multiply(dc, cs[:, t - 1], out=d_act[:, h_dim : 2 * h_dim])
+            np.multiply(dc, cs[t - 1], out=d_act[:, h_dim : 2 * h_dim])
         else:
             d_act[:, h_dim : 2 * h_dim] = 0.0
         np.multiply(dc, i, out=d_act[:, 2 * h_dim : 3 * h_dim])
@@ -212,21 +238,23 @@ def _layer_backward(wx, wh, cache, d_hs, need_dx=True):
         dc_rec = np.multiply(dc, f, out=dc)
 
         # activation derivatives in place: s(1 - s) for the sigmoid gates,
-        # 1 - g^2 for the cell candidate; then z holds dz
-        i_f = z[:, : 2 * h_dim]
-        i_f *= np.subtract(1.0, i_f, out=tmp[:, : 2 * h_dim])
-        o *= np.subtract(1.0, o, out=tmp[:, 2 * h_dim :])
+        # 1 - g^2 for the cell candidate, whose column holds 1 once g^2 has
+        # gone into 1 - z; then z holds dz
         np.multiply(g, g, out=g)
-        np.subtract(1.0, g, out=g)
+        np.subtract(1.0, z, out=d_gate)
+        g[...] = 1.0
+        z *= d_gate
         z *= d_act
         if t > 0:
-            d_wh += hs[:, t - 1].T @ z
+            d_wh += hs[t - 1].T @ z
             dh_rec = z @ wh.T
 
-    dz = gates.reshape(bsz * steps, 4 * h_dim)
-    d_wx = x.reshape(bsz * steps, in_dim).T @ dz
+    dz = _batch_major(gates)
+    d_wx = _batch_major(x).T @ dz
     d_b = dz.sum(axis=0)
-    d_x = (dz @ wx.T).reshape(bsz, steps, in_dim) if need_dx else None
+    d_x = None
+    if need_dx:
+        d_x = (gates.reshape(steps * bsz, 4 * h_dim) @ wx.T).reshape(steps, bsz, in_dim)
     return d_x, d_wx, d_wh, d_b
 
 
@@ -241,13 +269,13 @@ def forward(params: LstmModelParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
         raise ValueError(f"input must be (B, W, {params.input_size}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in input sequence")
-    x = x.astype(params.vector.dtype, copy=False)
+    x = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=params.vector.dtype)
 
     blocks = params.blocks()
     h1, cache1 = _layer_forward(blocks["l1_wx"], blocks["l1_wh"], blocks["l1_b"], x)
     h2, cache2 = _layer_forward(blocks["l2_wx"], blocks["l2_wh"], blocks["l2_b"], h1)
 
-    h_last = h2[:, -1]
+    h_last = h2[-1]
     u = h_last @ blocks["head_w"] + blocks["head_b"][0]
     y = _sigmoid(u)
     cache = {"cache1": cache1, "cache2": cache2, "h2_last": h_last, "y": y}
@@ -255,12 +283,12 @@ def forward(params: LstmModelParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def predict(params: LstmModelParams, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Scores for many windows, evaluated in chunks to bound memory.
+    """Scores for many windows, evaluated in chunks of `batch_size`.
 
-    At 64 windows a chunk's buffers (about 3.5 MB at T=10, H=100) stay small
-    enough for the allocator to reuse from chunk to chunk.  256-window chunks
-    page-faulted fresh memory on every call: 55 against 43 ms per 512 windows
-    in a gated federation (one BLAS thread).
+    The chunk size is fixed by numerics, not tuned: the input projection is
+    one GEMM over a chunk's B*T rows, and OpenBLAS's result for a row depends
+    on the GEMM's row count, so the scores of one model at chunk sizes 1, 7,
+    64 and 256 differ by up to 6e-8.  Changing it moves every AUC.
     """
     x = np.asarray(x)
     out = np.empty(x.shape[0], dtype=np.float64)
@@ -301,8 +329,8 @@ def backward(
     d_head_b = du.sum(keepdims=True)
 
     steps = x.shape[1]
-    d_h2 = np.zeros((bsz, steps, params.hidden_size), dtype=dtype)
-    d_h2[:, -1] = np.outer(du, blocks["head_w"])
+    d_h2 = np.zeros((steps, bsz, params.hidden_size), dtype=dtype)
+    d_h2[-1] = np.outer(du, blocks["head_w"])
     d_h1, d_l2_wx, d_l2_wh, d_l2_b = _layer_backward(
         blocks["l2_wx"], blocks["l2_wh"], cache["cache2"], d_h2
     )

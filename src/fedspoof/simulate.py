@@ -421,11 +421,6 @@ class ClientSplit:
     test: list[Trace]
 
 
-@dataclass
-class PartitionResult:
-    clients: dict[int, ClientSplit]
-
-
 def partition(
     traces: list[Trace],
     mode: str,
@@ -433,8 +428,9 @@ def partition(
     seed: int,
     test_fraction: float = 0.1,
     trace_holdout: bool | None = None,
-) -> PartitionResult:
-    """Distribute traces over clients and fix the train/test regime.
+) -> dict[int, ClientSplit]:
+    """Distribute traces over clients and fix the train/test regime; returns
+    each client's split by client id.
 
     iid shuffles traces uniformly across clients and evaluates on the same
     traces used for training; non-iid-by-device makes one client per device;
@@ -477,4 +473,4 @@ def partition(
             split.train.append(trace)
             if not holdout:
                 split.test.append(trace)
-    return PartitionResult(clients=clients)
+    return clients

@@ -15,7 +15,7 @@ from fedspoof.experiments import (
     run_centralized,
     run_federated,
 )
-from fedspoof.federation import FederationConfig
+from fedspoof.federation import FederationConfig, LocalClient
 
 
 def _micro_setup(seed=5, **sim_kwargs):
@@ -59,6 +59,22 @@ class TestBundles:
         assert np.array_equal(x[0], bundles[0].client.train_x[0])
         assert np.array_equal(x[1], bundles[1].client.train_x[0])
         assert np.array_equal(x[2], bundles[0].client.train_x[1])
+
+    def test_pooled_training_set_interleaves_ragged_clients(self):
+        # three clients of 3, 0 and 2 windows; window w of client c is filled
+        # with 10 c + w
+        bundles = []
+        for c, n in enumerate((3, 0, 2)):
+            values = (10 * c + np.arange(n)).astype(np.float32)
+            client = LocalClient(c + 1, np.broadcast_to(values[:, None, None], (n, 4, 2)),
+                                 values / 100, lstm.TrainConfig())
+            bundles.append(experiments.ClientBundle(client, np.empty((0, 4, 2)), np.empty(0),
+                                                    np.empty(0)))
+        x, y = pooled_training_set(bundles)
+        order = [(0, 0), (2, 0), (0, 1), (2, 1), (0, 2)]
+        assert x.dtype == y.dtype == np.float32
+        assert np.array_equal(x, np.stack([bundles[c].client.train_x[w] for c, w in order]))
+        assert np.array_equal(y, np.array([bundles[c].client.train_y[w] for c, w in order]))
 
 
 class TestMatrixFederations:

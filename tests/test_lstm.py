@@ -24,6 +24,7 @@ from fedspoof.lstm import (
     train_local,
     validation_split,
 )
+from oracles import lstm_forward
 
 
 def finite_difference_grad(params, x, y, coords, eps=1e-4):
@@ -182,6 +183,24 @@ class TestForward:
         np.testing.assert_allclose(
             predict(p, x, batch_size=7), predict(p, x, batch_size=256), rtol=1e-6, atol=1e-6
         )
+
+    @pytest.mark.parametrize("input_size, hidden_size", [(6, 8), (36, 100)])
+    def test_matches_textbook_oracle(self, rng, input_size, hidden_size):
+        p = init_params(7, input_size=input_size, hidden_size=hidden_size)
+        p.vector += rng.normal(0.0, 0.1, p.vector.size).astype(np.float32)
+        x = rng.uniform(0, 1, (9, 10, input_size)).astype(np.float32)
+        y, _ = forward(p, x)
+        np.testing.assert_allclose(y, lstm_forward(p.blocks(), x), rtol=1e-5)
+
+    def test_kernels_leave_parameters_unchanged(self, rng):
+        # the halved sigmoid-gate weights are per-call copies
+        p = init_params(8, input_size=6, hidden_size=8)
+        before = p.vector.copy()
+        x = rng.uniform(0, 1, (70, 5, 6)).astype(np.float32)
+        forward(p, x)
+        backward(p, x, rng.uniform(0, 1, 70).astype(np.float32))
+        predict(p, x)
+        assert p.vector.tobytes() == before.tobytes()
 
     def test_wrong_width_rejected(self):
         p = init_params(0, input_size=3, hidden_size=2)

@@ -176,15 +176,15 @@ class TestPartition:
     def test_trace_split_holds_out_nine_of_85(self):
         # 85 * 0.1 = 8.5 rounds half up to 9
         part = partition(self._traces(85), "non-iid-by-trace", 6, seed=1)
-        train = sum(len(s.train) for s in part.clients.values())
-        test = sum(len(s.test) for s in part.clients.values())
+        train = sum(len(s.train) for s in part.values())
+        test = sum(len(s.test) for s in part.values())
         assert train == 76 and test == 9
 
     def test_device_partition_is_device_pure(self):
         traces = self._traces(30)
         part = partition(traces, "non-iid-by-device", 6, seed=2)
-        assert len(part.clients) == 6
-        for client_id, split in part.clients.items():
+        assert len(part) == 6
+        for client_id, split in part.items():
             assert {t.platform_id for t in split.train + split.test} == {client_id}
 
     def test_device_partition_requires_matching_client_count(self):
@@ -193,7 +193,7 @@ class TestPartition:
 
     def test_iid_test_set_is_training_set(self):
         part = partition(self._traces(20), "iid", 4, seed=3)
-        for split in part.clients.values():
+        for split in part.values():
             assert split.train == split.test
 
     def test_conservation(self):
@@ -201,7 +201,7 @@ class TestPartition:
         for mode in ("iid", "non-iid-by-trace"):
             part = partition(traces, mode, 5, seed=4)
             owned = []
-            for split in part.clients.values():
+            for split in part.values():
                 owned.extend(t.trace_id for t in split.train)
                 if mode == "non-iid-by-trace":
                     owned.extend(t.trace_id for t in split.test)
@@ -215,16 +215,16 @@ class TestPartition:
         traces = self._traces(20)
         a = partition(traces, "non-iid-by-trace", 4, seed=9)
         b = partition(traces, "non-iid-by-trace", 4, seed=9)
-        for cid in a.clients:
+        for cid in a:
             for side in ("train", "test"):
-                assert [t.trace_id for t in getattr(a.clients[cid], side)] == [
-                    t.trace_id for t in getattr(b.clients[cid], side)
+                assert [t.trace_id for t in getattr(a[cid], side)] == [
+                    t.trace_id for t in getattr(b[cid], side)
                 ]
 
     def test_holdout_override_on_device_partition(self):
         traces = self._traces(30)
         part = partition(traces, "non-iid-by-device", 6, seed=5, trace_holdout=True)
-        assert any(split.test for split in part.clients.values())
-        for split in part.clients.values():
+        assert any(split.test for split in part.values())
+        for split in part.values():
             held = {t.trace_id for t in split.test}
             assert held.isdisjoint({t.trace_id for t in split.train})
