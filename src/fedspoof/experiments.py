@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import features as feat
-from . import lstm, metrics
+from . import federation, lstm, metrics
 from .domain import Trace
 from .federation import FederationConfig, LocalClient, run_rounds
 from .fusion import FusedEstimate, FusionConfig, fuse_trace, pds_score
@@ -181,6 +182,12 @@ def _matrix_row(
     return MatrixRow(cell, split, method, detail, auc, n_pos, n_neg)
 
 
+def _scores(train, *groups: list[ClientBundle] | None) -> list[np.ndarray | None]:
+    """A matrix job: the model `train()` returns, scored on each group of bundles."""
+    params, _ = train()
+    return [None if g is None else model_scores(params, g) for g in groups]
+
+
 GNUPLOT_SCRIPT = """\
 # plot the ROC curves emitted next to this script: gnuplot plot_roc.gp
 set datafile separator ','
@@ -225,21 +232,22 @@ def experiment_matrix(
     for split in splits:
         holdout = split == "trace"
         uniform_mode = "non-iid-by-trace" if holdout else "iid"
+        # one job per model to train, returning its scores on the test sets of
+        # its rows; the centralized training, the largest, is job 1, so it
+        # runs in a forked shard whenever there is one
+        jobs, scores = {}, {}
+        table = []  # (cell, method, detail, tag, test bundles, scores key, index)
 
         if "clfl" in cells:
             part = partition(traces, uniform_mode, sim_cfg.n_clients, master_seed)
-            bundles = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed, fused)
-            _, truth = pooled_test(bundles)
-            fed_params, _ = run_federated(bundles, fed_cfg)
-            cen_params, _ = run_centralized(bundles, train_cfg, master_seed, budget_epochs)
-            for method, scores in (
-                ("federated", model_scores(fed_params, bundles)),
-                ("centralized", model_scores(cen_params, bundles)),
-                ("pds", pds_pooled(bundles)),
-            ):
-                rows.append(
-                    _matrix_row("clfl", split, method, "all", method, scores, truth, out_dir)
-                )
+            clfl = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed, fused)
+            jobs["clfl", "federated"] = partial(
+                _scores, partial(run_federated, clfl, fed_cfg), clfl)
+            jobs["clfl", "centralized"] = partial(_scores, partial(
+                run_centralized, clfl, train_cfg, master_seed, budget_epochs), clfl)
+            scores["clfl", "pds"] = [pds_pooled(clfl)]
+            for m in ("federated", "centralized", "pds"):
+                table.append(("clfl", m, "all", m, clfl, ("clfl", m), 0))
 
         if {"per_device", "per_model", "cross_model"} & set(cells):
             n_devices = len({t.platform_id for t in traces})
@@ -250,49 +258,46 @@ def experiment_matrix(
             by_model: dict[str, list[ClientBundle]] = {}
             for b in bundles:
                 by_model.setdefault(models[b.client.client_id], []).append(b)
-            others = {
-                name: [b for b in bundles if models[b.client.client_id] != name]
-                for name in by_model
-            }
-
-            if "per_device" in cells:
-                for b in bundles:
-                    if b.client.n_train == 0 or b.test_x.shape[0] == 0:
-                        continue
-                    cid = b.client.client_id
-                    cfg = replace(train_cfg, max_epochs=budget_epochs, rng_seed=master_seed + cid)
-                    params, _ = lstm.train_local(
-                        lstm.init_params(master_seed), b.client.train_x, b.client.train_y, cfg
-                    )
-                    rows.append(_matrix_row(
-                        "per_device", split, "local", f"device_{cid}", str(cid),
-                        lstm.predict(params, b.test_x), b.test_truth, out_dir,
-                    ))
-
             # one federation per hardware family serves both its per_model row
-            # and its cross_model row; a family that covers every bundle has
-            # no cross_model row and trains only for per_model
-            family_params = {
-                name: run_federated(group, fed_cfg)[0]
-                for name, group in sorted(by_model.items())
-                if "per_model" in cells or ("cross_model" in cells and others[name])
-            }
-            if "per_model" in cells:
-                for name, group in sorted(by_model.items()):
-                    _, truth = pooled_test(group)
-                    rows.append(_matrix_row(
-                        "per_model", split, "federated", name, name,
-                        model_scores(family_params[name], group), truth, out_dir,
-                    ))
-            if "cross_model" in cells:
-                for name in sorted(by_model):
-                    if not others[name]:
-                        continue
-                    _, truth = pooled_test(others[name])
-                    rows.append(_matrix_row(
-                        "cross_model", split, "federated", f"train_{name}", name,
-                        model_scores(family_params[name], others[name]), truth, out_dir,
-                    ))
+            # and its cross_model row, tested on the other families; a family
+            # that covers every bundle trains only for per_model
+            for name, group in sorted(by_model.items()):
+                own = group if "per_model" in cells else None
+                others = [b for b in bundles if models[b.client.client_id] != name]
+                others = others if "cross_model" in cells and others else None
+                key = ("family", name)
+                if own:
+                    table.append(("per_model", "federated", name, name, own, key, 0))
+                if others:
+                    table.append(("cross_model", "federated", f"train_{name}", name,
+                                  others, key, 1))
+                if own or others:
+                    jobs[key] = partial(_scores, partial(run_federated, group, fed_cfg),
+                                        own, others)
+            if "per_device" in cells:
+                init = lstm.init_params(master_seed)  # train_local trains a copy
+                for b in bundles:
+                    cid = b.client.client_id
+                    if b.client.n_train and b.test_x.shape[0]:
+                        cfg = replace(train_cfg, max_epochs=budget_epochs,
+                                      rng_seed=master_seed + cid)
+                        jobs["device", cid] = partial(_scores, partial(
+                            lstm.train_local, init, b.client.train_x, b.client.train_y, cfg), [b])
+                        table.append(("per_device", "local", f"device_{cid}", str(cid), [b],
+                                      ("device", cid), 0))
+
+        # job i runs in shard i mod W, one shard per usable CPU, and the
+        # results come back in job order whatever W is; no jobs, no pool
+        if jobs:
+            n = federation._shard_count(len(jobs))
+            with federation._Shards(list(jobs.values()), n) as shards:
+                scores.update(zip(jobs, shards.ask("__call__")))
+        table.sort(key=lambda row: ALL_CELLS.index(row[0]))  # stable: cell by cell
+        for cell, method, detail, tag, group, key, i in table:
+            truth = np.concatenate([b.test_truth for b in group])
+            rows.append(_matrix_row(
+                cell, split, method, detail, tag, scores[key][i], truth, out_dir
+            ))
 
     if out_dir is not None:
         write_auc_table(rows, os.path.join(out_dir, "auc_table.csv"))

@@ -417,7 +417,10 @@ def _shard_count(n_clients: int) -> int:
     BLAS keeps a thread per CPU, so forked shards would each bring a pool to
     the same CPUs (a gated six-client federation ran 3.3x slower on two),
     and a forked child can inherit a lock held by a thread it does not have.
+    A forked shard stays one shard too: as a daemon it may not fork.
     """
+    if multiprocessing.parent_process() is not None:
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
         threads = len(os.listdir("/proc/self/task"))

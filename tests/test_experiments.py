@@ -1,10 +1,11 @@
+import multiprocessing
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedspoof import experiments, features, fusion, lstm, metrics, simulate
+from fedspoof import experiments, features, federation, fusion, lstm, metrics, simulate
 from fedspoof.experiments import (
     build_bundles,
     experiment_matrix,
@@ -93,6 +94,8 @@ class TestMatrixFederations:
             return real(bundles, cfg)
 
         monkeypatch.setattr(experiments, "run_federated", spy)
+        # the spy sees the calls of one process only: no forked shards
+        monkeypatch.setattr(federation, "_shard_count", lambda n: 1)
         rows = experiment_matrix(
             traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed, cells=cells
         )
@@ -130,6 +133,89 @@ class TestMatrixFederations:
         experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed,
                           cells=("clfl", "per_device"))
         assert sorted(fused) == sorted(t.trace_id for t in traces)
+
+
+def _force_shards(monkeypatch, n):
+    """Pools of n shards in the server; a forked shard runs alone, as it must."""
+    monkeypatch.setattr(federation, "_shard_count", lambda n_items: (
+        1 if multiprocessing.parent_process() else min(n, n_items)))
+
+
+class TestMatrixJobs:
+    """experiment_matrix trains each split's models as jobs on one pool of
+    shards; the rows and files do not depend on its size."""
+
+    FED = dict(rounds=1, local_epochs=1, gate_enabled=False)
+
+    def _matrix(self, seed=5, out_dir=None, cells=experiments.ALL_CELLS,
+                splits=experiments.ALL_SPLITS, **sim_kwargs):
+        sim, traces, fc, tc = _micro_setup(seed, **sim_kwargs)
+        fed_cfg = FederationConfig(init_seed=sim.rng_seed, **self.FED)
+        return experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg,
+                                 sim.rng_seed, out_dir=out_dir, cells=cells, splits=splits)
+
+    def test_pool_size_does_not_change_the_matrix(self, monkeypatch, tmp_path):
+        forks = []
+        start = multiprocessing.context.ForkProcess.start
+
+        def counting_start(proc):
+            forks.append(proc)
+            start(proc)
+
+        pools = []
+        shards = federation._Shards
+
+        class RecordedShards(shards):
+            def __init__(self, items, n):
+                pools.append(("jobs" if callable(items[0]) else "clients", n))
+                super().__init__(items, n)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
+        monkeypatch.setattr(federation, "_Shards", RecordedShards)
+        outcomes = {}
+        for n in (1, 2, 3):
+            _force_shards(monkeypatch, n)
+            forks.clear()
+            pools.clear()
+            out = tmp_path / f"shards{n}"
+            out.mkdir()
+            rows = self._matrix(out_dir=str(out), n_devices=4, n_traces=12)
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            outcomes[n] = (repr(rows), files)  # repr: NaN rows compare equal
+            # one job pool per split, each with n shards of at least n jobs;
+            # every fork is the server's, n - 1 per pool it made, and job 0,
+            # the clfl federation, runs in the server and forks its clients
+            assert [k for kind, k in pools if kind == "jobs"] == [n, n]
+            assert len(forks) == sum(k - 1 for _, k in pools)
+            assert any(kind == "clients" and k == min(n, 2) for kind, k in pools)
+        table = outcomes[1][1]["auc_table.csv"].decode().splitlines()[1:]
+        assert {line.split(",")[0] for line in table} == set(experiments.ALL_CELLS)
+        for n in (2, 3):
+            assert outcomes[n] == outcomes[1]
+
+    def test_job_error_in_forked_shard_raised_in_server(self, monkeypatch):
+        _force_shards(monkeypatch, 2)
+        server_pid = os.getpid()
+        real = experiments.run_centralized
+
+        def failing(*args):
+            if os.getpid() != server_pid:  # job 1, the centralized training, is forked
+                raise FloatingPointError("centralized training diverged")
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "run_centralized", failing)
+        with pytest.raises(FloatingPointError, match="centralized training diverged") as excinfo:
+            self._matrix(cells=("clfl",), splits=("iid",))
+        assert "shard 1" in str(excinfo.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_no_jobs_builds_no_pool(self, monkeypatch):
+        def no_pool(items, n):
+            raise AssertionError(f"a pool of {n} shards for {len(items)} jobs")
+
+        monkeypatch.setattr(federation, "_Shards", no_pool)
+        # one hardware family: no other family to test a cross_model row on
+        assert self._matrix(cells=("cross_model",), n_devices=1) == []
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import multiprocessing
 import os
@@ -360,6 +361,13 @@ class TestShardedRounds:
         assert federation._shard_count(6) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
         assert federation._shard_count(6) == 1
+
+    def test_forked_shard_counts_one_shard(self, monkeypatch):
+        # a daemonic shard may not fork; the server may, here 8 CPUs, 1 thread
+        _fake_process(monkeypatch, cpus=8, threads=1)
+        job = functools.partial(federation._shard_count, 6)
+        with federation._Shards([job, job], 2) as shards:
+            assert shards.ask("__call__") == [6, 1]
 
     def test_shard_error_raised_in_server(self, rng, monkeypatch):
         _force_shards(monkeypatch, 2)
