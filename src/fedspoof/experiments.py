@@ -34,31 +34,39 @@ class ClientBundle:
     test_truth: np.ndarray
     test_pds: np.ndarray
 
+    def scores(self, params: lstm.LstmModelParams) -> np.ndarray:
+        """`params`' scores on this client's test windows."""
+        return lstm.predict(params, self.test_x)
+
 
 def _build_test_set(
     client: LocalClient,
     test_traces: list[Trace],
     fused_traces: list[FusedEstimate],
     cfg: feat.FeatureConfig,
+    iid: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Test windows, with truth and PDS read at each window's last index; an
+    IID split's test windows are the client's training windows themselves."""
     xs, truths, pds_vals = [], [], []
     for trace, fused in zip(test_traces, fused_traces):
-        raw = feat.extract_raw(trace, fused)
-        fx = feat.apply_normalization(raw, client.feature_norm)
-        wx, last = feat.make_windows(fx, cfg.window_len, cfg.stride)
-        if wx.shape[0] == 0:
-            continue
-        xs.append(wx)
-        truths.append(trace.attacked[last])
-        pds_vals.append(pds_score(trace, fused)[last])
-    if not xs:
-        w = cfg.window_len
-        return (
-            np.empty((0, w, feat.N_FEATURES), dtype=np.float32),
-            np.empty(0, dtype=bool),
-            np.empty(0),
-        )
-    return np.concatenate(xs), np.concatenate(truths), np.concatenate(pds_vals)
+        if iid:
+            last = np.arange(cfg.window_len - 1, len(trace), cfg.stride)
+        else:
+            fx = feat.apply_normalization(feat.extract_raw(trace, fused), client.feature_norm)
+            wx, last = feat.make_windows(fx, cfg.window_len, cfg.stride)
+            xs.append(wx)
+        if last.size:
+            truths.append(trace.attacked[last])
+            pds_vals.append(pds_score(trace, fused)[last])
+    # an empty first part gives each array its dtype when no trace has a window
+    test_x = client.train_x if iid else np.concatenate(
+        [np.empty((0, cfg.window_len, feat.N_FEATURES), dtype=np.float32), *xs])
+    truth = np.concatenate([np.empty(0, dtype=bool), *truths])
+    pds_vals = np.concatenate([np.empty(0), *pds_vals])
+    for a in (test_x, truth, pds_vals):
+        a.setflags(write=False)
+    return test_x, truth, pds_vals
 
 
 def fuse_each(traces: list[Trace], fusion_cfg: FusionConfig) -> dict[int, FusedEstimate]:
@@ -98,8 +106,10 @@ def build_bundles(
             feature_cfg,
             replace(train_cfg, rng_seed=master_seed + client_id),
         )
+        # Trace compares by identity: equal lists hold the same trace objects
         test_x, truth, pds_vals = _build_test_set(
-            client, split.test, [fused[id(t)] for t in split.test], feature_cfg
+            client, split.test, [fused[id(t)] for t in split.test], feature_cfg,
+            iid=split.test == split.train,
         )
         bundles.append(
             ClientBundle(client=client, test_x=test_x, test_truth=truth, test_pds=pds_vals)
@@ -114,7 +124,10 @@ def pooled_test(bundles: list[ClientBundle]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def model_scores(params: lstm.LstmModelParams, bundles: list[ClientBundle]) -> np.ndarray:
-    return np.concatenate([lstm.predict(params, b.test_x) for b in bundles])
+    """Each bundle scores its own test windows in shard i mod W; the scores
+    come back in bundle order."""
+    with federation._Shards(bundles, federation._shard_count(len(bundles))) as shards:
+        return np.concatenate(shards.ask("scores", params))
 
 
 def pds_pooled(bundles: list[ClientBundle]) -> np.ndarray:
@@ -183,9 +196,11 @@ def _matrix_row(
 
 
 def _scores(train, *groups: list[ClientBundle] | None) -> list[np.ndarray | None]:
-    """A matrix job: the model `train()` returns, scored on each group of bundles."""
+    """A matrix job: the model `train()` returns, scored on each group of
+    bundles in the job's own shard, since a pool of its own would oversubscribe."""
     params, _ = train()
-    return [None if g is None else model_scores(params, g) for g in groups]
+    return [None if g is None else np.concatenate([b.scores(params) for b in g])
+            for g in groups]
 
 
 GNUPLOT_SCRIPT = """\

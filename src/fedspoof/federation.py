@@ -165,7 +165,10 @@ class LocalClient:
         else:
             train_x = np.concatenate(xs)
             train_y = np.concatenate(ys)
-        return cls(client_id, train_x, train_y, train_cfg, feature_norm=fnorm)
+        client = cls(client_id, train_x, train_y, train_cfg, feature_norm=fnorm)
+        client.train_x.setflags(write=False)  # an IID test set shares these windows
+        client.train_y.setflags(write=False)
+        return client
 
     def _round_seed(self, round_index: int) -> int:
         # stable combination so identical client seeds give identical rounds

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedspoof import experiments, features, federation, fusion, lstm, metrics, simulate
+from fedspoof import domain, experiments, features, federation, fusion, lstm, metrics, simulate
 from fedspoof.experiments import (
     build_bundles,
     experiment_matrix,
@@ -78,6 +78,52 @@ class TestBundles:
         assert np.array_equal(y, np.array([bundles[c].client.train_y[w] for c, w in order]))
 
 
+def _first_samples(trace, n):
+    return replace(trace, **{name: getattr(trace, name)[:n] for name in domain.COLUMN_SHAPES})
+
+
+class TestSharedIidSet:
+    """An IID bundle tests on its training traces, so its test windows are its
+    client's training windows, built once."""
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_iid_test_set_is_the_training_windows(self, stride):
+        sim, traces, fc, tc = _micro_setup()
+        fc = replace(fc, stride=stride)
+        short = _first_samples(traces[0], fc.window_len - 2)  # no window; skipped
+        own = [traces[1], short, traces[2]]
+        part = {1: simulate.ClientSplit(train=own, test=list(own)),
+                2: simulate.ClientSplit(train=traces[3:5], test=traces[3:5])}
+        bundles = build_bundles(part, fusion.FusionConfig(), fc, tc, sim.rng_seed)
+        for b, split in zip(bundles, part.values()):
+            assert b.test_x is b.client.train_x
+            fused = [fusion.fuse_trace(t, fusion.FusionConfig()) for t in split.test]
+            rebuilt = experiments._build_test_set(b.client, split.test, fused, fc, iid=False)
+            for shared, built in zip((b.test_x, b.test_truth, b.test_pds), rebuilt):
+                assert shared.dtype == built.dtype and shared.shape == built.shape
+                assert shared.tobytes() == built.tobytes()
+        assert bundles[0].test_x.shape[0] == sum(
+            len(range(fc.window_len - 1, len(t), stride)) for t in own)
+
+    def test_trace_split_test_set_is_its_own_array(self):
+        sim, traces, fc, tc = _micro_setup(n_traces=10)
+        part = simulate.partition(traces, "non-iid-by-trace", 2, sim.rng_seed)
+        bundles = build_bundles(part, fusion.FusionConfig(), fc, tc, sim.rng_seed)
+        assert sum(b.test_x.shape[0] for b in bundles) > 0
+        for b in bundles:
+            assert not np.shares_memory(b.test_x, b.client.train_x)
+
+    def test_windows_and_test_arrays_are_read_only(self):
+        sim, traces, fc, tc = _micro_setup(n_traces=10)
+        for mode in ("iid", "non-iid-by-trace"):
+            part = simulate.partition(traces, mode, 2, sim.rng_seed)
+            for b in build_bundles(part, fusion.FusionConfig(), fc, tc, sim.rng_seed):
+                for a in (b.client.train_x, b.client.train_y,
+                          b.test_x, b.test_truth, b.test_pds):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0
+
+
 class TestMatrixFederations:
     """experiment_matrix trains each hardware family's federation once per
     split and scores it for both per_model and cross_model."""
@@ -141,6 +187,60 @@ def _force_shards(monkeypatch, n):
         1 if multiprocessing.parent_process() else min(n, n_items)))
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Every process forked while the test runs."""
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counting_start(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
+    return started
+
+
+class TestPooledScoring:
+    """model_scores scores bundle i's test windows in shard i mod W."""
+
+    def _bundles(self):
+        sim, traces, fc, tc = _micro_setup(n_traces=9, n_clients=3)
+        part = simulate.partition(traces, "iid", 3, sim.rng_seed)
+        return build_bundles(part, fusion.FusionConfig(), fc, tc, sim.rng_seed)
+
+    def test_shard_count_does_not_change_the_scores(self, monkeypatch, forks):
+        bundles = self._bundles()
+        params = lstm.init_params(7)
+        serial = np.concatenate([lstm.predict(params, b.test_x) for b in bundles])
+        n_first = bundles[0].test_x.shape[0]
+        for n in (1, 2, 3):
+            _force_shards(monkeypatch, n)
+            forks.clear()
+            assert model_scores(params, bundles).tobytes() == serial.tobytes()
+            assert len(forks) == n - 1
+            forks.clear()
+            assert model_scores(params, bundles[:1]).tobytes() == serial[:n_first].tobytes()
+            assert forks == []
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_forked_shard_raised_in_server(self, monkeypatch):
+        _force_shards(monkeypatch, 3)
+        server_pid = os.getpid()
+        real = experiments.ClientBundle.scores
+
+        def failing(bundle, params):
+            if os.getpid() != server_pid:
+                raise FloatingPointError(f"client {bundle.client.client_id} diverged")
+            return real(bundle, params)
+
+        monkeypatch.setattr(experiments.ClientBundle, "scores", failing)
+        with pytest.raises(FloatingPointError, match="client 2 diverged") as excinfo:
+            model_scores(lstm.init_params(7), self._bundles())
+        assert "shard 1" in str(excinfo.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+
 class TestMatrixJobs:
     """experiment_matrix trains each split's models as jobs on one pool of
     shards; the rows and files do not depend on its size."""
@@ -154,23 +254,16 @@ class TestMatrixJobs:
         return experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg,
                                  sim.rng_seed, out_dir=out_dir, cells=cells, splits=splits)
 
-    def test_pool_size_does_not_change_the_matrix(self, monkeypatch, tmp_path):
-        forks = []
-        start = multiprocessing.context.ForkProcess.start
-
-        def counting_start(proc):
-            forks.append(proc)
-            start(proc)
-
+    def test_pool_size_does_not_change_the_matrix(self, monkeypatch, tmp_path, forks):
         pools = []
         shards = federation._Shards
 
         class RecordedShards(shards):
             def __init__(self, items, n):
-                pools.append(("jobs" if callable(items[0]) else "clients", n))
+                pools.append(("jobs" if callable(items[0]) else "bundles"
+                              if isinstance(items[0], experiments.ClientBundle) else "clients", n))
                 super().__init__(items, n)
 
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
         monkeypatch.setattr(federation, "_Shards", RecordedShards)
         outcomes = {}
         for n in (1, 2, 3):
@@ -184,8 +277,10 @@ class TestMatrixJobs:
             outcomes[n] = (repr(rows), files)  # repr: NaN rows compare equal
             # one job pool per split, each with n shards of at least n jobs;
             # every fork is the server's, n - 1 per pool it made, and job 0,
-            # the clfl federation, runs in the server and forks its clients
+            # the clfl federation, runs in the server and forks its clients;
+            # a job scores its models in its own shard, with no pool of bundles
             assert [k for kind, k in pools if kind == "jobs"] == [n, n]
+            assert "bundles" not in {kind for kind, _ in pools}
             assert len(forks) == sum(k - 1 for _, k in pools)
             assert any(kind == "clients" and k == min(n, 2) for kind, k in pools)
         table = outcomes[1][1]["auc_table.csv"].decode().splitlines()[1:]
