@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from . import domain, experiments, federation, lstm, metrics
 from . import simulate
@@ -83,7 +85,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, mode: str) -> int:
         raise ConfigError(f"unknown train mode {mode!r}; choose from {TRAIN_MODES}")
     traces = _load_traces(cfg, out_dir)
     bundles = _bundles(cfg, traces)
-    _, truth = experiments.pooled_test(bundles)
+    truth = np.concatenate([b.test_truth for b in bundles])
 
     try:
         if mode == "federated":

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .experiments import ALL_CELLS, ALL_SPLITS
 from .features import FeatureConfig
@@ -35,18 +36,17 @@ class ExperimentConfig:
     federation: FederationConfig = FederationConfig()
 
 
-_SECTION_TYPES = {
-    "sim": SimConfig,
-    "fusion": FusionConfig,
-    "features": FeatureConfig,
-    "train": TrainConfig,
-    "federation": FederationConfig,
+#: the config file's sections besides [experiment]: the sub-configurations
+_SECTIONS = tuple(f.name for f in fields(ExperimentConfig) if is_dataclass(f.default))
+
+
+def _str_tuple(raw: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in raw.split(",") if v.strip())
+
+
+_FIELD_TYPES = {
+    "int": int, "float": float, "bool": bool, "str": str, "tuple[str, ...]": _str_tuple,
 }
-
-_EXPERIMENT_KEYS = ("seed", "out_dir", "dataset_file", "cells", "splits")
-
-
-_FIELD_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 # per-stage seeds that load_config derives from [experiment] seed
 _DERIVED_SEEDS = {("sim", "rng_seed"), ("train", "rng_seed"), ("federation", "init_seed")}
@@ -55,7 +55,10 @@ _DERIVED_SEEDS = {("sim", "rng_seed"), ("train", "rng_seed"), ("federation", "in
 def _coerce(raw: str, target_type, key: str):
     try:
         if target_type is not bool:
-            return target_type(raw)
+            value = target_type(raw)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(raw)
+            return value
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
@@ -96,18 +99,8 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
         for section in parser.sections():
             items = dict(parser.items(section))
             if section == "experiment":
-                updates = {}
-                for key, raw in items.items():
-                    if key not in _EXPERIMENT_KEYS:
-                        raise ConfigError(f"unknown key [experiment] {key}")
-                    if key in ("cells", "splits"):
-                        updates[key] = tuple(v.strip() for v in raw.split(",") if v.strip())
-                    elif key == "seed":
-                        updates[key] = _coerce(raw, int, "[experiment] seed")
-                    else:
-                        updates[key] = raw
-                cfg = replace(cfg, **updates)
-            elif section in _SECTION_TYPES:
+                cfg = _apply_section(cfg, section, items)
+            elif section in _SECTIONS:
                 cfg = replace(cfg, **{section: _apply_section(getattr(cfg, section), section, items)})
             else:
                 raise ConfigError(f"unknown config section [{section}]")
@@ -132,13 +125,8 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable digest of the fully resolved configuration."""
     lines = [f"seed={cfg.seed}", f"cells={','.join(cfg.cells)}", f"splits={','.join(cfg.splits)}"]
-    for section, sub in (
-        ("sim", cfg.sim),
-        ("fusion", cfg.fusion),
-        ("features", cfg.features),
-        ("train", cfg.train),
-        ("federation", cfg.federation),
-    ):
+    for section in _SECTIONS:
+        sub = getattr(cfg, section)
         for f in fields(sub):
             lines.append(f"{section}.{f.name}={getattr(sub, f.name)!r}")
     digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()

@@ -195,12 +195,11 @@ def _matrix_row(
     return MatrixRow(cell, split, method, detail, auc, n_pos, n_neg)
 
 
-def _scores(train, *groups: list[ClientBundle] | None) -> list[np.ndarray | None]:
+def _scores(train, groups: list[list[ClientBundle]]) -> list[np.ndarray]:
     """A matrix job: the model `train()` returns, scored on each group of
     bundles in the job's own shard, since a pool of its own would oversubscribe."""
     params, _ = train()
-    return [None if g is None else np.concatenate([b.scores(params) for b in g])
-            for g in groups]
+    return [np.concatenate([b.scores(params) for b in g]) for g in groups]
 
 
 GNUPLOT_SCRIPT = """\
@@ -247,22 +246,21 @@ def experiment_matrix(
     for split in splits:
         holdout = split == "trace"
         uniform_mode = "non-iid-by-trace" if holdout else "iid"
-        # one job per model to train, returning its scores on the test sets of
-        # its rows; the centralized training, the largest, is job 1, so it
-        # runs in a forked shard whenever there is one
-        jobs, scores = {}, {}
-        table = []  # (cell, method, detail, tag, test bundles, scores key, index)
+        # one job per model to train: the training plus the rows it is scored
+        # on, each (cell, method, detail, tag, test bundles); the centralized
+        # training, the largest, is job 1, so it runs in a forked shard
+        # whenever there is one
+        jobs = []
+        pds_rows = []  # scored by the server itself
 
         if "clfl" in cells:
             part = partition(traces, uniform_mode, sim_cfg.n_clients, master_seed)
             clfl = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed, fused)
-            jobs["clfl", "federated"] = partial(
-                _scores, partial(run_federated, clfl, fed_cfg), clfl)
-            jobs["clfl", "centralized"] = partial(_scores, partial(
-                run_centralized, clfl, train_cfg, master_seed, budget_epochs), clfl)
-            scores["clfl", "pds"] = [pds_pooled(clfl)]
-            for m in ("federated", "centralized", "pds"):
-                table.append(("clfl", m, "all", m, clfl, ("clfl", m), 0))
+            jobs.append((partial(run_federated, clfl, fed_cfg),
+                         [("clfl", "federated", "all", "federated", clfl)]))
+            jobs.append((partial(run_centralized, clfl, train_cfg, master_seed, budget_epochs),
+                         [("clfl", "centralized", "all", "centralized", clfl)]))
+            pds_rows.append((("clfl", "pds", "all", "pds", clfl), pds_pooled(clfl)))
 
         if {"per_device", "per_model", "cross_model"} & set(cells):
             n_devices = len({t.platform_id for t in traces})
@@ -277,42 +275,37 @@ def experiment_matrix(
             # and its cross_model row, tested on the other families; a family
             # that covers every bundle trains only for per_model
             for name, group in sorted(by_model.items()):
-                own = group if "per_model" in cells else None
                 others = [b for b in bundles if models[b.client.client_id] != name]
-                others = others if "cross_model" in cells and others else None
-                key = ("family", name)
-                if own:
-                    table.append(("per_model", "federated", name, name, own, key, 0))
-                if others:
-                    table.append(("cross_model", "federated", f"train_{name}", name,
-                                  others, key, 1))
-                if own or others:
-                    jobs[key] = partial(_scores, partial(run_federated, group, fed_cfg),
-                                        own, others)
+                family_rows = []
+                if "per_model" in cells:
+                    family_rows.append(("per_model", "federated", name, name, group))
+                if "cross_model" in cells and others:
+                    family_rows.append(("cross_model", "federated", f"train_{name}", name, others))
+                if family_rows:
+                    jobs.append((partial(run_federated, group, fed_cfg), family_rows))
             if "per_device" in cells:
                 init = lstm.init_params(master_seed)  # train_local trains a copy
                 for b in bundles:
-                    cid = b.client.client_id
-                    if b.client.n_train and b.test_x.shape[0]:
-                        cfg = replace(train_cfg, max_epochs=budget_epochs,
-                                      rng_seed=master_seed + cid)
-                        jobs["device", cid] = partial(_scores, partial(
-                            lstm.train_local, init, b.client.train_x, b.client.train_y, cfg), [b])
-                        table.append(("per_device", "local", f"device_{cid}", str(cid), [b],
-                                      ("device", cid), 0))
+                    c = b.client
+                    if c.n_train and b.test_x.shape[0]:
+                        cfg = replace(c.train_cfg, max_epochs=budget_epochs)
+                        jobs.append((partial(lstm.train_local, init, c.train_x, c.train_y, cfg),
+                                     [("per_device", "local", f"device_{c.client_id}",
+                                       str(c.client_id), [b])]))
 
         # job i runs in shard i mod W, one shard per usable CPU, and the
         # results come back in job order whatever W is; no jobs, no pool
+        scored = []
         if jobs:
-            n = federation._shard_count(len(jobs))
-            with federation._Shards(list(jobs.values()), n) as shards:
-                scores.update(zip(jobs, shards.ask("__call__")))
-        table.sort(key=lambda row: ALL_CELLS.index(row[0]))  # stable: cell by cell
-        for cell, method, detail, tag, group, key, i in table:
+            calls = [partial(_scores, train, [r[4] for r in job_rows]) for train, job_rows in jobs]
+            with federation._Shards(calls, federation._shard_count(len(calls))) as shards:
+                for (_, job_rows), job_scores in zip(jobs, shards.ask("__call__")):
+                    scored += zip(job_rows, job_scores)
+        scored += pds_rows
+        scored.sort(key=lambda row: ALL_CELLS.index(row[0][0]))  # stable: cell by cell
+        for (cell, method, detail, tag, group), scores in scored:
             truth = np.concatenate([b.test_truth for b in group])
-            rows.append(_matrix_row(
-                cell, split, method, detail, tag, scores[key][i], truth, out_dir
-            ))
+            rows.append(_matrix_row(cell, split, method, detail, tag, scores, truth, out_dir))
 
     if out_dir is not None:
         write_auc_table(rows, os.path.join(out_dir, "auc_table.csv"))

@@ -53,6 +53,8 @@ class FeatureConfig:
     def __post_init__(self) -> None:
         if self.window_len < 1 or self.stride < 1:
             raise ValueError("window_len and stride must be >= 1")
+        if not 0.0 <= self.cap_percentile <= 100.0:
+            raise ValueError("cap_percentile must be in [0, 100]")
 
 
 @dataclass

@@ -57,7 +57,6 @@ class QualityReport:
 
 @dataclass
 class GlobalModelState:
-    round_index: int
     params: lstm.LstmModelParams
     last_auc: float = 0.0
 
@@ -206,10 +205,8 @@ class LocalClient:
             return np.arange(n)
         return np.unique(np.linspace(0, n - 1, max_windows).astype(np.int64))
 
-    def score_candidate(
-        self, params: lstm.LstmModelParams, max_windows: int
-    ) -> tuple[np.ndarray, float] | None:
-        """Candidate scores and AUC on local windows vs binarized self-labels.
+    def score_candidate(self, params: lstm.LstmModelParams, max_windows: int) -> float | None:
+        """Candidate AUC on local windows vs binarized self-labels.
 
         Returns None (abstains) when the local reference has a single class.
         """
@@ -217,8 +214,7 @@ class LocalClient:
         ref = self.reference_binary[idx]
         if ref.all() or not ref.any():
             return None
-        scores = lstm.predict(params, self.train_x[idx])
-        return scores, metrics.auc_from_scores(scores, ref)
+        return metrics.auc_from_scores(lstm.predict(params, self.train_x[idx]), ref)
 
     def validation_mse(self, params: lstm.LstmModelParams) -> float:
         """MSE of params on this client's validation windows."""
@@ -238,21 +234,21 @@ class LocalClient:
         the client abstains (single-class reference labels, AUC None too).
         The per-window scores stay with the client.
         """
-        result = self.score_candidate(global_params, max_windows)
-        if result is None:
+        global_auc = self.score_candidate(global_params, max_windows)
+        if global_auc is None:
             log.warning("client %d abstained from gating (single-class labels)", self.client_id)
         reports: list[QualityReport | None] = []
         for candidate in candidates:
             if candidate.client_id == self.client_id:
                 reports.append(None)
                 continue
-            scored = self.score_candidate(candidate.params, max_windows)
-            reports.append(None if scored is None else QualityReport(
+            auc = self.score_candidate(candidate.params, max_windows)
+            reports.append(None if auc is None else QualityReport(
                 candidate_client_id=candidate.client_id,
                 evaluating_client_id=self.client_id,
-                auc_vs_reference=scored[1],
+                auc_vs_reference=auc,
             ))
-        return (None if result is None else result[1]), reports
+        return global_auc, reports
 
 
 def quality_gate(
@@ -461,10 +457,7 @@ def run_rounds(
         gate_enabled = False
 
     announced_mean = float(np.mean([c.n_train for c in active]))
-    global_state = GlobalModelState(
-        round_index=0,
-        params=lstm.init_params(cfg.init_seed, input_size, hidden_size),
-    )
+    global_state = GlobalModelState(lstm.init_params(cfg.init_seed, input_size, hidden_size))
     weights = np.array([c.n_train for c in active], dtype=np.float64)
     rows: list[dict] = []
 
@@ -516,9 +509,7 @@ def run_rounds(
             else:
                 log.warning("round %d: no update accepted; global model unchanged", round_index)
                 new_params = global_state.params
-            global_state = GlobalModelState(
-                round_index=round_index, params=new_params, last_auc=global_state.last_auc
-            )
+            global_state = GlobalModelState(new_params, last_auc=global_state.last_auc)
 
             val_mses = np.array(shards.ask("validation_mse", new_params))
             rows.append(

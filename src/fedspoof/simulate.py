@@ -59,19 +59,6 @@ _PROFILE_PATTERN = (0, 1, 2, 0, 2, 1)
 
 
 @dataclass(frozen=True)
-class SignalEffect:
-    """How an attack distorts satellite statistics."""
-
-    cn0_uplift_db: float = 6.0
-    compression: float = 0.25
-    agc_shift_db: float = -3.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.compression <= 1.0):
-            raise ValueError("compression must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class AttackScenario:
     """Realized attack plan for one trace."""
 
@@ -81,7 +68,6 @@ class AttackScenario:
     max_deviation_m: float
     ramp_s: float
     bearing_rad: float
-    signal_effect: SignalEffect
 
     def __post_init__(self) -> None:
         if self.offset_model not in ("ramp", "step"):
@@ -140,16 +126,20 @@ class SimConfig:
     profiles: tuple[DeviceProfile, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.attack_fraction <= 1.0):
-            raise ValueError("attack_fraction must be in [0, 1]")
-        if self.n_devices < 1 or self.n_traces < 1:
-            raise ValueError("need at least one device and one trace")
+        for name in ("attack_fraction", "attack_trace_prob", "attack_step_prob",
+                     "signal_compression"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if self.n_devices < 1 or self.n_traces < 1 or self.n_clients < 1:
+            raise ValueError("need at least one device, one trace and one client")
+        if self.sample_rate_hz <= 0 or round(self.duration_s * self.sample_rate_hz) < 2:
+            raise ValueError("need sample_rate_hz > 0 and duration_s of at least two samples")
+        if self.gnss_noise_m < 0 or self.attack_ramp_s <= 0:
+            raise ValueError("need gnss_noise_m >= 0 and attack_ramp_s > 0")
+        if not 0.0 <= self.attack_dev_min_m <= self.attack_dev_max_m:
+            raise ValueError("need 0 <= attack_dev_min_m <= attack_dev_max_m")
         if self.partition_mode not in ("iid", "non-iid-by-device", "non-iid-by-trace"):
             raise ValueError(f"unknown partition mode {self.partition_mode!r}")
-
-    @property
-    def signal_effect(self) -> SignalEffect:
-        return SignalEffect(self.cn0_uplift_db, self.signal_compression, self.agc_shift_db)
 
 
 def device_profiles(cfg: SimConfig) -> dict[int, DeviceProfile]:
@@ -256,7 +246,6 @@ def _plan_attack(rng: np.random.Generator, cfg: SimConfig) -> AttackScenario | N
         max_deviation_m=rng.uniform(cfg.attack_dev_min_m, cfg.attack_dev_max_m),
         ramp_s=cfg.attack_ramp_s,
         bearing_rad=rng.uniform(0.0, 2.0 * math.pi),
-        signal_effect=cfg.signal_effect,
     )
 
 
@@ -275,7 +264,7 @@ def _signal_matrix(
     n: int,
     speed: np.ndarray,
     attacked: np.ndarray,
-    effect: SignalEffect,
+    cfg: SimConfig,
 ) -> np.ndarray:
     """(n, 32) statistics matrix with NaN for dropped-out blocks."""
     out = np.empty((n, 32))
@@ -307,9 +296,9 @@ def _signal_matrix(
         )
 
         per_property = {
-            "agc_db": (agc, effect.agc_shift_db),
-            "cn0_ant_dbhz": (ant, effect.cn0_uplift_db),
-            "cn0_base_dbhz": (base, effect.cn0_uplift_db),
+            "agc_db": (agc, cfg.agc_shift_db),
+            "cn0_ant_dbhz": (ant, cfg.cn0_uplift_db),
+            "cn0_base_dbhz": (base, cfg.cn0_uplift_db),
             "doppler_hz": (doppler, 0.0),
         }
         dropout = max(profile.dropout_rate, profile.gal_dropout_rate) if is_gal \
@@ -320,7 +309,7 @@ def _signal_matrix(
                 # spoofed satellites look artificially alike and a bit stronger
                 sub = vals[attacked]
                 mean = sub.mean(axis=1, keepdims=True)
-                vals[attacked] = mean + (sub - mean) * effect.compression + shift
+                vals[attacked] = mean + (sub - mean) * cfg.signal_compression + shift
             stats = np.column_stack(
                 [
                     vals.mean(axis=1),
@@ -375,7 +364,7 @@ def _generate_trace(
     gnss_n = north + off_n + rng.normal(0.0, cfg.gnss_noise_m, n)
     gnss_e = east + off_e + rng.normal(0.0, cfg.gnss_noise_m, n)
 
-    signal = _signal_matrix(rng, profile, n, speed, attacked, cfg.signal_effect)
+    signal = _signal_matrix(rng, profile, n, speed, attacked, cfg)
 
     def position(north_m: np.ndarray, east_m: np.ndarray) -> np.ndarray:
         return np.column_stack(offset_geopos(cfg.anchor_lat, cfg.anchor_lon, north_m, east_m))

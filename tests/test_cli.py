@@ -104,10 +104,24 @@ class TestConfig:
              r"key \[federation\] corrupt_client_id cannot be set from a config file"),
             ("[sim]\nprofiles = 1\n",
              r"key \[sim\] profiles cannot be set from a config file"),
+            ("[experiment]\nsim = 1\n",
+             r"key \[experiment\] sim cannot be set from a config file"),
+            ("[sim]\nduration_s = inf\n", r"bad value for \[sim\] duration_s"),
+            ("[train]\nbase_learning_rate = nan\n", r"bad value for \[train\] base_learning_rate"),
+            ("[sim]\nattack_trace_prob = 1.5\n", r"invalid \[sim\] values: attack_trace_prob"),
+            ("[sim]\nsignal_compression = 2\n", r"invalid \[sim\] values: signal_compression"),
+            ("[sim]\nsample_rate_hz = 0\n", r"invalid \[sim\] values: .*sample_rate_hz"),
+            ("[sim]\nduration_s = 0\n", r"invalid \[sim\] values: .*duration_s"),
+            ("[sim]\ngnss_noise_m = -1\n", r"invalid \[sim\] values: .*gnss_noise_m"),
+            ("[sim]\nattack_dev_min_m = 300\n", r"invalid \[sim\] values: .*attack_dev_min_m"),
+            ("[sim]\nn_clients = 0\n", r"invalid \[sim\] values: .*client"),
+            ("[features]\ncap_percentile = 150\n",
+             r"invalid \[features\] values: cap_percentile"),
         ):
             path = _write_config(tmp_path, text)
             with pytest.raises(ConfigError, match=message):
                 load_config(path)
+            assert _run("generate", "--config", path, "--out", str(tmp_path / "o")) == 2
 
     def test_per_stage_seeds_rejected(self, tmp_path):
         # [experiment] seed drives every stage; a per-stage seed in a file
@@ -122,6 +136,15 @@ class TestConfig:
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/exp.ini")
+
+    def test_hash_pinned(self):
+        # the manifest's config_hash of the default and the shipped configs
+        for path, digest in ((None, "cc0ffb3dad08edcd"),
+                             ("configs/quickstart.ini", "6eb6ca94326cf59b"),
+                             ("configs/default-scenario.ini", "6ad2656075522a5c"),
+                             ("bench/matrix.ini", "0278874d853e710e")):
+            cfg = load_config(path and os.path.join(ROOT, path))
+            assert config_hash(cfg) == digest, path
 
     def test_hash_stable_and_sensitive(self, tmp_path):
         cfg_a = load_config(_write_config(tmp_path))

@@ -304,6 +304,22 @@ class TestMatrixJobs:
         assert "shard 1" in str(excinfo.value.__cause__)
         assert multiprocessing.active_children() == []
 
+    def test_row_order(self):
+        # split by split: clfl federated, centralized, pds; per_device by
+        # device; per_model and cross_model by hardware family (devices 1 and
+        # 4 share alpha8); on the trace split only device 3 holds out a trace
+        families = ("alpha8", "bravo4x", "charlie9")
+
+        def split_rows(split, devices):
+            return ([("clfl", split, m, "all") for m in ("federated", "centralized", "pds")]
+                    + [("per_device", split, "local", f"device_{d}") for d in devices]
+                    + [("per_model", split, "federated", f) for f in families]
+                    + [("cross_model", split, "federated", f"train_{f}") for f in families])
+
+        rows = self._matrix(n_devices=4, n_traces=12)
+        assert [(r.cell, r.split, r.method, r.detail) for r in rows] == (
+            split_rows("iid", (1, 2, 3, 4)) + split_rows("trace", (3,)))
+
     def test_no_jobs_builds_no_pool(self, monkeypatch):
         def no_pool(items, n):
             raise AssertionError(f"a pool of {n} shards for {len(items)} jobs")

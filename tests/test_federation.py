@@ -117,8 +117,8 @@ class TestQualityGate:
     def test_current_global_accepted_against_itself(self, rng):
         clients = [_separable_client(rng, i + 1, seed=i) for i in range(3)]
         params = init_params(0, 6, 4)
-        state = GlobalModelState(0, params)
-        aucs = [c.score_candidate(params, 256)[1] for c in clients]
+        state = GlobalModelState(params)
+        aucs = [c.score_candidate(params, 256) for c in clients]
         state.last_auc = float(np.mean(aucs))
         candidate = RoundUpdate(1, 1, params, n_samples=10)
         accepted, reports = quality_gate(
@@ -133,7 +133,7 @@ class TestQualityGate:
         degenerate = _client_from_windows(
             2, rng.uniform(0, 1, (40, 4, 6)).astype(np.float32), np.zeros(40, np.float32)
         )
-        state = GlobalModelState(0, init_params(0, 6, 4), last_auc=0.0)
+        state = GlobalModelState(init_params(0, 6, 4), last_auc=0.0)
         candidate = RoundUpdate(1, 1, init_params(1, 6, 4), n_samples=10)
         accepted, reports = quality_gate(candidate, _reports(candidate, [good, degenerate]),
                                          state, 0.02)
@@ -142,7 +142,7 @@ class TestQualityGate:
 
     def test_needs_an_evaluator(self, rng):
         client = _separable_client(rng, 1)
-        state = GlobalModelState(0, init_params(0, 6, 4))
+        state = GlobalModelState(init_params(0, 6, 4))
         candidate = RoundUpdate(1, 1, init_params(0, 6, 4), 5)
         with pytest.raises(ValueError, match="evaluator"):
             quality_gate(candidate, _reports(candidate, [client]), state, 0.02)
@@ -152,7 +152,7 @@ class TestQualityGate:
         clients = [_separable_client(rng, i + 1, n=240, seed=i) for i in range(3)]
         cfg = FederationConfig(rounds=5, local_epochs=6, gate_enabled=False, init_seed=0)
         state, _ = run_rounds(clients, cfg, input_size=6, hidden_size=8)
-        aucs = [c.score_candidate(state.params, 256)[1] for c in clients]
+        aucs = [c.score_candidate(state.params, 256) for c in clients]
         state.last_auc = float(np.mean(aucs))
         assert state.last_auc > 0.8
 

@@ -6,7 +6,6 @@ from fedspoof.simulate import (
     AttackScenario,
     DEFAULT_PROFILES,
     DeviceProfile,
-    SignalEffect,
     SimConfig,
     device_models,
     device_profiles,
@@ -36,19 +35,18 @@ class TestConfigAndScenario:
 
     def test_scenario_rejects_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
-            AttackScenario(100.0, ((10.0, 50.0), (40.0, 80.0)), "ramp", 100.0, 10.0, 0.0,
-                           SignalEffect())
+            AttackScenario(100.0, ((10.0, 50.0), (40.0, 80.0)), "ramp", 100.0, 10.0, 0.0)
 
     def test_scenario_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="duration"):
-            AttackScenario(100.0, ((90.0, 120.0),), "step", 100.0, 10.0, 0.0, SignalEffect())
+            AttackScenario(100.0, ((90.0, 120.0),), "step", 100.0, 10.0, 0.0)
 
     def test_scenario_rejects_unknown_model(self):
         with pytest.raises(ValueError, match="offset model"):
-            AttackScenario(100.0, ((10.0, 20.0),), "teleport", 100.0, 10.0, 0.0, SignalEffect())
+            AttackScenario(100.0, ((10.0, 20.0),), "teleport", 100.0, 10.0, 0.0)
 
     def test_ramp_deviation_shape(self):
-        sc = AttackScenario(100.0, ((10.0, 60.0),), "ramp", 200.0, 25.0, 0.0, SignalEffect())
+        sc = AttackScenario(100.0, ((10.0, 60.0),), "ramp", 200.0, 25.0, 0.0)
         t = np.arange(100.0)
         dev = sc.deviation_at(t)
         assert dev[9] == 0.0
