@@ -119,6 +119,13 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
     for split in cfg.splits:
         if split not in ALL_SPLITS:
             raise ConfigError(f"unknown split {split!r}")
+    sim = cfg.sim
+    if sim.partition_mode == "non-iid-by-device" and sim.n_clients != sim.n_devices:
+        raise ConfigError(f"invalid [sim] values: non-iid-by-device needs n_clients == "
+                          f"n_devices, got {sim.n_clients} and {sim.n_devices}")
+    if sim.n_traces < sim.n_clients:
+        raise ConfigError(f"invalid [sim] values: n_traces ({sim.n_traces}) < "
+                          f"n_clients ({sim.n_clients})")
     return cfg
 
 

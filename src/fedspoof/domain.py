@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
+
+from . import shards
 
 EARTH_RADIUS_M = 6_371_000.0
 M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
@@ -127,6 +130,11 @@ class Trace:
     def __len__(self) -> int:
         return len(self.t)
 
+    def __reduce__(self):
+        # rebuild through the constructor: default pickling skips
+        # __post_init__, and a copy of a read-only array unpickles writable
+        return Trace, tuple(getattr(self, f.name) for f in fields(self))
+
 
 HEADER_COLUMNS = (
     "platform_id",
@@ -156,28 +164,39 @@ _NUMERIC_COLUMNS = ("t", "p_true", "p_gnss", "p_net", "v", "a", "omega")
 _SIGNAL_START = HEADER_COLUMNS.index(SIGNAL_SLOTS[0])
 
 
+def _rows(block: np.ndarray) -> list[str]:
+    """Each row of a 2-D float block as its values' reprs joined by commas."""
+    return [",".join(map(repr, row)) for row in block.tolist()]
+
+
+def _format_block(trace: Trace) -> str:
+    """The dataset lines of one trace."""
+    ids = f"{trace.platform_id},{trace.trace_id},"
+    numeric = _rows(np.column_stack([getattr(trace, c) for c in _NUMERIC_COLUMNS]))
+    # repr round-trips doubles exactly under float(); in the signal block
+    # only a NaN formats to a token holding "nan"
+    signal = [row.replace("nan", MISSING_TOKEN) for row in _rows(trace.signal)]
+    return "".join(
+        ids + row + "," + sig + (",1\n" if hit else ",0\n")
+        for row, sig, hit in zip(numeric, signal, trace.attacked.tolist())
+    )
+
+
 def write_dataset(traces: list[Trace], path: str) -> None:
     """Write traces as line-delimited records with one header line.
 
-    Round-trips bit-exactly with read_dataset.  An empty trace list produces a
-    file holding only the header.
+    Round-trips bit-exactly with read_dataset.  Trace i's lines are
+    formatted in shard i mod W and written in trace order.  An empty trace
+    list produces a file holding only the header.
     """
+    jobs = [partial(_format_block, trace) for trace in traces]
+    # shard 0, the server, answers for an empty list
+    with shards._Shards(jobs, max(1, shards._shard_count(len(jobs)))) as pool:
+        blocks = pool.ask("__call__")
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(",".join(HEADER_COLUMNS) + "\n")
-            for trace in traces:
-                ids = f"{trace.platform_id},{trace.trace_id},"
-                numeric = np.column_stack([getattr(trace, c) for c in _NUMERIC_COLUMNS])
-                for row, sig, hit in zip(numeric, trace.signal, trace.attacked):
-                    # repr round-trips doubles exactly under float(); in the
-                    # signal block only a NaN formats to a token holding "nan"
-                    fh.write(
-                        ids
-                        + ",".join(map(repr, row.tolist()))
-                        + ","
-                        + ",".join(map(repr, sig.tolist())).replace("nan", MISSING_TOKEN)
-                        + (",1\n" if hit else ",0\n")
-                    )
+            fh.writelines(blocks)
     except OSError as exc:
         raise OSError(f"cannot write dataset {path!r}: {exc}") from exc
 

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import features as feat
-from . import federation, lstm, metrics
+from . import lstm, metrics, shards
 from .domain import Trace
 from .federation import FederationConfig, LocalClient, run_rounds
 from .fusion import FusedEstimate, FusionConfig, fuse_trace, pds_score
@@ -126,8 +126,8 @@ def pooled_test(bundles: list[ClientBundle]) -> tuple[np.ndarray, np.ndarray]:
 def model_scores(params: lstm.LstmModelParams, bundles: list[ClientBundle]) -> np.ndarray:
     """Each bundle scores its own test windows in shard i mod W; the scores
     come back in bundle order."""
-    with federation._Shards(bundles, federation._shard_count(len(bundles))) as shards:
-        return np.concatenate(shards.ask("scores", params))
+    with shards._Shards(bundles, shards._shard_count(len(bundles))) as pool:
+        return np.concatenate(pool.ask("scores", params))
 
 
 def pds_pooled(bundles: list[ClientBundle]) -> np.ndarray:
@@ -298,8 +298,8 @@ def experiment_matrix(
         scored = []
         if jobs:
             calls = [partial(_scores, train, [r[4] for r in job_rows]) for train, job_rows in jobs]
-            with federation._Shards(calls, federation._shard_count(len(calls))) as shards:
-                for (_, job_rows), job_scores in zip(jobs, shards.ask("__call__")):
+            with shards._Shards(calls, shards._shard_count(len(calls))) as pool:
+                for (_, job_rows), job_scores in zip(jobs, pool.ask("__call__")):
                     scored += zip(job_rows, job_scores)
         scored += pds_rows
         scored.sort(key=lambda row: ALL_CELLS.index(row[0][0]))  # stable: cell by cell

@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
-import os
-import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import features as feat
 from . import labels as lab
-from . import lstm, metrics
+from . import lstm, metrics, shards
 from .domain import Trace
 from .fusion import FusedEstimate
 
@@ -296,6 +293,14 @@ class FederationConfig:
     corrupt_client_id: int | None = None
     corrupt_from_round: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.rounds < 1 or self.local_epochs < 1:
+            raise ValueError("rounds and local_epochs must be >= 1")
+        if self.gate_warmup_rounds < 0 or self.gate_threshold_delta < 0.0:
+            raise ValueError("gate_warmup_rounds and gate_threshold_delta must be >= 0")
+        if self.gate_eval_max_windows < 1:
+            raise ValueError("gate_eval_max_windows must be >= 1")
+
 
 def _corrupt_update(update: RoundUpdate, seed: int) -> RoundUpdate:
     rng = np.random.default_rng(
@@ -310,124 +315,6 @@ def _corrupt_update(update: RoundUpdate, seed: int) -> RoundUpdate:
     )
 
 
-def _shard_reply(clients: list[LocalClient], method: str, args: tuple) -> list:
-    """One shard's answer to a broadcast: `method(*args)` on each of its clients."""
-    return [getattr(client, method)(*args) for client in clients]
-
-
-def _serve(conn, clients: list[LocalClient], inherited: list) -> None:
-    """A forked shard: answer the server's requests until it hangs up.
-
-    A failure goes back to the server, which raises it; the shard keeps
-    serving.  A closed pipe, from either side, ends the shard.
-    """
-    for other in inherited:  # the server's ends of the pipes, its own included
-        other.close()
-    with conn:
-        while True:
-            try:
-                method, args = conn.recv()
-            except EOFError:
-                return
-            try:
-                reply = ("ok", _shard_reply(clients, method, args), None)
-            except Exception as exc:  # noqa: BLE001 - raised again in the server
-                reply = ("error", exc, traceback.format_exc())
-            try:
-                conn.send(reply)
-            except BrokenPipeError:
-                return
-
-
-class _Shards:
-    """The active clients spread over shards, client i to shard i mod n.
-
-    Shard 0 is the server process.  Every other shard is a process forked
-    once, when the shards are made, so it starts with its clients in memory;
-    only requests and their replies cross its pipe.  Used as a context
-    manager, which ends every forked shard on the way out.
-    """
-
-    #: seconds a shard that was hung up on may take to exit
-    EXIT_TIMEOUT_S = 10.0
-
-    def __init__(self, clients: list[LocalClient], n: int):
-        self._clients = clients
-        self._n = n
-        self._conns: list = []
-        self._procs: list = []
-        ctx = multiprocessing.get_context("fork")
-        try:
-            for k in range(1, n):
-                here, there = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_serve, args=(there, clients[k::n], [*self._conns, here]), daemon=True
-                )
-                proc.start()
-                there.close()
-                self._conns.append(here)
-                self._procs.append(proc)
-        except BaseException:
-            self._stop(abort=True)
-            raise
-
-    def __enter__(self) -> "_Shards":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._stop(abort=exc_type is not None)
-
-    def _stop(self, abort: bool) -> None:
-        # a forked shard exits when its pipe closes; one still working on a
-        # request the server no longer waits for is terminated
-        for conn in self._conns:
-            conn.close()
-        for proc in self._procs:
-            if abort:
-                proc.terminate()
-            proc.join(self.EXIT_TIMEOUT_S)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-
-    def ask(self, method: str, *args) -> list:
-        """`method(*args)` on every client, the results in client order."""
-        for conn in self._conns:
-            conn.send((method, args))
-        replies = [_shard_reply(self._clients[:: self._n], method, args)]
-        for k, conn in enumerate(self._conns, 1):
-            try:
-                status, payload, remote_tb = conn.recv()
-            except EOFError:
-                raise RuntimeError(f"federation shard {k} exited without replying") from None
-            if status == "error":
-                raise payload from RuntimeError(f"in federation shard {k}:\n{remote_tb}")
-            replies.append(payload)
-        results: list = [None] * len(self._clients)
-        for k, reply in enumerate(replies):
-            results[k :: self._n] = reply
-        return results
-
-
-def _shard_count(n_clients: int) -> int:
-    """One shard per CPU this process may run on, at most one per client.
-
-    A process that already runs other threads stays one shard: an unpinned
-    BLAS keeps a thread per CPU, so forked shards would each bring a pool to
-    the same CPUs (a gated six-client federation ran 3.3x slower on two),
-    and a forked child can inherit a lock held by a thread it does not have.
-    A forked shard stays one shard too: as a daemon it may not fork.
-    """
-    if multiprocessing.parent_process() is not None:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = len(os.listdir("/proc/self/task"))
-    except (AttributeError, OSError):  # no affinity mask or /proc: not Linux
-        return 1
-    return min(cpus, n_clients) if threads == 1 else 1
-
-
 def run_rounds(
     clients: list[LocalClient],
     cfg: FederationConfig,
@@ -437,12 +324,13 @@ def run_rounds(
     """Run the federated round loop.
 
     Per round: broadcast the global parameters, train every client locally,
-    screen updates through the quality gate once the warm-up has passed,
-    aggregate the accepted updates with FedAvg, and record metrics.  A
-    federation with one active client runs ungated: no other client can
-    review its updates.  Client work runs in shards, one per usable CPU (see
-    `_shard_count`); results are gathered in client order, so the outcome
-    does not depend on the shard count.
+    drop any update with a non-finite parameter, screen the rest through the
+    quality gate once the warm-up has passed, aggregate the accepted updates
+    with FedAvg, and record metrics.  A federation with one active client
+    runs ungated: no other client can review its updates.  Client work runs
+    in shards, one per usable CPU (see `shards._shard_count`); results are
+    gathered in client order, so the outcome does not depend on the shard
+    count.
     Deterministic given client seeds and cfg.init_seed.
     """
     active = [c for c in sorted(clients, key=lambda c: c.client_id) if c.n_train > 0]
@@ -461,9 +349,9 @@ def run_rounds(
     weights = np.array([c.n_train for c in active], dtype=np.float64)
     rows: list[dict] = []
 
-    with _Shards(active, _shard_count(len(active))) as shards:
+    with shards._Shards(active, shards._shard_count(len(active))) as pool:
         for round_index in range(1, cfg.rounds + 1):
-            updates = shards.ask(
+            updates = pool.ask(
                 "train", global_state.params, round_index, cfg.local_epochs, announced_mean
             )
             if cfg.corrupt_from_round is not None and round_index >= cfg.corrupt_from_round:
@@ -473,11 +361,23 @@ def run_rounds(
                     for u in updates
                 ]
 
+            # a non-finite update is neither scored by the gate nor averaged
+            finite = []
+            for update in updates:
+                if np.isfinite(update.params.vector).all():
+                    finite.append(update)
+                else:
+                    log.warning(
+                        "round %d: dropped non-finite update from client %d",
+                        round_index,
+                        update.client_id,
+                    )
+
             gate_active = gate_enabled and round_index > cfg.gate_warmup_rounds
             gate_aucs: list[float] = []
             if gate_active:
-                reviews = shards.ask(
-                    "review", global_state.params, updates, cfg.gate_eval_max_windows
+                reviews = pool.ask(
+                    "review", global_state.params, finite, cfg.gate_eval_max_windows
                 )
                 # rolling AUC of the model broadcast this round, same reference
                 # labels the candidates are judged against
@@ -485,10 +385,11 @@ def run_rounds(
                 if global_aucs:
                     global_state.last_auc = float(np.mean(global_aucs))
                 accepted = []
-                for j, update in enumerate(updates):
+                for j, update in enumerate(finite):
                     ok, reports = quality_gate(
                         update,
-                        [r[j] for i, (_, r) in enumerate(reviews) if i != j],
+                        [r[j] for c, (_, r) in zip(active, reviews)
+                         if c.client_id != update.client_id],
                         global_state,
                         cfg.gate_threshold_delta,
                     )
@@ -502,7 +403,7 @@ def run_rounds(
                             update.client_id,
                         )
             else:
-                accepted = updates
+                accepted = finite
 
             if accepted:
                 new_params = fedavg(accepted)
@@ -511,7 +412,7 @@ def run_rounds(
                 new_params = global_state.params
             global_state = GlobalModelState(new_params, last_auc=global_state.last_auc)
 
-            val_mses = np.array(shards.ask("validation_mse", new_params))
+            val_mses = np.array(pool.ask("validation_mse", new_params))
             rows.append(
                 {
                     "round": round_index,

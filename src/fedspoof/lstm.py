@@ -437,6 +437,15 @@ class TrainConfig:
             raise ValueError("early_stop_patience must be >= 1")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must be in (0, 1)")
+        # a rate of 0 freezes the model, which pins early stopping in tests
+        if self.base_learning_rate < 0.0:
+            raise ValueError("base_learning_rate must be >= 0")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.min_improvement < 0.0 or self.clip_norm < 0.0:  # clip_norm 0: no clipping
+            raise ValueError("min_improvement and clip_norm must be >= 0")
+        if not 0.0 < self.lr_scale_min <= self.lr_scale_max:
+            raise ValueError("need 0 < lr_scale_min <= lr_scale_max")
 
 
 @dataclass

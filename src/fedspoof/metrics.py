@@ -36,6 +36,9 @@ def roc(scores: np.ndarray, truth: np.ndarray) -> RocCurve:
     truth = np.asarray(truth, dtype=bool)
     if scores.shape != truth.shape or scores.ndim != 1:
         raise ValueError("scores and truth must be equal-length 1-D arrays")
+    if not np.isfinite(scores).all():
+        # np.diff of NaN is non-zero: each NaN would become its own threshold
+        raise ValueError("scores must be finite")
     n_pos = int(truth.sum())
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import shards
 from .domain import CONSTELLATIONS, STATISTICS, Trace, offset_geopos, signal_slot
 
 MAX_SPEED_MPS = 24.0
@@ -389,17 +391,19 @@ def _generate_trace(
 def generate(cfg: SimConfig) -> list[Trace]:
     """Generate the full corpus; deterministic per cfg.rng_seed.
 
-    Each trace gets its own child seed so traces are independent of
-    generation order.
+    Each trace gets its own child seed, so traces are independent of
+    generation order: trace i is made in shard i mod W, and the corpus does
+    not depend on W.
     """
     profiles = device_profiles(cfg)
     assignment = _assign_traces(cfg)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.n_traces)
-    traces = []
-    for i, (device, seed) in enumerate(zip(assignment, seeds)):
-        rng = np.random.default_rng(seed)
-        traces.append(_generate_trace(i + 1, device, profiles[device], cfg, rng))
-    return traces
+    jobs = [
+        partial(_generate_trace, i + 1, device, profiles[device], cfg, np.random.default_rng(seed))
+        for i, (device, seed) in enumerate(zip(assignment, seeds))
+    ]
+    with shards._Shards(jobs, shards._shard_count(len(jobs))) as pool:
+        return pool.ask("__call__")
 
 
 @dataclass

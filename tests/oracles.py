@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from fedspoof.domain import EARTH_RADIUS_M
+from fedspoof.domain import EARTH_RADIUS_M, HEADER_COLUMNS
 
 
 def haversine_m(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
@@ -14,6 +14,24 @@ def haversine_m(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float
     dlon = lon2 - lon1
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+def dataset_text(traces) -> str:
+    """A dataset file's text written one sample at a time: each value's repr,
+    NaN signal slots as "na", the attacked flag as 0 or 1."""
+    lines = [",".join(HEADER_COLUMNS) + "\n"]
+    for trace in traces:
+        numeric = np.column_stack(
+            [trace.t, trace.p_true, trace.p_gnss, trace.p_net, trace.v, trace.a, trace.omega])
+        for row, sig, hit in zip(numeric, trace.signal, trace.attacked):
+            lines.append(
+                f"{trace.platform_id},{trace.trace_id},"
+                + ",".join(map(repr, row.tolist()))
+                + ","
+                + ",".join("na" if math.isnan(x) else repr(x) for x in sig.tolist())
+                + (",1\n" if hit else ",0\n")
+            )
+    return "".join(lines)
 
 
 def lstm_forward(blocks: dict, x) -> np.ndarray:

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import os
 
 import pytest
@@ -117,6 +118,16 @@ class TestConfig:
             ("[sim]\nn_clients = 0\n", r"invalid \[sim\] values: .*client"),
             ("[features]\ncap_percentile = 150\n",
              r"invalid \[features\] values: cap_percentile"),
+            ("[federation]\nrounds = 0\n", r"invalid \[federation\] values: rounds"),
+            ("[federation]\ngate_eval_max_windows = -1\n",
+             r"invalid \[federation\] values: gate_eval_max_windows"),
+            ("[train]\nbase_learning_rate = -1\n",
+             r"invalid \[train\] values: base_learning_rate"),
+            ("[train]\nlr_scale_max = -1\n", r"invalid \[train\] values: .*lr_scale_max"),
+            ("[sim]\npartition_mode = non-iid-by-device\nn_devices = 2\nn_clients = 3\n",
+             r"invalid \[sim\] values: non-iid-by-device needs n_clients == n_devices"),
+            ("[sim]\nn_traces = 4\nn_clients = 6\n",
+             r"invalid \[sim\] values: n_traces \(4\) < n_clients \(6\)"),
         ):
             path = _write_config(tmp_path, text)
             with pytest.raises(ConfigError, match=message):
@@ -175,6 +186,19 @@ class TestCliFlows:
 
         assert _run("report", "--out", out) == 0
         assert "auc" in capsys.readouterr().out
+
+    def test_generate_writes_pinned_corpus(self, tmp_path):
+        # sha256 of the quick start's dataset.csv: the corpus, its trace order
+        # and every value's text do not depend on the code's layout or W
+        for seed, digest in (
+            (1, "5626c201c117def0480cee73e090db702f0088a7ecd33d1c0f354a38d2bfcdbb"),
+            (7, "502b24aa30c141af935e782090a3ac3ba65e56c1083c7da78b35cf56354ee0fe"),
+        ):
+            out = tmp_path / f"seed{seed}"
+            config = os.path.join(ROOT, "configs", "quickstart.ini")
+            assert _run("generate", "--config", config, "--seed", str(seed), "--out", str(out)) == 0
+            data = (out / "dataset.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, seed
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         config = _write_config(tmp_path)

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 
-from fedspoof import simulate
+from fedspoof import shards, simulate
 from fedspoof.domain import (
     COLUMN_SHAPES,
     DatasetFormatError,
@@ -18,7 +19,7 @@ from fedspoof.domain import (
     write_dataset,
 )
 
-from oracles import haversine_m
+from oracles import dataset_text, haversine_m
 
 
 def _trace(n=1, tid=1, pid=1, t=None, lat=10.0, lon=20.0, **columns):
@@ -101,6 +102,47 @@ class TestTrace:
                 getattr(trace, name)[0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             trace.v = np.zeros(3)
+
+
+class TestTracePickle:
+    def test_round_trip_keeps_bytes_and_read_only_columns(self):
+        signal = np.tile(np.arange(32, dtype=float), (3, 1))
+        signal[1, 4:8] = np.nan
+        trace = _trace(n=3, signal=signal, attacked=np.array([False, True, False]))
+        back = pickle.loads(pickle.dumps(trace))
+        _assert_traces_equal(trace, back)
+        for name in COLUMN_SHAPES:
+            assert not getattr(back, name).flags.writeable, name
+
+
+class TestDatasetWriter:
+    """write_dataset formats each trace's lines in the shard pool; the file
+    equals that of a writer that formats one sample at a time."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_bytes_equal_sample_by_sample_writer(self, tmp_path, monkeypatch, n_shards):
+        monkeypatch.setattr(shards, "_shard_count", lambda n_items: min(n_shards, n_items))
+        odd_values = np.array([-0.0, 1e-05, 1e16])
+        signal = np.tile(np.arange(32, dtype=float), (3, 1))
+        signal[0, :4] = np.nan
+        signal[1] = np.resize(odd_values, 32)
+        signal[2, 31] = np.nan
+        odd = _trace(
+            n=3, tid=2, t=odd_values, v=odd_values, signal=signal,
+            a=np.tile(odd_values, (3, 1)), omega=[[np.nan, -0.0, 1e-05]] * 3,
+            p_gnss=[[-0.0, 1e-05], [1e-05, -0.0], [89.999999, 1e-300]],
+            attacked=np.array([True, False, True]),
+        )
+        single = _trace(n=1, tid=3, pid=2)
+        generated = simulate.generate(simulate.SimConfig(n_traces=3, duration_s=12.0))
+        path = tmp_path / "d.csv"
+        for traces in ([], [single], [odd, single, *generated]):
+            write_dataset(traces, str(path))
+            assert path.read_bytes() == dataset_text(traces).encode("ascii")
+        text = path.read_text()
+        # NaN reads "na" in the signal block only; read_dataset rejects it elsewhere
+        for token in (",na,", ",nan,", ",-0.0,", ",1e-05,", ",1e+16,", ",1e-300,"):
+            assert token in text, token
 
 
 class TestDatasetRoundTrip:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedspoof import domain, experiments, features, federation, fusion, lstm, metrics, simulate
+from fedspoof import domain, experiments, features, fusion, lstm, metrics, shards, simulate
 from fedspoof.experiments import (
     build_bundles,
     experiment_matrix,
@@ -141,7 +141,7 @@ class TestMatrixFederations:
 
         monkeypatch.setattr(experiments, "run_federated", spy)
         # the spy sees the calls of one process only: no forked shards
-        monkeypatch.setattr(federation, "_shard_count", lambda n: 1)
+        monkeypatch.setattr(shards, "_shard_count", lambda n: 1)
         rows = experiment_matrix(
             traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed, cells=cells
         )
@@ -183,7 +183,7 @@ class TestMatrixFederations:
 
 def _force_shards(monkeypatch, n):
     """Pools of n shards in the server; a forked shard runs alone, as it must."""
-    monkeypatch.setattr(federation, "_shard_count", lambda n_items: (
+    monkeypatch.setattr(shards, "_shard_count", lambda n_items: (
         1 if multiprocessing.parent_process() else min(n, n_items)))
 
 
@@ -247,24 +247,26 @@ class TestMatrixJobs:
 
     FED = dict(rounds=1, local_epochs=1, gate_enabled=False)
 
-    def _matrix(self, seed=5, out_dir=None, cells=experiments.ALL_CELLS,
-                splits=experiments.ALL_SPLITS, **sim_kwargs):
-        sim, traces, fc, tc = _micro_setup(seed, **sim_kwargs)
+    def _matrix(self, corpus, out_dir=None, cells=experiments.ALL_CELLS,
+                splits=experiments.ALL_SPLITS):
+        sim, traces, fc, tc = corpus
         fed_cfg = FederationConfig(init_seed=sim.rng_seed, **self.FED)
         return experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg,
                                  sim.rng_seed, out_dir=out_dir, cells=cells, splits=splits)
 
     def test_pool_size_does_not_change_the_matrix(self, monkeypatch, tmp_path, forks):
+        # the corpus is built, on its own pool, before pools are recorded
+        corpus = _micro_setup(n_devices=4, n_traces=12)
         pools = []
-        shards = federation._Shards
+        real_shards = shards._Shards
 
-        class RecordedShards(shards):
+        class RecordedShards(real_shards):
             def __init__(self, items, n):
                 pools.append(("jobs" if callable(items[0]) else "bundles"
                               if isinstance(items[0], experiments.ClientBundle) else "clients", n))
                 super().__init__(items, n)
 
-        monkeypatch.setattr(federation, "_Shards", RecordedShards)
+        monkeypatch.setattr(shards, "_Shards", RecordedShards)
         outcomes = {}
         for n in (1, 2, 3):
             _force_shards(monkeypatch, n)
@@ -272,7 +274,7 @@ class TestMatrixJobs:
             pools.clear()
             out = tmp_path / f"shards{n}"
             out.mkdir()
-            rows = self._matrix(out_dir=str(out), n_devices=4, n_traces=12)
+            rows = self._matrix(corpus, out_dir=str(out))
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             outcomes[n] = (repr(rows), files)  # repr: NaN rows compare equal
             # one job pool per split, each with n shards of at least n jobs;
@@ -300,7 +302,7 @@ class TestMatrixJobs:
 
         monkeypatch.setattr(experiments, "run_centralized", failing)
         with pytest.raises(FloatingPointError, match="centralized training diverged") as excinfo:
-            self._matrix(cells=("clfl",), splits=("iid",))
+            self._matrix(_micro_setup(), cells=("clfl",), splits=("iid",))
         assert "shard 1" in str(excinfo.value.__cause__)
         assert multiprocessing.active_children() == []
 
@@ -316,17 +318,19 @@ class TestMatrixJobs:
                     + [("per_model", split, "federated", f) for f in families]
                     + [("cross_model", split, "federated", f"train_{f}") for f in families])
 
-        rows = self._matrix(n_devices=4, n_traces=12)
+        rows = self._matrix(_micro_setup(n_devices=4, n_traces=12))
         assert [(r.cell, r.split, r.method, r.detail) for r in rows] == (
             split_rows("iid", (1, 2, 3, 4)) + split_rows("trace", (3,)))
 
     def test_no_jobs_builds_no_pool(self, monkeypatch):
+        corpus = _micro_setup(n_devices=1)  # on a pool of its own, before the check
+
         def no_pool(items, n):
             raise AssertionError(f"a pool of {n} shards for {len(items)} jobs")
 
-        monkeypatch.setattr(federation, "_Shards", no_pool)
+        monkeypatch.setattr(shards, "_Shards", no_pool)
         # one hardware family: no other family to test a cross_model row on
-        assert self._matrix(cells=("cross_model",), n_devices=1) == []
+        assert self._matrix(corpus, cells=("cross_model",)) == []
 
 
 @pytest.mark.slow

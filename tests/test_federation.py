@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fedspoof import federation, lstm
+from fedspoof import lstm, shards
 from fedspoof.federation import (
     SERVER_RECEIVABLE_MESSAGE_TYPES,
     FederationConfig,
@@ -237,6 +237,28 @@ class TestRunRounds:
         assert all(np.isnan(r["mean_gate_auc"]) for r in rows)
         assert [r["global_val_mse"] for r in rows] == [r["global_val_mse"] for r in ref_rows]
 
+    def test_non_finite_update_dropped(self, rng, monkeypatch, caplog):
+        # client 2 diverges from round 2 on; the run goes on without its
+        # updates, gated and ungated, and client 2 still reviews the others
+        _force_shards(monkeypatch, 2)  # client 2 trains in the forked shard
+        good = [_separable_client(rng, i + 1, seed=i) for i in range(3)]
+        nan = _NanClient(2, good[1].train_x, good[1].train_y, good[1].train_cfg)
+        clients = [good[0], nan, good[2]]
+        ungated = FederationConfig(rounds=3, local_epochs=1, gate_enabled=False, init_seed=3)
+        # a threshold of 1 accepts every update the gate scores
+        gated = dataclasses.replace(ungated, gate_enabled=True, gate_warmup_rounds=1,
+                                    gate_threshold_delta=1.0)
+        for cfg in (ungated, gated):
+            caplog.clear()
+            state, rows = run_rounds(clients, cfg, input_size=6, hidden_size=4)
+            assert [r["accepted_clients"] for r in rows] == [3, 2, 2]
+            assert all(np.isfinite(r["global_val_mse"]) for r in rows)
+            assert np.isfinite(state.params.vector).all()
+            dropped = [r.getMessage() for r in caplog.records if "non-finite" in r.getMessage()]
+            assert dropped == [f"round {k}: dropped non-finite update from client 2"
+                               for k in (2, 3)]
+        assert not np.isnan(rows[2]["mean_gate_auc"])
+
     def test_corruption_hook_applies_from_round(self, rng):
         clients = [_separable_client(rng, i + 1, seed=i) for i in range(2)]
         base = FederationConfig(rounds=2, local_epochs=1, gate_enabled=False, init_seed=3)
@@ -262,7 +284,7 @@ class TestRunRounds:
 
 
 def _force_shards(monkeypatch, n):
-    monkeypatch.setattr(federation, "_shard_count", lambda n_clients: min(n, n_clients))
+    monkeypatch.setattr(shards, "_shard_count", lambda n_clients: min(n, n_clients))
 
 
 def _fake_process(monkeypatch, cpus, threads):
@@ -285,6 +307,16 @@ def _count_forks(monkeypatch):
 class _FailingClient(LocalClient):
     def train(self, *args, **kwargs):
         raise FloatingPointError(f"client {self.client_id} diverged")
+
+
+class _NanClient(LocalClient):
+    def train(self, global_params, round_index, *args):
+        update = super().train(global_params, round_index, *args)
+        if round_index < 2:
+            return update
+        vector = np.full_like(update.params.vector, np.nan)
+        return dataclasses.replace(update, params=LstmModelParams(
+            update.params.input_size, update.params.hidden_size, vector))
 
 
 class _DyingClient(LocalClient):
@@ -351,23 +383,23 @@ class TestShardedRounds:
 
     def test_shard_count_from_affinity_and_threads(self, monkeypatch):
         _fake_process(monkeypatch, cpus=8, threads=1)
-        assert federation._shard_count(6) == 6
-        assert federation._shard_count(12) == 8
+        assert shards._shard_count(6) == 6
+        assert shards._shard_count(12) == 8
         _fake_process(monkeypatch, cpus=1, threads=1)
-        assert federation._shard_count(6) == 1
+        assert shards._shard_count(6) == 1
         # a process already running other threads, such as an unpinned
         # BLAS pool, is not forked
         _fake_process(monkeypatch, cpus=8, threads=9)
-        assert federation._shard_count(6) == 1
+        assert shards._shard_count(6) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert federation._shard_count(6) == 1
+        assert shards._shard_count(6) == 1
 
     def test_forked_shard_counts_one_shard(self, monkeypatch):
         # a daemonic shard may not fork; the server may, here 8 CPUs, 1 thread
         _fake_process(monkeypatch, cpus=8, threads=1)
-        job = functools.partial(federation._shard_count, 6)
-        with federation._Shards([job, job], 2) as shards:
-            assert shards.ask("__call__") == [6, 1]
+        job = functools.partial(shards._shard_count, 6)
+        with shards._Shards([job, job], 2) as pool:
+            assert pool.ask("__call__") == [6, 1]
 
     def test_shard_error_raised_in_server(self, rng, monkeypatch):
         _force_shards(monkeypatch, 2)
@@ -390,7 +422,7 @@ class TestShardedRounds:
     def test_shard_replies_keep_the_privacy_contract(self, rng, monkeypatch):
         _force_shards(monkeypatch, 2)
         checked = []
-        reply_of = federation._shard_reply
+        reply_of = shards._shard_reply
 
         def checked_reply(clients, method, args):
             reply = reply_of(clients, method, args)
@@ -399,7 +431,7 @@ class TestShardedRounds:
             checked.append(method)
             return reply
 
-        monkeypatch.setattr(federation, "_shard_reply", checked_reply)
+        monkeypatch.setattr(shards, "_shard_reply", checked_reply)
         run_rounds(self._clients(rng), self.GATED, input_size=6, hidden_size=4)
         # shard 0's replies, checked here; the forked shard's are checked there
         assert sorted(set(checked)) == ["review", "train", "validation_mse"]

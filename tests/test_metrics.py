@@ -33,6 +33,16 @@ class TestRoc:
         # passes through the (0, 1) corner
         assert any(fp == 0.0 and tp == 1.0 for fp, tp in zip(curve.fpr, curve.tpr))
 
+    def test_non_finite_scores_rejected(self):
+        # NaNs never tie, so each would become a threshold of its own and
+        # all-NaN scores would get an AUC set by the input order
+        truth = np.arange(10) % 2 == 0
+        for bad in (np.full(10, np.nan), np.where(truth, 0.9, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                roc(bad, truth)
+            with pytest.raises(ValueError, match="finite"):
+                auc_from_scores(bad, truth)
+
     def test_constant_scores_give_half(self):
         scores = np.full(10, 0.5)
         truth = np.arange(10) < 4

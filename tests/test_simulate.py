@@ -1,7 +1,10 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from fedspoof.domain import signal_slot
+from fedspoof import shards
+from fedspoof.domain import COLUMN_SHAPES, signal_slot
 from fedspoof.simulate import (
     AttackScenario,
     DEFAULT_PROFILES,
@@ -88,6 +91,33 @@ class TestGenerate:
             assert np.array_equal(ta.p_gnss, tb.p_gnss) and np.array_equal(ta.p_net, tb.p_net)
             assert np.array_equal(ta.v, tb.v) and np.array_equal(ta.attacked, tb.attacked)
             assert np.array_equal(ta.signal, tb.signal, equal_nan=True)
+
+    def test_shard_count_does_not_change_the_corpus(self, monkeypatch):
+        # trace i is made in shard i mod W from its own seed
+        forks = []
+        start = multiprocessing.context.ForkProcess.start
+
+        def counting_start(proc):
+            forks.append(proc)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
+        cfg = SimConfig(n_traces=5, duration_s=30.0, rng_seed=13)
+        corpora = {}
+        for n in (1, 2, 3):
+            monkeypatch.setattr(shards, "_shard_count", lambda n_items, n=n: min(n, n_items))
+            forks.clear()
+            corpora[n] = generate(cfg)
+            assert len(forks) == n - 1
+        for n in (2, 3):
+            assert len(corpora[n]) == len(corpora[1])
+            for a, b in zip(corpora[1], corpora[n]):
+                assert (a.trace_id, a.platform_id) == (b.trace_id, b.platform_id)
+                for name in COLUMN_SHAPES:
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+                    assert not y.flags.writeable, name
+        assert multiprocessing.active_children() == []
 
     def test_different_seeds_differ(self):
         a = generate(SimConfig(n_traces=2, duration_s=30.0, rng_seed=1))
