@@ -190,8 +190,7 @@ def write_dataset(traces: list[Trace], path: str) -> None:
     list produces a file holding only the header.
     """
     jobs = [partial(_format_block, trace) for trace in traces]
-    # shard 0, the server, answers for an empty list
-    with shards._Shards(jobs, max(1, shards._shard_count(len(jobs)))) as pool:
+    with shards._Shards(jobs, shards._shard_count(len(jobs))) as pool:
         blocks = pool.ask("__call__")
     try:
         with open(path, "w", encoding="ascii") as fh:

@@ -127,7 +127,7 @@ def model_scores(params: lstm.LstmModelParams, bundles: list[ClientBundle]) -> n
     """Each bundle scores its own test windows in shard i mod W; the scores
     come back in bundle order."""
     with shards._Shards(bundles, shards._shard_count(len(bundles))) as pool:
-        return np.concatenate(pool.ask("scores", params))
+        return np.concatenate([np.empty(0), *pool.ask("scores", params)])
 
 
 def pds_pooled(bundles: list[ClientBundle]) -> np.ndarray:

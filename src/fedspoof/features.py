@@ -4,11 +4,12 @@ Each sample yields 4 position features (per-axis fused-vs-GNSS residual and
 the fusion uncertainty, meters) followed by the 32 signal statistics in
 SIGNAL_SLOTS order.  The fusion filter's north and east axes share one
 covariance, so slot 3 (sigma_lon_m) repeats slot 2 (sigma_lat_m); both are
-kept so the vector keeps the paper's 36-slot layout.  Cleaning caps the
-position features at their training 95th percentile (applied to magnitude,
-sign preserved), replaces invalid signal values with the minimum of their
-valid range, and min-max scales every feature to [0, 1].  Normalization is
-fitted per client on local training data only.
+kept so the vector keeps the paper's 36-slot layout.  Cleaning replaces
+invalid signal values with the minimum of their valid range.  Normalization
+is `fusion`'s cap -> min-max map, fitted per client on local training data
+only: the position features are capped at their training 95th percentile
+(applied to magnitude, sign preserved), and every feature is min-max scaled
+to [0, 1].
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import SIGNAL_SLOTS, Trace, local_meters
-from .fusion import FusedEstimate
+from .domain import CONSTELLATIONS, PROPERTIES, SIGNAL_SLOTS, STATISTICS, Trace, local_meters
+from .fusion import CapMinMax, FusedEstimate, apply_cap_minmax, fit_cap_minmax
 
 POSITION_FEATURES = ("res_lat_m", "res_lon_m", "sigma_lat_m", "sigma_lon_m")
 FEATURE_NAMES = POSITION_FEATURES + SIGNAL_SLOTS
@@ -34,12 +35,10 @@ DEFAULT_VALID_RANGES = {
     "doppler_hz": (-10_000.0, 10_000.0),
 }
 
-
-def _slot_property(slot_name: str) -> str:
-    for prop in DEFAULT_VALID_RANGES:
-        if f"_{prop}_" in slot_name:
-            return prop
-    raise KeyError(f"no valid range for slot {slot_name!r}")
+#: The replacement for an invalid value in each signal slot, in SIGNAL_SLOTS order.
+SIGNAL_REPLACEMENTS = np.array(
+    [DEFAULT_VALID_RANGES[p][0] for _ in CONSTELLATIONS for p in PROPERTIES for _ in STATISTICS]
+)
 
 
 @dataclass(frozen=True)
@@ -55,22 +54,6 @@ class FeatureConfig:
             raise ValueError("window_len and stride must be >= 1")
         if not 0.0 <= self.cap_percentile <= 100.0:
             raise ValueError("cap_percentile must be in [0, 100]")
-
-
-@dataclass
-class NormalizationState:
-    """Per-feature cleaning parameters fitted on training data.
-
-    caps hold the magnitude cap for the 4 position features (inf elsewhere),
-    replacements the valid-range minimum for each signal slot, and lo/hi the
-    post-cleaning min/max per feature.  Features with lo == hi are degenerate
-    and normalize to 0.
-    """
-
-    caps: np.ndarray  # (36,)
-    replacements: np.ndarray  # (32,)
-    lo: np.ndarray  # (36,)
-    hi: np.ndarray  # (36,)
 
 
 def extract_raw(trace: Trace, fused: FusedEstimate) -> np.ndarray:
@@ -90,61 +73,35 @@ def extract_raw(trace: Trace, fused: FusedEstimate) -> np.ndarray:
     return out
 
 
-def fit_normalization(
-    raws: list[np.ndarray], cfg: FeatureConfig | None = None
-) -> NormalizationState:
-    """Fit cleaning parameters on the pooled raw training features of a
+def _replace_invalid(mat: np.ndarray) -> np.ndarray:
+    """mat, with each invalid (NaN) signal value replaced in place."""
+    signal = mat[:, N_POSITION:]
+    np.copyto(signal, SIGNAL_REPLACEMENTS, where=np.isnan(signal))
+    return mat
+
+
+def fit_normalization(raws: list[np.ndarray], cfg: FeatureConfig | None = None) -> CapMinMax:
+    """Fit the cap -> min-max map on the pooled raw training features of a
     client's traces, one (n_i, 36) matrix each.
 
-    Caps are empirical 95th percentiles of the position-feature magnitudes
-    (linear interpolation between order statistics); min/max are taken after
-    capping and invalid-value replacement.
+    The position features are capped at the `cfg.cap_percentile` of their
+    magnitudes; min/max are taken after capping and invalid-value replacement.
     """
     cfg = cfg or FeatureConfig()
     mat = np.vstack(raws)
     if mat.shape[1] != N_FEATURES or mat.shape[0] == 0:
         raise ValueError(f"expected non-empty (n, {N_FEATURES}) matrices")
-
-    replacements = np.array(
-        [DEFAULT_VALID_RANGES[_slot_property(name)][0] for name in SIGNAL_SLOTS]
-    )
-    caps = np.full(N_FEATURES, np.inf)
-    for j in range(N_POSITION):
-        caps[j] = np.percentile(np.abs(mat[:, j]), cfg.cap_percentile)
-
-    cleaned = _clean(mat, caps, replacements)
-    return NormalizationState(
-        caps=caps,
-        replacements=replacements,
-        lo=cleaned.min(axis=0),
-        hi=cleaned.max(axis=0),
-    )
+    return fit_cap_minmax(_replace_invalid(mat), cfg.cap_percentile, N_POSITION)
 
 
-def _clean(mat: np.ndarray, caps: np.ndarray, replacements: np.ndarray) -> np.ndarray:
-    cleaned = np.array(mat, dtype=np.float64)
-    for j, rep in enumerate(replacements, start=N_POSITION):
-        col = cleaned[:, j]
-        col[np.isnan(col)] = rep
-    for j in range(N_POSITION):
-        col = cleaned[:, j]
-        cleaned[:, j] = np.sign(col) * np.minimum(np.abs(col), caps[j])
-    return cleaned
-
-
-def apply_normalization(raw: np.ndarray, state: NormalizationState) -> np.ndarray:
+def apply_normalization(raw: np.ndarray, state: CapMinMax) -> np.ndarray:
     """Normalize raw features to float32 values in [0, 1].
 
     Values outside the fitted range (test-time drift) clamp to the endpoints;
     degenerate features map to 0.
     """
-    cleaned = _clean(np.atleast_2d(np.asarray(raw, dtype=np.float64)), state.caps, state.replacements)
-    span = state.hi - state.lo
-    ok = span > 0.0
-    out = np.zeros_like(cleaned)
-    out[:, ok] = (cleaned[:, ok] - state.lo[ok]) / span[ok]
-    np.clip(out, 0.0, 1.0, out=out)
-    return out.astype(np.float32)
+    valid = _replace_invalid(np.array(raw, dtype=np.float64, ndmin=2))
+    return apply_cap_minmax(valid, state).astype(np.float32)
 
 
 def make_windows(

@@ -20,7 +20,7 @@ from . import features as feat
 from . import labels as lab
 from . import lstm, metrics, shards
 from .domain import Trace
-from .fusion import FusedEstimate
+from .fusion import CapMinMax, FusedEstimate
 
 log = logging.getLogger(__name__)
 
@@ -100,8 +100,10 @@ def fedavg(updates: list[RoundUpdate]) -> lstm.LstmModelParams:
 
 
 class LocalClient:
-    """One mobile platform: local windows, self-supervised targets, and the
-    binarized reference labels used when evaluating other clients' updates."""
+    """One mobile platform: local windows, self-supervised targets, the
+    binarized reference labels used when evaluating other clients' updates,
+    and the feature map fitted on its training traces, which normalizes its
+    test traces."""
 
     def __init__(
         self,
@@ -109,7 +111,7 @@ class LocalClient:
         train_x: np.ndarray,
         train_y: np.ndarray,
         train_cfg: lstm.TrainConfig,
-        feature_norm: feat.NormalizationState | None = None,
+        feature_norm: CapMinMax,
     ):
         self.client_id = client_id
         self.train_x = np.asarray(train_x, dtype=np.float32)
@@ -161,7 +163,7 @@ class LocalClient:
         else:
             train_x = np.concatenate(xs)
             train_y = np.concatenate(ys)
-        client = cls(client_id, train_x, train_y, train_cfg, feature_norm=fnorm)
+        client = cls(client_id, train_x, train_y, train_cfg, fnorm)
         client.train_x.setflags(write=False)  # an IID test set shares these windows
         client.train_y.setflags(write=False)
         return client

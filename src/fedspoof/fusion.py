@@ -6,7 +6,8 @@ the north and east axes share.  The GNSS position is deliberately excluded
 from the filter so the estimate is unaffected by spoofing; speed and attitude
 rates only scale the process noise.
 The baseline detector scores each sample by its normalized fused-vs-GNSS
-residual.
+residual.  Its normalization, a cap -> min-max map fitted on the trace, is
+the one that the features and the labels fit on their training rows.
 """
 
 from __future__ import annotations
@@ -129,23 +130,55 @@ def residual_norm_m(trace: Trace, fused: FusedEstimate) -> np.ndarray:
     return np.hypot(*local_meters(*trace.p_gnss.T, fused.lat, fused.lon))
 
 
-def fit_cap_minmax(values: np.ndarray, percentile: float = 95.0) -> tuple[float, float, float]:
-    """Fit the shared cleaning chain: percentile cap, then min/max of capped values.
+@dataclass(frozen=True, eq=False)
+class CapMinMax:
+    """A cap -> min-max map over the k columns of an (n, k) matrix.
 
-    The percentile uses linear interpolation between order statistics.
+    caps holds the magnitude cap of each of the first len(caps) columns; lo
+    and hi hold every column's min and max after capping, over the rows the
+    map was fitted on.
     """
-    values = np.asarray(values, dtype=np.float64)
-    cap = float(np.percentile(values, percentile))
-    capped = np.minimum(values, cap)
-    return cap, float(capped.min()), float(capped.max())
+
+    caps: np.ndarray  # (n_capped,)
+    lo: np.ndarray  # (k,)
+    hi: np.ndarray  # (k,)
 
 
-def apply_cap_minmax(values: np.ndarray, cap: float, lo: float, hi: float) -> np.ndarray:
-    """Cap then min-max scale to [0, 1]; a degenerate range maps everything to 0."""
-    capped = np.minimum(np.asarray(values, dtype=np.float64), cap)
-    if hi <= lo:
-        return np.zeros_like(capped)
-    return np.clip((capped - lo) / (hi - lo), 0.0, 1.0)
+def _capped(mat: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """A float64 copy of mat whose first len(caps) columns are capped in
+    magnitude, sign kept."""
+    out = np.array(mat, dtype=np.float64)
+    head = out[:, : len(caps)]
+    head[...] = np.sign(head) * np.minimum(np.abs(head), caps)
+    return out
+
+
+def fit_cap_minmax(
+    mat: np.ndarray, percentile: float = 95.0, n_capped: int | None = None
+) -> CapMinMax:
+    """Fit the map on the rows of mat: the cap of each of the first
+    `n_capped` columns (all by default) is the `percentile` of its
+    magnitudes, with linear interpolation between order statistics."""
+    mat = np.asarray(mat)
+    n_capped = mat.shape[1] if n_capped is None else n_capped
+    caps = np.percentile(np.abs(mat[:, :n_capped]), percentile, axis=0)
+    capped = _capped(mat, caps)
+    return CapMinMax(caps=caps, lo=capped.min(axis=0), hi=capped.max(axis=0))
+
+
+def apply_cap_minmax(mat: np.ndarray, norm: CapMinMax) -> np.ndarray:
+    """Cap, then min-max scale every column to [0, 1].
+
+    Values beyond the fitted range clamp to the endpoints, and a column whose
+    fitted min equals its max maps to 0.
+    """
+    out = _capped(mat, norm.caps)
+    span = norm.hi - norm.lo
+    ok = span > 0.0
+    np.subtract(out, norm.lo, out=out, where=ok)
+    np.divide(out, span, out=out, where=ok)
+    out[:, ~ok] = 0.0
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def pds_score(trace: Trace, fused: FusedEstimate) -> np.ndarray:
@@ -155,6 +188,5 @@ def pds_score(trace: Trace, fused: FusedEstimate) -> np.ndarray:
     to [0, 1]; higher means more suspicious.  A trace whose residuals are all
     equal scores 0 everywhere.
     """
-    d = residual_norm_m(trace, fused)
-    cap, lo, hi = fit_cap_minmax(d)
-    return apply_cap_minmax(d, cap, lo, hi)
+    d = residual_norm_m(trace, fused)[:, None]
+    return apply_cap_minmax(d, fit_cap_minmax(d))[:, 0]

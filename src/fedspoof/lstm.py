@@ -34,15 +34,6 @@ DEFAULT_INPUT_SIZE = 36
 DEFAULT_HIDDEN_SIZE = 100
 
 
-def param_count(input_size: int, hidden_size: int) -> int:
-    """Total parameters of the 2-layer LSTM plus dense head."""
-    d, h = input_size, hidden_size
-    layer1 = 4 * (d * h + h * h + h)
-    layer2 = 4 * (h * h + h * h + h)
-    head = h + 1
-    return layer1 + layer2 + head
-
-
 def layout_blocks(input_size: int, hidden_size: int) -> list[tuple[str, tuple[int, ...], int]]:
     """(name, shape, offset) manifest of the flat parameter vector."""
     d, h = input_size, hidden_size
@@ -62,6 +53,12 @@ def layout_blocks(input_size: int, hidden_size: int) -> list[tuple[str, tuple[in
         blocks.append((name, shape, offset))
         offset += int(np.prod(shape))
     return blocks
+
+
+def param_count(input_size: int, hidden_size: int) -> int:
+    """Total parameters of the 2-layer LSTM plus dense head."""
+    _, shape, offset = layout_blocks(input_size, hidden_size)[-1]
+    return offset + int(np.prod(shape))
 
 
 @dataclass
@@ -324,33 +321,22 @@ def backward(
     dy = (2.0 / bsz) * resid
     du = (dy * y * (1.0 - y)).astype(dtype)
 
-    h_last = cache["h2_last"]
-    d_head_w = h_last.T @ du
-    d_head_b = du.sum(keepdims=True)
+    # each block's gradient goes straight into its view of the flat vector
+    grad = LstmModelParams(params.input_size, params.hidden_size, np.empty_like(params.vector))
+    g = grad.blocks()
+    g["head_w"][...] = cache["h2_last"].T @ du
+    g["head_b"][...] = du.sum()
 
     steps = x.shape[1]
     d_h2 = np.zeros((steps, bsz, params.hidden_size), dtype=dtype)
     d_h2[-1] = np.outer(du, blocks["head_w"])
-    d_h1, d_l2_wx, d_l2_wh, d_l2_b = _layer_backward(
+    d_h1, g["l2_wx"][...], g["l2_wh"][...], g["l2_b"][...] = _layer_backward(
         blocks["l2_wx"], blocks["l2_wh"], cache["cache2"], d_h2
     )
-    _, d_l1_wx, d_l1_wh, d_l1_b = _layer_backward(
+    _, g["l1_wx"][...], g["l1_wh"][...], g["l1_b"][...] = _layer_backward(
         blocks["l1_wx"], blocks["l1_wh"], cache["cache1"], d_h1, need_dx=False
     )
-
-    grad = np.concatenate(
-        [
-            d_l1_wx.ravel(),
-            d_l1_wh.ravel(),
-            d_l1_b,
-            d_l2_wx.ravel(),
-            d_l2_wh.ravel(),
-            d_l2_b,
-            d_head_w,
-            d_head_b,
-        ]
-    ).astype(dtype, copy=False)
-    return grad, mse
+    return grad.vector, mse
 
 
 def batch_mse(params: LstmModelParams, x: np.ndarray, targets: np.ndarray) -> float:

@@ -106,9 +106,9 @@ class _Shards:
             try:
                 status, payload, remote_tb = conn.recv()
             except EOFError:
-                raise RuntimeError(f"federation shard {k} exited without replying") from None
+                raise RuntimeError(f"shard {k} exited without replying") from None
             if status == "error":
-                raise payload from RuntimeError(f"in federation shard {k}:\n{remote_tb}")
+                raise payload from RuntimeError(f"in shard {k}:\n{remote_tb}")
             replies.append(payload)
         results: list = [None] * len(self._clients)
         for k, reply in enumerate(replies):
@@ -117,7 +117,8 @@ class _Shards:
 
 
 def _shard_count(n_clients: int) -> int:
-    """One shard per CPU this process may run on, at most one per client.
+    """One shard per CPU this process may run on, at most one per client
+    and at least one: shard 0, the server, answers for an empty list.
 
     A process that already runs other threads stays one shard: an unpinned
     BLAS keeps a thread per CPU, so forked shards would each bring a pool to
@@ -132,4 +133,4 @@ def _shard_count(n_clients: int) -> int:
         threads = len(os.listdir("/proc/self/task"))
     except (AttributeError, OSError):  # no affinity mask or /proc: not Linux
         return 1
-    return min(cpus, n_clients) if threads == 1 else 1
+    return max(1, min(cpus, n_clients)) if threads == 1 else 1

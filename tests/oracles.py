@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from fedspoof.domain import EARTH_RADIUS_M, HEADER_COLUMNS
+from fedspoof.domain import EARTH_RADIUS_M, HEADER_COLUMNS, SIGNAL_SLOTS
+from fedspoof.features import DEFAULT_VALID_RANGES
 
 
 def haversine_m(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
@@ -64,3 +65,67 @@ def lstm_forward(blocks: dict, x) -> np.ndarray:
         seq = np.stack(hs, axis=1)
     head_w = np.asarray(blocks["head_w"], dtype=np.float64)
     return sigmoid(seq[:, -1] @ head_w + float(blocks["head_b"][0]))
+
+
+def fit_cap_minmax(values, percentile=95.0):
+    """(cap, lo, hi) of one column: its percentile (linear interpolation
+    between order statistics), then the min and max of the capped values."""
+    values = np.asarray(values, dtype=np.float64)
+    cap = float(np.percentile(values, percentile))
+    capped = np.minimum(values, cap)
+    return cap, float(capped.min()), float(capped.max())
+
+
+def apply_cap_minmax(values, cap, lo, hi) -> np.ndarray:
+    """One column capped, then min-max scaled to [0, 1]; 0 if hi <= lo."""
+    capped = np.minimum(np.asarray(values, dtype=np.float64), cap)
+    if hi <= lo:
+        return np.zeros_like(capped)
+    return np.clip((capped - lo) / (hi - lo), 0.0, 1.0)
+
+
+def _signal_replacements() -> np.ndarray:
+    """The minimum of each signal slot's valid range, found by slot name."""
+    reps = []
+    for name in SIGNAL_SLOTS:
+        (prop,) = [p for p in DEFAULT_VALID_RANGES if f"_{p}_" in name]
+        reps.append(DEFAULT_VALID_RANGES[prop][0])
+    return np.array(reps)
+
+
+def _clean_features(mat, caps, replacements, n_position):
+    cleaned = np.array(mat, dtype=np.float64)
+    for j, rep in enumerate(replacements, start=n_position):
+        col = cleaned[:, j]
+        col[np.isnan(col)] = rep
+    for j in range(n_position):
+        col = cleaned[:, j]
+        cleaned[:, j] = np.sign(col) * np.minimum(np.abs(col), caps[j])
+    return cleaned
+
+
+def fit_feature_normalization(raws, cap_percentile=95.0, n_position=4):
+    """(caps, replacements, lo, hi) fitted column by column on the pooled raw
+    feature matrices: the first n_position columns capped at the percentile
+    of their magnitudes (inf elsewhere), NaN signal values replaced with the
+    minimum of their valid range."""
+    mat = np.vstack(raws)
+    replacements = _signal_replacements()
+    caps = np.full(mat.shape[1], np.inf)
+    for j in range(n_position):
+        caps[j] = np.percentile(np.abs(mat[:, j]), cap_percentile)
+    cleaned = _clean_features(mat, caps, replacements, n_position)
+    return caps, replacements, cleaned.min(axis=0), cleaned.max(axis=0)
+
+
+def apply_feature_normalization(raw, state, n_position=4) -> np.ndarray:
+    """Raw features cleaned with a fitted state and scaled to float32 in [0, 1]."""
+    caps, replacements, lo, hi = state
+    raw = np.atleast_2d(np.asarray(raw, dtype=np.float64))
+    cleaned = _clean_features(raw, caps, replacements, n_position)
+    span = hi - lo
+    ok = span > 0.0
+    out = np.zeros_like(cleaned)
+    out[:, ok] = (cleaned[:, ok] - lo[ok]) / span[ok]
+    np.clip(out, 0.0, 1.0, out=out)
+    return out.astype(np.float32)

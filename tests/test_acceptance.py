@@ -14,7 +14,7 @@ import typing
 import numpy as np
 import pytest
 
-from fedspoof import cli, domain, features, fusion, labels, lstm, metrics, simulate
+from fedspoof import cli, domain, features, fusion, lstm, metrics, simulate
 from fedspoof.experiments import (
     build_bundles,
     model_scores,
@@ -266,9 +266,7 @@ class TestC6QualityGateEfficacy:
 
 
 class TestC7PrivacyContract:
-    FORBIDDEN_TYPES = (
-        domain.Trace, fusion.FusedEstimate, features.NormalizationState, labels.LabelNorm,
-    )
+    FORBIDDEN_TYPES = (domain.Trace, fusion.FusedEstimate, fusion.CapMinMax)
     FORBIDDEN_TOKENS = (
         "lat", "lon", "pos", "gnss", "net", "coord", "feature", "window",
         "accel", "omega", "speed", "trace", "signal", "sensor",

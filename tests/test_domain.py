@@ -121,7 +121,7 @@ class TestDatasetWriter:
 
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_bytes_equal_sample_by_sample_writer(self, tmp_path, monkeypatch, n_shards):
-        monkeypatch.setattr(shards, "_shard_count", lambda n_items: min(n_shards, n_items))
+        monkeypatch.setattr(shards, "_shard_count", lambda n_items: max(1, min(n_shards, n_items)))
         odd_values = np.array([-0.0, 1e-05, 1e16])
         signal = np.tile(np.arange(32, dtype=float), (3, 1))
         signal[0, :4] = np.nan

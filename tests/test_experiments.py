@@ -16,7 +16,9 @@ from fedspoof.experiments import (
     run_centralized,
     run_federated,
 )
-from fedspoof.federation import FederationConfig, LocalClient
+from fedspoof.federation import FederationConfig
+
+from clients import client_from_windows
 
 
 def _micro_setup(seed=5, **sim_kwargs):
@@ -67,8 +69,8 @@ class TestBundles:
         bundles = []
         for c, n in enumerate((3, 0, 2)):
             values = (10 * c + np.arange(n)).astype(np.float32)
-            client = LocalClient(c + 1, np.broadcast_to(values[:, None, None], (n, 4, 2)),
-                                 values / 100, lstm.TrainConfig())
+            client = client_from_windows(c + 1, np.broadcast_to(values[:, None, None], (n, 4, 2)),
+                                         values / 100, lstm.TrainConfig())
             bundles.append(experiments.ClientBundle(client, np.empty((0, 4, 2)), np.empty(0),
                                                     np.empty(0)))
         x, y = pooled_training_set(bundles)
@@ -223,6 +225,11 @@ class TestPooledScoring:
             assert model_scores(params, bundles[:1]).tobytes() == serial[:n_first].tobytes()
             assert forks == []
         assert multiprocessing.active_children() == []
+
+    def test_no_bundles_give_no_scores(self, forks):
+        scores = model_scores(lstm.init_params(7), [])
+        assert scores.shape == (0,) and scores.dtype == np.float64
+        assert forks == []
 
     def test_error_in_forked_shard_raised_in_server(self, monkeypatch):
         _force_shards(monkeypatch, 3)

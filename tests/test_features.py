@@ -8,12 +8,14 @@ from fedspoof.features import (
     FeatureConfig,
     N_FEATURES,
     N_POSITION,
-    NormalizationState,
+    SIGNAL_REPLACEMENTS,
     apply_normalization,
     extract_raw,
     fit_normalization,
     make_windows,
 )
+
+import oracles
 
 
 def brute_force_percentile(values, q):
@@ -26,15 +28,11 @@ def brute_force_percentile(values, q):
 
 
 def _state(caps, lo, hi):
-    full_caps = np.full(N_FEATURES, np.inf)
-    full_caps[: len(caps)] = caps
     lo_arr = np.zeros(N_FEATURES)
     hi_arr = np.ones(N_FEATURES)
     lo_arr[: len(lo)] = lo
     hi_arr[: len(hi)] = hi
-    return NormalizationState(
-        caps=full_caps, replacements=np.zeros(32), lo=lo_arr, hi=hi_arr
-    )
+    return fusion.CapMinMax(caps=np.array(caps, dtype=float), lo=lo_arr, hi=hi_arr)
 
 
 class TestSlotMap:
@@ -106,14 +104,18 @@ class TestFitNormalization:
             fit_normalization([np.empty((0, N_FEATURES))])
 
     def test_signal_replacement_is_valid_range_minimum(self):
-        mat = np.ones((5, N_FEATURES))
-        state = fit_normalization([mat])
         agc = N_POSITION + signal_slot("gps_l1", "agc_db", "mean")
         cn0 = N_POSITION + signal_slot("gal_e1", "cn0_ant_dbhz", "min")
         dop = N_POSITION + signal_slot("gps_l1", "doppler_hz", "max")
-        assert state.replacements[agc - N_POSITION] == -100.0
-        assert state.replacements[cn0 - N_POSITION] == 0.0
-        assert state.replacements[dop - N_POSITION] == -10_000.0
+        assert SIGNAL_REPLACEMENTS[agc - N_POSITION] == -100.0
+        assert SIGNAL_REPLACEMENTS[cn0 - N_POSITION] == 0.0
+        assert SIGNAL_REPLACEMENTS[dop - N_POSITION] == -10_000.0
+        # an invalid value takes its slot's replacement, the fitted minimum here
+        mat = np.ones((5, N_FEATURES))
+        mat[0, agc] = np.nan
+        state = fit_normalization([mat])
+        assert state.lo[agc] == -100.0
+        assert apply_normalization(mat, state)[0, agc] == 0.0
 
 
 class TestApplyNormalization:
@@ -175,6 +177,61 @@ class TestApplyNormalization:
         for j in range(4):
             at_cap = int((np.abs(mat[:, j]) >= state.caps[j]).sum())
             assert at_cap <= int(np.ceil(0.05 * 400)) + 1
+
+
+def _awkward_raw(rng, n, scale=30.0):
+    """Raw features with NaN signal slots, signed zeros and negative
+    residuals in the position slots, and a constant signal slot."""
+    mat = rng.normal(0.0, scale, (n, N_FEATURES))
+    mat[:, 2] = mat[:, 3] = np.abs(mat[:, 2])
+    mat[:, N_POSITION:][rng.random((n, N_FEATURES - N_POSITION)) < 0.2] = np.nan
+    mat[::3, 0] = -0.0
+    mat[1::4, 1] = 0.0
+    mat[:, 10] = 7.0
+    return mat
+
+
+class TestNormalizationOracle:
+    """The map equals a column-by-column cleaner, bit for bit."""
+
+    @staticmethod
+    def _assert_fit_equal(raws, percentile):
+        state = fit_normalization(raws, FeatureConfig(cap_percentile=percentile))
+        caps, replacements, lo, hi = oracles.fit_feature_normalization(raws, percentile)
+        assert state.caps.tobytes() == caps[:N_POSITION].tobytes()
+        assert np.all(np.isinf(caps[N_POSITION:]))
+        assert SIGNAL_REPLACEMENTS.tobytes() == replacements.tobytes()
+        assert state.lo.tobytes() == lo.tobytes() and state.hi.tobytes() == hi.tobytes()
+        return state, (caps, replacements, lo, hi)
+
+    @pytest.mark.parametrize("percentile", [95.0, 50.0])
+    def test_random_matrices(self, rng, percentile):
+        for n_rows in (1, 2, 7, 300):
+            raws = [_awkward_raw(rng, n_rows), _awkward_raw(rng, 5)]
+            state, expected = self._assert_fit_equal(raws, percentile)
+            # test-time values, up to ten times beyond the fitted range
+            for raw in (*raws, _awkward_raw(rng, 50, scale=300.0), _awkward_raw(rng, 1)):
+                out = apply_normalization(raw, state)
+                assert out.dtype == np.float32
+                assert out.tobytes() == oracles.apply_feature_normalization(raw, expected).tobytes()
+
+    @pytest.mark.parametrize("percentile", [95.0, 50.0])
+    def test_corpus_traces(self, tiny_corpus, percentile):
+        _, traces = tiny_corpus
+        cfg = fusion.FusionConfig()
+        raws = [extract_raw(t, fusion.fuse_trace(t, cfg)) for t in traces]
+        state, expected = self._assert_fit_equal(raws[:4], percentile)
+        for raw in raws:
+            assert (apply_normalization(raw, state).tobytes()
+                    == oracles.apply_feature_normalization(raw, expected).tobytes())
+
+    def test_single_row_is_degenerate(self, rng):
+        raw = _awkward_raw(rng, 1)
+        state, expected = self._assert_fit_equal([raw], 95.0)
+        assert np.array_equal(state.lo, state.hi)
+        out = apply_normalization(raw, state)
+        assert out.tobytes() == oracles.apply_feature_normalization(raw, expected).tobytes()
+        assert np.array_equal(out, np.zeros_like(out))
 
 
 class TestWindows:

@@ -23,6 +23,8 @@ from fedspoof.federation import (
 )
 from fedspoof.lstm import LstmModelParams, TrainConfig, init_params, param_count
 
+from clients import client_from_windows
+
 
 def _update(client_id, vector, n=1, round_index=1, input_size=4, hidden_size=3):
     return RoundUpdate(
@@ -90,11 +92,8 @@ class TestFedavg:
 
 def _client_from_windows(client_id, x, y, seed=0):
     # higher rate than the full-size default so micro nets converge quickly
-    return LocalClient(
-        client_id,
-        x,
-        y,
-        TrainConfig(batch_size=16, base_learning_rate=5e-3, rng_seed=seed),
+    return client_from_windows(
+        client_id, x, y, TrainConfig(batch_size=16, base_learning_rate=5e-3, rng_seed=seed)
     )
 
 
@@ -219,8 +218,8 @@ class TestRunRounds:
         assert np.array_equal(validated, client.train_x[-12:])
 
     def test_no_trainable_client_rejected(self):
-        empty = LocalClient(1, np.empty((0, 4, 6), np.float32), np.empty(0, np.float32),
-                            TrainConfig())
+        empty = client_from_windows(1, np.empty((0, 4, 6), np.float32), np.empty(0, np.float32),
+                                    TrainConfig())
         with pytest.raises(ValueError, match="no client"):
             run_rounds([empty], FederationConfig(rounds=1), input_size=6, hidden_size=4)
 
@@ -242,7 +241,8 @@ class TestRunRounds:
         # updates, gated and ungated, and client 2 still reviews the others
         _force_shards(monkeypatch, 2)  # client 2 trains in the forked shard
         good = [_separable_client(rng, i + 1, seed=i) for i in range(3)]
-        nan = _NanClient(2, good[1].train_x, good[1].train_y, good[1].train_cfg)
+        nan = _NanClient(2, good[1].train_x, good[1].train_y, good[1].train_cfg,
+                         good[1].feature_norm)
         clients = [good[0], nan, good[2]]
         ungated = FederationConfig(rounds=3, local_epochs=1, gate_enabled=False, init_seed=3)
         # a threshold of 1 accepts every update the gate scores
@@ -394,6 +394,13 @@ class TestShardedRounds:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert shards._shard_count(6) == 1
 
+    def test_no_items_get_one_shard(self, monkeypatch):
+        # shard 0, the server, answers for an empty list
+        _fake_process(monkeypatch, cpus=8, threads=1)
+        assert shards._shard_count(0) == 1
+        with shards._Shards([], shards._shard_count(0)) as pool:
+            assert pool.ask("__call__") == []
+
     def test_forked_shard_counts_one_shard(self, monkeypatch):
         # a daemonic shard may not fork; the server may, here 8 CPUs, 1 thread
         _fake_process(monkeypatch, cpus=8, threads=1)
@@ -404,16 +411,17 @@ class TestShardedRounds:
     def test_shard_error_raised_in_server(self, rng, monkeypatch):
         _force_shards(monkeypatch, 2)
         good = _separable_client(rng, 1)
-        failing = _FailingClient(2, good.train_x, good.train_y, good.train_cfg)
+        failing = _FailingClient(2, good.train_x, good.train_y, good.train_cfg,
+                                 good.feature_norm)
         with pytest.raises(FloatingPointError, match="client 2 diverged") as excinfo:
             run_rounds([good, failing], self.GATED, input_size=6, hidden_size=4)
-        assert "in federation shard 1" in str(excinfo.value.__cause__)
+        assert "in shard 1" in str(excinfo.value.__cause__)
         assert multiprocessing.active_children() == []
 
     def test_dead_shard_raised_in_server(self, rng, monkeypatch):
         _force_shards(monkeypatch, 2)
         good = _separable_client(rng, 1)
-        dying = _DyingClient(2, good.train_x, good.train_y, good.train_cfg)
+        dying = _DyingClient(2, good.train_x, good.train_y, good.train_cfg, good.feature_norm)
         dying.server_pid = os.getpid()
         with pytest.raises(RuntimeError, match="shard 1 exited without replying"):
             run_rounds([good, dying], self.GATED, input_size=6, hidden_size=4)

@@ -6,6 +6,7 @@ import pytest
 from fedspoof.domain import N_SIGNAL_SLOTS, Trace, local_meters, offset_geopos
 from fedspoof.fusion import (
     INITIAL_VELOCITY_STD,
+    CapMinMax,
     FusedEstimate,
     FusionConfig,
     apply_cap_minmax,
@@ -15,6 +16,7 @@ from fedspoof.fusion import (
     residual_norm_m,
 )
 
+import oracles
 from oracles import haversine_m
 
 ANCHOR = (59.0, 18.0)
@@ -201,14 +203,32 @@ class TestCapMinmaxChain:
     def test_linear_interpolation_percentile(self):
         # brute-force oracle: rank = q/100 * (n-1); interpolate order stats
         values = np.arange(1.0, 21.0)
-        cap, lo, hi = fit_cap_minmax(values)
-        assert cap == pytest.approx(19.05)
-        assert lo == 1.0
-        assert hi == pytest.approx(19.05)
+        norm = fit_cap_minmax(values[:, None])
+        assert norm.caps[0] == pytest.approx(19.05)
+        assert norm.lo[0] == 1.0
+        assert norm.hi[0] == pytest.approx(19.05)
 
     def test_degenerate_range_scores_zero(self):
-        out = apply_cap_minmax(np.full(5, 3.3), 3.3, 3.3, 3.3)
-        assert np.array_equal(out, np.zeros(5))
+        norm = CapMinMax(caps=np.array([3.3]), lo=np.array([3.3]), hi=np.array([3.3]))
+        out = apply_cap_minmax(np.full((5, 1), 3.3), norm)
+        assert np.array_equal(out, np.zeros((5, 1)))
+
+
+class TestCapMinmaxOracle:
+    """On a column that is never negative, the map equals the one-column
+    cap -> min-max oracle, bit for bit."""
+
+    @pytest.mark.parametrize("percentile", [95.0, 50.0])
+    def test_column_matches_oracle(self, rng, percentile):
+        for values in (rng.uniform(0.0, 200.0, 50), rng.exponential(10.0, 400),
+                       np.array([0.0, 0.0, 4.0, 0.0]), np.zeros(6), np.array([3.5])):
+            norm = fit_cap_minmax(values[:, None], percentile)
+            cap, lo, hi = oracles.fit_cap_minmax(values, percentile)
+            assert (norm.caps.tolist(), norm.lo.tolist(), norm.hi.tolist()) == ([cap], [lo], [hi])
+            # test-time values beyond the fitted range too
+            for test in (values, 10.0 * values, rng.uniform(0.0, 1e4, 9)):
+                out = apply_cap_minmax(test[:, None], norm)[:, 0]
+                assert out.tobytes() == oracles.apply_cap_minmax(test, cap, lo, hi).tobytes()
 
 
 class TestPdsScore:
@@ -219,6 +239,16 @@ class TestPdsScore:
         trace = _make_trace(track)
         lat, lon = offset_geopos(*ANCHOR, np.asarray(residuals, dtype=float) * scale, np.zeros(n))
         return trace, FusedEstimate(lat=lat, lon=lon, sigma=np.ones(n))
+
+    def test_matches_oracle(self, rng, tiny_corpus):
+        _, traces = tiny_corpus
+        pairs = [(t, fuse_trace(t, FusionConfig())) for t in traces]
+        for residuals in (rng.uniform(0.0, 80.0, 25), [0.0] * 5, [7.0], [0.0, 3.0, 0.0]):
+            pairs.append(self._trace_with_residuals(residuals))
+        for trace, fused in pairs:
+            d = residual_norm_m(trace, fused)
+            expected = oracles.apply_cap_minmax(d, *oracles.fit_cap_minmax(d))
+            assert pds_score(trace, fused).tobytes() == expected.tobytes()
 
     def test_zero_residual_scores_zero(self):
         trace, fused = self._trace_with_residuals([0.0] * 10)

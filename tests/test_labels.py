@@ -7,6 +7,8 @@ from fedspoof import fusion, labels
 from fedspoof.domain import N_SIGNAL_SLOTS, Trace, offset_geopos
 from fedspoof.fusion import FusedEstimate
 
+import oracles
+
 ANCHOR = (48.0, 11.0)
 
 
@@ -48,7 +50,7 @@ class TestGenerate:
         values, norm = _self_labeled(*_trace_and_fused([0.0] * 19 + [100.0]))
         assert values[-1] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(values[:-1], np.zeros(19), atol=1e-12)
-        assert norm.cap == pytest.approx(5.0, rel=1e-9)
+        assert norm.caps[0] == pytest.approx(5.0, rel=1e-9)
 
     def test_invariant_under_uniform_scaling(self):
         devs = [3.0, 9.0, 1.0, 14.0, 6.0, 2.0, 11.0, 8.0, 5.0, 7.0]
@@ -59,7 +61,7 @@ class TestGenerate:
     def test_monotone_below_cap(self, rng):
         devs = rng.uniform(0.0, 200.0, 50)
         values, norm = _self_labeled(*_trace_and_fused(devs))
-        below = np.nonzero(devs < norm.cap)[0]
+        below = np.nonzero(devs < norm.caps[0])[0]
         order = below[np.argsort(devs[below])]
         assert np.all(np.diff(values[order]) >= -1e-12)
 
@@ -101,3 +103,30 @@ class TestPooledNorm:
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError):
             labels.fit_label_norm([np.empty(0)])
+
+
+class TestLabelOracle:
+    """Labels equal the one-column cap -> min-max oracle, bit for bit."""
+
+    @staticmethod
+    def _assert_labels_equal(fit_on, apply_to):
+        norm = labels.fit_label_norm([labels.raw_deviations(t, f) for t, f in fit_on])
+        cap, lo, hi = oracles.fit_cap_minmax(
+            np.concatenate([labels.raw_deviations(t, f) for t, f in fit_on]))
+        assert (norm.caps.tolist(), norm.lo.tolist(), norm.hi.tolist()) == ([cap], [lo], [hi])
+        for trace, fused in apply_to:
+            expected = oracles.apply_cap_minmax(labels.raw_deviations(trace, fused), cap, lo, hi)
+            assert labels.generate(trace, fused, norm).tobytes() == expected.tobytes()
+
+    def test_corpus_traces(self, tiny_corpus):
+        _, traces = tiny_corpus
+        pairs = [(t, fusion.fuse_trace(t, fusion.FusionConfig())) for t in traces]
+        self._assert_labels_equal(pairs[:4], pairs)
+
+    def test_awkward_deviations(self, rng):
+        spread = _trace_and_fused(rng.uniform(0.0, 50.0, 40))
+        beyond = _trace_and_fused(rng.uniform(0.0, 500.0, 30))
+        single = _trace_and_fused([12.5])
+        flat = _trace_and_fused([0.0] * 8)
+        for fit_on in ([spread], [spread, single], [single], [flat], [flat, single]):
+            self._assert_labels_equal(fit_on, [spread, beyond, single, flat])
