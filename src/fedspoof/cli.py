@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import domain, experiments, federation, lstm, metrics
+from . import domain, experiments, lstm, metrics
 from . import simulate
 from .config import ConfigError, ExperimentConfig, config_hash, load_config
 
@@ -65,12 +65,6 @@ def _bundles(cfg: ExperimentConfig, traces: list[domain.Trace]) -> list[experime
     return experiments.build_bundles(part, cfg.fusion, cfg.features, cfg.train, cfg.seed)
 
 
-def _write_auc(path: str, method: str, auc: float, n_pos: int, n_neg: int) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("method,auc,n_pos,n_neg\n")
-        fh.write(f"{method},{auc:.10g},{n_pos},{n_neg}\n")
-
-
 def cmd_generate(cfg: ExperimentConfig, out_dir: str) -> int:
     traces = simulate.generate(cfg.sim)
     domain.write_dataset(traces, _dataset_path(cfg, out_dir))
@@ -81,45 +75,33 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str, mode: str) -> int:
-    if mode not in TRAIN_MODES:
-        raise ConfigError(f"unknown train mode {mode!r}; choose from {TRAIN_MODES}")
     traces = _load_traces(cfg, out_dir)
     bundles = _bundles(cfg, traces)
-    truth = np.concatenate([b.test_truth for b in bundles])
-
-    try:
-        if mode == "federated":
-            params, rows = experiments.run_federated(bundles, cfg.federation)
-            federation.write_round_metrics(rows, os.path.join(out_dir, "metrics_federated.csv"))
-            lstm.save_checkpoint(params, os.path.join(out_dir, "model_federated.ckpt"))
-            scores = experiments.model_scores(params, bundles)
-        elif mode == "centralized":
-            budget = cfg.federation.rounds * cfg.federation.local_epochs
-            params, report = experiments.run_centralized(bundles, cfg.train, cfg.seed, budget)
-            with open(os.path.join(out_dir, "metrics_centralized.csv"), "w", encoding="ascii") as fh:
-                fh.write("epoch,train_mse,val_mse\n")
-                for i, (tr, va) in enumerate(
-                    zip(report.train_mse_curve, report.val_mse_curve), start=1
-                ):
-                    fh.write(f"{i},{tr:.10g},{va:.10g}\n")
-            lstm.save_checkpoint(params, os.path.join(out_dir, "model_centralized.ckpt"))
-            scores = experiments.model_scores(params, bundles)
-        else:  # pds-baseline
-            scores = experiments.pds_pooled(bundles)
-
-        curve = metrics.roc(scores, truth)
-        auc = metrics.auc(curve)
-    except metrics.SingleClassError as exc:
-        raise metrics.SingleClassError(
-            f"{mode} evaluation on {cfg.sim.partition_mode!r} test split: {exc}"
-        ) from exc
+    if mode == "federated":
+        params, rows = experiments.run_federated(bundles, cfg.federation)
+        metrics.write_csv(os.path.join(out_dir, "metrics_federated.csv"),
+                          rows[0].keys(), [r.values() for r in rows])
+        lstm.save_checkpoint(params, os.path.join(out_dir, "model_federated.ckpt"))
+        scores = experiments.model_scores(params, bundles)
+    elif mode == "centralized":
+        budget = cfg.federation.rounds * cfg.federation.local_epochs
+        params, report = experiments.run_centralized(bundles, cfg.train, cfg.seed, budget)
+        curves = zip(range(1, report.epochs_run + 1), report.train_mse_curve, report.val_mse_curve)
+        metrics.write_csv(os.path.join(out_dir, "metrics_centralized.csv"),
+                          ("epoch", "train_mse", "val_mse"), curves)
+        lstm.save_checkpoint(params, os.path.join(out_dir, "model_centralized.ckpt"))
+        scores = experiments.model_scores(params, bundles)
+    else:  # pds-baseline
+        scores = experiments.pds_pooled(bundles)
 
     tag = mode.replace("-baseline", "")
-    metrics.write_roc_csv(curve, os.path.join(out_dir, f"roc_{tag}.csv"))
-    _write_auc(
-        os.path.join(out_dir, f"auc_{tag}.csv"), tag, auc,
-        int(truth.sum()), int(truth.size - truth.sum()),
-    )
+    truth = np.concatenate([b.test_truth for b in bundles])
+    auc, n_pos, n_neg = metrics.score_row(scores, truth, os.path.join(out_dir, f"roc_{tag}.csv"))
+    if math.isnan(auc):
+        raise metrics.SingleClassError(f"{mode} evaluation on {cfg.sim.partition_mode!r} "
+                                       f"test split: {metrics.SINGLE_CLASS}")
+    metrics.write_csv(os.path.join(out_dir, f"auc_{tag}.csv"), ("method", "auc", "n_pos", "n_neg"),
+                      [(tag, auc, n_pos, n_neg)])
     _write_manifest(out_dir, cfg, f"train {mode}")
     print(f"{mode}: AUC {auc:.4f} on {truth.size} test windows")
     return EXIT_OK

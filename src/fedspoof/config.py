@@ -106,6 +106,8 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
                 raise ConfigError(f"unknown config section [{section}]")
     if overrides:
         cfg = replace(cfg, **overrides)
+    if cfg.seed < 0:  # numpy's seeding would fail later on with a bare message
+        raise ConfigError(f"invalid [experiment] values: seed must be >= 0, got {cfg.seed}")
     # one master seed drives every stage; _apply_section rejects per-stage seeds
     cfg = replace(
         cfg,
@@ -113,12 +115,11 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
         train=replace(cfg.train, rng_seed=cfg.seed),
         federation=replace(cfg.federation, init_seed=cfg.seed),
     )
-    for cell in cfg.cells:
-        if cell not in ALL_CELLS:
-            raise ConfigError(f"unknown experiment cell {cell!r}")
-    for split in cfg.splits:
-        if split not in ALL_SPLITS:
-            raise ConfigError(f"unknown split {split!r}")
+    for key, known in (("cells", ALL_CELLS), ("splits", ALL_SPLITS)):
+        names = getattr(cfg, key)
+        if not names or not set(names) <= set(known):
+            raise ConfigError(f"invalid [experiment] values: {key} must name one or more "
+                              f"of {','.join(known)}, got {','.join(names)!r}")
     sim = cfg.sim
     if sim.partition_mode == "non-iid-by-device" and sim.n_clients != sim.n_devices:
         raise ConfigError(f"invalid [sim] values: non-iid-by-device needs n_clients == "

@@ -10,9 +10,8 @@ clients for one corpus-level ROC.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -176,25 +175,6 @@ class MatrixRow:
     n_neg: int
 
 
-def _matrix_row(
-    cell: str, split: str, method: str, detail: str, tag: str,
-    scores: np.ndarray, truth: np.ndarray, out_dir: str | None,
-) -> MatrixRow:
-    """Score one matrix row and emit its ROC as roc_<cell>_<split>_<tag>.csv.
-
-    A single-class test split has no ROC: its AUC is NaN and no CSV is written.
-    """
-    n_pos = int(truth.sum())
-    n_neg = int(truth.size - n_pos)
-    auc = math.nan
-    if n_pos and n_neg:
-        curve = metrics.roc(scores, truth)
-        auc = metrics.auc(curve)
-        if out_dir is not None:
-            metrics.write_roc_csv(curve, os.path.join(out_dir, f"roc_{cell}_{split}_{tag}.csv"))
-    return MatrixRow(cell, split, method, detail, auc, n_pos, n_neg)
-
-
 def _scores(train, groups: list[list[ClientBundle]]) -> list[np.ndarray]:
     """A matrix job: the model `train()` returns, scored on each group of
     bundles in the job's own shard, since a pool of its own would oversubscribe."""
@@ -305,7 +285,10 @@ def experiment_matrix(
         scored.sort(key=lambda row: ALL_CELLS.index(row[0][0]))  # stable: cell by cell
         for (cell, method, detail, tag, group), scores in scored:
             truth = np.concatenate([b.test_truth for b in group])
-            rows.append(_matrix_row(cell, split, method, detail, tag, scores, truth, out_dir))
+            path = None if out_dir is None else os.path.join(
+                out_dir, f"roc_{cell}_{split}_{tag}.csv")
+            rows.append(MatrixRow(cell, split, method, detail,
+                                  *metrics.score_row(scores, truth, path)))
 
     if out_dir is not None:
         write_auc_table(rows, os.path.join(out_dir, "auc_table.csv"))
@@ -315,8 +298,4 @@ def experiment_matrix(
 
 
 def write_auc_table(rows: list[MatrixRow], path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("cell,split,method,detail,auc,n_pos,n_neg\n")
-        for r in rows:
-            auc = "na" if math.isnan(r.auc) else f"{r.auc:.10g}"
-            fh.write(f"{r.cell},{r.split},{r.method},{r.detail},{auc},{r.n_pos},{r.n_neg}\n")
+    metrics.write_csv(path, [f.name for f in fields(MatrixRow)], map(astuple, rows))

@@ -320,7 +320,6 @@ def _corrupt_update(update: RoundUpdate, seed: int) -> RoundUpdate:
 def run_rounds(
     clients: list[LocalClient],
     cfg: FederationConfig,
-    input_size: int = lstm.DEFAULT_INPUT_SIZE,
     hidden_size: int = lstm.DEFAULT_HIDDEN_SIZE,
 ) -> tuple[GlobalModelState, list[dict]]:
     """Run the federated round loop.
@@ -328,7 +327,8 @@ def run_rounds(
     Per round: broadcast the global parameters, train every client locally,
     drop any update with a non-finite parameter, screen the rest through the
     quality gate once the warm-up has passed, aggregate the accepted updates
-    with FedAvg, and record metrics.  A federation with one active client
+    with FedAvg, and record metrics.  The model's input size is the feature
+    count of the clients' windows.  A federation with one active client
     runs ungated: no other client can review its updates.  Client work runs
     in shards, one per usable CPU (see `shards._shard_count`); results are
     gathered in client order, so the outcome does not depend on the shard
@@ -347,6 +347,7 @@ def run_rounds(
         gate_enabled = False
 
     announced_mean = float(np.mean([c.n_train for c in active]))
+    input_size = active[0].train_x.shape[2]
     global_state = GlobalModelState(lstm.init_params(cfg.init_seed, input_size, hidden_size))
     weights = np.array([c.n_train for c in active], dtype=np.float64)
     rows: list[dict] = []
@@ -424,14 +425,3 @@ def run_rounds(
                 }
             )
     return global_state, rows
-
-
-def write_round_metrics(rows: list[dict], path: str) -> None:
-    """Per-round federation metrics as CSV."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("round,accepted_clients,mean_gate_auc,global_val_mse\n")
-        for r in rows:
-            gate = "na" if math.isnan(r["mean_gate_auc"]) else f"{r['mean_gate_auc']:.10g}"
-            fh.write(
-                f"{r['round']},{r['accepted_clients']},{gate},{r['global_val_mse']:.10g}\n"
-            )

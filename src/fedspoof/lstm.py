@@ -32,6 +32,7 @@ import numpy as np
 
 DEFAULT_INPUT_SIZE = 36
 DEFAULT_HIDDEN_SIZE = 100
+PREDICT_CHUNK = 64
 
 
 def layout_blocks(input_size: int, hidden_size: int) -> list[tuple[str, tuple[int, ...], int]]:
@@ -129,12 +130,9 @@ def init_params(
     return params
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function in the exact, overflow-free form 0.5 * (1 + tanh(x / 2)).
-
-    `out` may be `x` itself, which evaluates it in place.
-    """
-    out = np.multiply(x, 0.5, out=out)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function in the exact, overflow-free form 0.5 * (1 + tanh(x / 2))."""
+    out = np.multiply(x, 0.5)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
@@ -279,8 +277,8 @@ def forward(params: LstmModelParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     return y, cache
 
 
-def predict(params: LstmModelParams, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Scores for many windows, evaluated in chunks of `batch_size`.
+def predict(params: LstmModelParams, x: np.ndarray) -> np.ndarray:
+    """Scores for many windows, evaluated in chunks of `PREDICT_CHUNK`.
 
     The chunk size is fixed by numerics, not tuned: the input projection is
     one GEMM over a chunk's B*T rows, and OpenBLAS's result for a row depends
@@ -289,8 +287,8 @@ def predict(params: LstmModelParams, x: np.ndarray, batch_size: int = 64) -> np.
     """
     x = np.asarray(x)
     out = np.empty(x.shape[0], dtype=np.float64)
-    for start in range(0, x.shape[0], batch_size):
-        y, _ = forward(params, x[start : start + batch_size])
+    for start in range(0, x.shape[0], PREDICT_CHUNK):
+        y, _ = forward(params, x[start : start + PREDICT_CHUNK])
         out[start : start + y.shape[0]] = y
     return out
 

@@ -1,4 +1,4 @@
-"""Detection metrics: ROC curves and trapezoidal AUC.
+"""Detection metrics: ROC curves, trapezoidal AUC and the output tables' writer.
 
 Thresholds sweep the unique score values from high to low with ties grouped,
 so the trapezoidal area equals the pairwise rank statistic with ties counted
@@ -7,6 +7,8 @@ one half.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +16,9 @@ import numpy as np
 
 class SingleClassError(ValueError):
     """Raised when a score set contains only one truth class."""
+
+
+SINGLE_CLASS = "single-class truth: an ROC needs both classes present"
 
 
 @dataclass
@@ -42,7 +47,7 @@ def roc(scores: np.ndarray, truth: np.ndarray) -> RocCurve:
     n_pos = int(truth.sum())
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassError("single-class truth: an ROC needs both classes present")
+        raise SingleClassError(SINGLE_CLASS)
 
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
@@ -67,10 +72,34 @@ def auc_from_scores(scores: np.ndarray, truth: np.ndarray) -> float:
     return auc(roc(scores, truth))
 
 
+def score_row(scores: np.ndarray, truth: np.ndarray, path: str | None) -> tuple[float, int, int]:
+    """(AUC, n_pos, n_neg) of scores against boolean truth, with the ROC written to
+    `path` unless it is None; a single-class truth gives NaN and writes nothing."""
+    n_pos = int(truth.sum())
+    n_neg = truth.size - n_pos
+    if not (n_pos and n_neg):
+        return math.nan, n_pos, n_neg
+    curve = roc(scores, truth)
+    if path is not None:
+        write_roc_csv(curve, path)
+    return auc(curve), n_pos, n_neg
+
+
+def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """One output table: strings and ints as they are, floats to 10
+    significant digits (`inf`, `-0`, `1e-300`) and NaN as `na`."""
+
+    def cell(value) -> str:
+        if isinstance(value, (float, np.floating)):
+            return "na" if math.isnan(value) else f"{value:.10g}"
+        return str(value)
+
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(cell, row)) + "\n" for row in rows)
+
+
 def write_roc_csv(curve: RocCurve, path: str) -> None:
     """Emit (threshold, R_FP, R_TP) rows for plotting."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("threshold,r_fp,r_tp\n")
-        for thr, fp, tp in zip(curve.thresholds, curve.fpr, curve.tpr):
-            fh.write(f"{thr:.10g},{fp:.10g},{tp:.10g}\n")
-
+    write_csv(path, ("threshold", "r_fp", "r_tp"),
+              zip(curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist()))

@@ -23,6 +23,8 @@ from .domain import CONSTELLATIONS, STATISTICS, Trace, offset_geopos, signal_slo
 MAX_SPEED_MPS = 24.0
 MIN_SPEED_MPS = 3.0
 N_SATELLITES = 8
+CHAIKIN_ITERATIONS = 3
+TEST_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -175,9 +177,9 @@ def _assign_traces(cfg: SimConfig) -> list[int]:
     return assignment[: cfg.n_traces]
 
 
-def _chaikin(points: np.ndarray, iterations: int = 3) -> np.ndarray:
+def _chaikin(points: np.ndarray) -> np.ndarray:
     """Corner-cutting smoothing; converges toward a quadratic B-spline."""
-    for _ in range(iterations):
+    for _ in range(CHAIKIN_ITERATIONS):
         p, q = points[:-1], points[1:]
         mids = np.empty((2 * len(p), 2))
         mids[0::2] = 0.75 * p + 0.25 * q
@@ -419,7 +421,6 @@ def partition(
     mode: str,
     n_clients: int,
     seed: int,
-    test_fraction: float = 0.1,
     trace_holdout: bool | None = None,
 ) -> dict[int, ClientSplit]:
     """Distribute traces over clients and fix the train/test regime; returns
@@ -427,7 +428,7 @@ def partition(
 
     iid shuffles traces uniformly across clients and evaluates on the same
     traces used for training; non-iid-by-device makes one client per device;
-    non-iid-by-trace additionally holds out test_fraction of traces (rounded
+    non-iid-by-trace additionally holds out TEST_FRACTION of traces (rounded
     half up) from all training.  trace_holdout overrides the mode's default
     hold-out behavior, which lets device-pure partitions be trace-split too.
     Deterministic per seed.
@@ -454,7 +455,7 @@ def partition(
     holdout = trace_holdout if trace_holdout is not None else mode == "non-iid-by-trace"
     held: set[int] = set()
     if holdout:
-        n_test = int(math.floor(len(traces) * test_fraction + 0.5))  # round half up
+        n_test = int(math.floor(len(traces) * TEST_FRACTION + 0.5))  # round half up
         held = set(int(i) for i in rng.choice(len(traces), size=n_test, replace=False))
 
     clients: dict[int, ClientSplit] = {}

@@ -129,3 +129,43 @@ def apply_feature_normalization(raw, state, n_position=4) -> np.ndarray:
     out[:, ok] = (cleaned[:, ok] - lo[ok]) / span[ok]
     np.clip(out, 0.0, 1.0, out=out)
     return out.astype(np.float32)
+
+
+# The output tables as their five formatters wrote them one by one: floats to
+# 10 significant digits, NaN as "na" where a column could hold it.
+
+
+def write_roc_csv(curve, path):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("threshold,r_fp,r_tp\n")
+        for thr, fp, tp in zip(curve.thresholds, curve.fpr, curve.tpr):
+            fh.write(f"{thr:.10g},{fp:.10g},{tp:.10g}\n")
+
+
+def write_auc(path, method, auc, n_pos, n_neg):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("method,auc,n_pos,n_neg\n")
+        fh.write(f"{method},{auc:.10g},{n_pos},{n_neg}\n")
+
+
+def write_centralized_metrics(path, train_mse_curve, val_mse_curve):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("epoch,train_mse,val_mse\n")
+        for i, (tr, va) in enumerate(zip(train_mse_curve, val_mse_curve), start=1):
+            fh.write(f"{i},{tr:.10g},{va:.10g}\n")
+
+
+def write_round_metrics(rows, path):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("round,accepted_clients,mean_gate_auc,global_val_mse\n")
+        for r in rows:
+            gate = "na" if math.isnan(r["mean_gate_auc"]) else f"{r['mean_gate_auc']:.10g}"
+            fh.write(f"{r['round']},{r['accepted_clients']},{gate},{r['global_val_mse']:.10g}\n")
+
+
+def write_auc_table(rows, path):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("cell,split,method,detail,auc,n_pos,n_neg\n")
+        for r in rows:
+            auc = "na" if math.isnan(r.auc) else f"{r.auc:.10g}"
+            fh.write(f"{r.cell},{r.split},{r.method},{r.detail},{auc},{r.n_pos},{r.n_neg}\n")

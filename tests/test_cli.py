@@ -97,7 +97,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="quantum"):
             load_config(path)
 
-    def test_bad_value_rejected(self, tmp_path):
+    def test_bad_value_rejected(self, tmp_path, capsys):
         for text, message in (
             ("[sim]\nn_traces = many\n", r"bad value for \[sim\] n_traces"),
             ("[federation]\ngate_enabled = maybe\n", r"bad value for \[federation\] gate_enabled"),
@@ -128,11 +128,22 @@ class TestConfig:
              r"invalid \[sim\] values: non-iid-by-device needs n_clients == n_devices"),
             ("[sim]\nn_traces = 4\nn_clients = 6\n",
              r"invalid \[sim\] values: n_traces \(4\) < n_clients \(6\)"),
+            ("[experiment]\nseed = -3\n", r"invalid \[experiment\] values: seed must be >= 0"),
+            ("[experiment]\ncells =\n", r"invalid \[experiment\] values: cells .* got ''"),
+            ("[experiment]\ncells = clfl,warp\n",
+             r"invalid \[experiment\] values: cells .* got 'clfl,warp'"),
+            ("[experiment]\nsplits = ,\n", r"invalid \[experiment\] values: splits"),
         ):
             path = _write_config(tmp_path, text)
             with pytest.raises(ConfigError, match=message):
                 load_config(path)
             assert _run("generate", "--config", path, "--out", str(tmp_path / "o")) == 2
+        # the same check holds for a flag value
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+            load_config(None, {"seed": -1})
+        path = _write_config(tmp_path)
+        assert _run("generate", "--config", path, "--seed", "-1", "--out", str(tmp_path / "o")) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_per_stage_seeds_rejected(self, tmp_path):
         # [experiment] seed drives every stage; a per-stage seed in a file
@@ -183,6 +194,19 @@ class TestCliFlows:
         assert _run("eval", "--config", config, "--out", out) == 0
         assert os.path.exists(os.path.join(out, "auc_table.csv"))
         assert os.path.exists(os.path.join(out, "plot_roc.gp"))
+
+        # `train --mode M` and the matrix's clfl row M are one comparison
+        run = tmp_path / "run"
+        table = {}
+        for line in (run / "auc_table.csv").read_text().splitlines()[1:]:
+            cell, split, method, _, auc, n_pos, n_neg = line.split(",")
+            table[cell, split, method] = [auc, n_pos, n_neg]
+        for tag in ("pds", "federated"):
+            roc = (run / f"roc_{tag}.csv").read_bytes()
+            assert roc == (run / f"roc_clfl_iid_{tag}.csv").read_bytes(), tag
+            header, row = (run / f"auc_{tag}.csv").read_text().splitlines()
+            assert header == "method,auc,n_pos,n_neg"
+            assert row.split(",") == [tag, *table["clfl", "iid", tag]]
 
         assert _run("report", "--out", out) == 0
         assert "auc" in capsys.readouterr().out

@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fedspoof import lstm, shards
+from fedspoof import lstm, metrics, shards
 from fedspoof.federation import (
     SERVER_RECEIVABLE_MESSAGE_TYPES,
     FederationConfig,
@@ -19,7 +19,6 @@ from fedspoof.federation import (
     fedavg,
     quality_gate,
     run_rounds,
-    write_round_metrics,
 )
 from fedspoof.lstm import LstmModelParams, TrainConfig, init_params, param_count
 
@@ -150,7 +149,7 @@ class TestQualityGate:
         # train a competent global, then gate a parameter-shuffled clone of it
         clients = [_separable_client(rng, i + 1, n=240, seed=i) for i in range(3)]
         cfg = FederationConfig(rounds=5, local_epochs=6, gate_enabled=False, init_seed=0)
-        state, _ = run_rounds(clients, cfg, input_size=6, hidden_size=8)
+        state, _ = run_rounds(clients, cfg, hidden_size=8)
         aucs = [c.score_candidate(state.params, 256) for c in clients]
         state.last_auc = float(np.mean(aucs))
         assert state.last_auc > 0.8
@@ -170,7 +169,7 @@ class TestRunRounds:
     def test_single_client_round_equals_local_training(self, rng):
         client = _separable_client(rng, 1, seed=42)
         cfg = FederationConfig(rounds=1, local_epochs=2, gate_enabled=False, init_seed=7)
-        state, rows = run_rounds([client], cfg, input_size=6, hidden_size=4)
+        state, rows = run_rounds([client], cfg, hidden_size=4)
         expected = client.train(
             init_params(7, 6, 4), 1, 2, announced_mean_size=float(client.n_train)
         )
@@ -182,7 +181,7 @@ class TestRunRounds:
         y = (x[:, -1, 0] > 0.5).astype(np.float32)
         clients = [_client_from_windows(i + 1, x, y, seed=5) for i in range(3)]
         cfg = FederationConfig(rounds=2, local_epochs=1, gate_enabled=False, init_seed=1)
-        state, _ = run_rounds(clients, cfg, input_size=6, hidden_size=4)
+        state, _ = run_rounds(clients, cfg, hidden_size=4)
         solo = clients[0].train(init_params(1, 6, 4), 1, 1, float(clients[0].n_train))
         follow = clients[0].train(solo.params, 2, 1, float(clients[0].n_train))
         assert np.array_equal(state.params.vector, follow.params.vector)
@@ -190,7 +189,7 @@ class TestRunRounds:
     def test_gate_disabled_equals_plain_fedavg(self, rng):
         clients = [_separable_client(rng, i + 1, seed=i) for i in range(2)]
         cfg = FederationConfig(rounds=2, local_epochs=1, gate_enabled=False, init_seed=3)
-        state, _ = run_rounds(clients, cfg, input_size=6, hidden_size=4)
+        state, _ = run_rounds(clients, cfg, hidden_size=4)
 
         params = init_params(3, 6, 4)
         mean_n = float(np.mean([c.n_train for c in clients]))
@@ -221,16 +220,16 @@ class TestRunRounds:
         empty = client_from_windows(1, np.empty((0, 4, 6), np.float32), np.empty(0, np.float32),
                                     TrainConfig())
         with pytest.raises(ValueError, match="no client"):
-            run_rounds([empty], FederationConfig(rounds=1), input_size=6, hidden_size=4)
+            run_rounds([empty], FederationConfig(rounds=1), hidden_size=4)
 
     def test_one_client_federation_runs_ungated(self, rng):
         # no other client can review the only client's updates, so the gate
         # is skipped and the run equals the same run with the gate off
         clients = [_separable_client(rng, 1)]
         gated = FederationConfig(rounds=3, local_epochs=1, gate_warmup_rounds=1, init_seed=3)
-        state, rows = run_rounds(clients, gated, input_size=6, hidden_size=4)
+        state, rows = run_rounds(clients, gated, hidden_size=4)
         ungated = dataclasses.replace(gated, gate_enabled=False)
-        ref_state, ref_rows = run_rounds(clients, ungated, input_size=6, hidden_size=4)
+        ref_state, ref_rows = run_rounds(clients, ungated, hidden_size=4)
         assert np.array_equal(state.params.vector, ref_state.params.vector)
         assert [r["accepted_clients"] for r in rows] == [1, 1, 1]
         assert all(np.isnan(r["mean_gate_auc"]) for r in rows)
@@ -250,7 +249,7 @@ class TestRunRounds:
                                     gate_threshold_delta=1.0)
         for cfg in (ungated, gated):
             caplog.clear()
-            state, rows = run_rounds(clients, cfg, input_size=6, hidden_size=4)
+            state, rows = run_rounds(clients, cfg, hidden_size=4)
             assert [r["accepted_clients"] for r in rows] == [3, 2, 2]
             assert all(np.isfinite(r["global_val_mse"]) for r in rows)
             assert np.isfinite(state.params.vector).all()
@@ -262,21 +261,21 @@ class TestRunRounds:
     def test_corruption_hook_applies_from_round(self, rng):
         clients = [_separable_client(rng, i + 1, seed=i) for i in range(2)]
         base = FederationConfig(rounds=2, local_epochs=1, gate_enabled=False, init_seed=3)
-        clean_state, _ = run_rounds(clients, base, input_size=6, hidden_size=4)
+        clean_state, _ = run_rounds(clients, base, hidden_size=4)
         corrupted_cfg = dataclasses.replace(base, corrupt_client_id=2, corrupt_from_round=2)
-        corrupt_state, _ = run_rounds(clients, corrupted_cfg, input_size=6, hidden_size=4)
+        corrupt_state, _ = run_rounds(clients, corrupted_cfg, hidden_size=4)
         assert not np.array_equal(clean_state.params.vector, corrupt_state.params.vector)
 
     def test_metrics_rows_and_csv(self, rng, tmp_path):
         clients = [_separable_client(rng, i + 1, seed=i) for i in range(2)]
         cfg = FederationConfig(rounds=3, local_epochs=1, gate_enabled=True,
                                gate_warmup_rounds=1, init_seed=0)
-        _, rows = run_rounds(clients, cfg, input_size=6, hidden_size=4)
+        _, rows = run_rounds(clients, cfg, hidden_size=4)
         assert [r["round"] for r in rows] == [1, 2, 3]
         assert np.isnan(rows[0]["mean_gate_auc"])  # warm-up round
         assert not np.isnan(rows[1]["mean_gate_auc"])
         path = tmp_path / "rounds.csv"
-        write_round_metrics(rows, str(path))
+        metrics.write_csv(str(path), rows[0].keys(), [r.values() for r in rows])
         lines = path.read_text().splitlines()
         assert lines[0] == "round,accepted_clients,mean_gate_auc,global_val_mse"
         assert lines[1].split(",")[2] == "na"
@@ -372,7 +371,7 @@ class TestShardedRounds:
         for n in (1, 2, 3):
             _force_shards(monkeypatch, n)
             forks.clear()
-            outcomes[n] = run_rounds(clients, self.GATED, input_size=6, hidden_size=4)
+            outcomes[n] = run_rounds(clients, self.GATED, hidden_size=4)
             assert len(forks) == n - 1
         state, rows = outcomes[1]
         assert any(r["accepted_clients"] < len(clients) for r in rows)  # the gate rejected
@@ -414,7 +413,7 @@ class TestShardedRounds:
         failing = _FailingClient(2, good.train_x, good.train_y, good.train_cfg,
                                  good.feature_norm)
         with pytest.raises(FloatingPointError, match="client 2 diverged") as excinfo:
-            run_rounds([good, failing], self.GATED, input_size=6, hidden_size=4)
+            run_rounds([good, failing], self.GATED, hidden_size=4)
         assert "in shard 1" in str(excinfo.value.__cause__)
         assert multiprocessing.active_children() == []
 
@@ -424,7 +423,7 @@ class TestShardedRounds:
         dying = _DyingClient(2, good.train_x, good.train_y, good.train_cfg, good.feature_norm)
         dying.server_pid = os.getpid()
         with pytest.raises(RuntimeError, match="shard 1 exited without replying"):
-            run_rounds([good, dying], self.GATED, input_size=6, hidden_size=4)
+            run_rounds([good, dying], self.GATED, hidden_size=4)
         assert multiprocessing.active_children() == []
 
     def test_shard_replies_keep_the_privacy_contract(self, rng, monkeypatch):
@@ -440,7 +439,7 @@ class TestShardedRounds:
             return reply
 
         monkeypatch.setattr(shards, "_shard_reply", checked_reply)
-        run_rounds(self._clients(rng), self.GATED, input_size=6, hidden_size=4)
+        run_rounds(self._clients(rng), self.GATED, hidden_size=4)
         # shard 0's replies, checked here; the forked shard's are checked there
         assert sorted(set(checked)) == ["review", "train", "validation_mse"]
 
