@@ -77,6 +77,10 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: str) -> int:
 def cmd_train(cfg: ExperimentConfig, out_dir: str, mode: str) -> int:
     traces = _load_traces(cfg, out_dir)
     bundles = _bundles(cfg, traces)
+    truth = np.concatenate([b.test_truth for b in bundles])
+    if truth.all() or not truth.any():  # checked before any training or writing
+        raise metrics.SingleClassError(f"{mode} evaluation on {cfg.sim.partition_mode!r} "
+                                       f"test split: {metrics.SINGLE_CLASS}")
     if mode == "federated":
         params, rows = experiments.run_federated(bundles, cfg.federation)
         metrics.write_csv(os.path.join(out_dir, "metrics_federated.csv"),
@@ -95,11 +99,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, mode: str) -> int:
         scores = experiments.pds_pooled(bundles)
 
     tag = mode.replace("-baseline", "")
-    truth = np.concatenate([b.test_truth for b in bundles])
     auc, n_pos, n_neg = metrics.score_row(scores, truth, os.path.join(out_dir, f"roc_{tag}.csv"))
-    if math.isnan(auc):
-        raise metrics.SingleClassError(f"{mode} evaluation on {cfg.sim.partition_mode!r} "
-                                       f"test split: {metrics.SINGLE_CLASS}")
     metrics.write_csv(os.path.join(out_dir, f"auc_{tag}.csv"), ("method", "auc", "n_pos", "n_neg"),
                       [(tag, auc, n_pos, n_neg)])
     _write_manifest(out_dir, cfg, f"train {mode}")

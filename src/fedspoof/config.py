@@ -127,6 +127,9 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
     if sim.n_traces < sim.n_clients:
         raise ConfigError(f"invalid [sim] values: n_traces ({sim.n_traces}) < "
                           f"n_clients ({sim.n_clients})")
+    if cfg.features.window_len > (samples := round(sim.duration_s * sim.sample_rate_hz)):
+        raise ConfigError(f"invalid [features] values: window_len ({cfg.features.window_len}) "
+                          f"> samples per trace ({samples})")
     return cfg
 
 

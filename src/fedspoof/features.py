@@ -80,14 +80,13 @@ def _replace_invalid(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def fit_normalization(raws: list[np.ndarray], cfg: FeatureConfig | None = None) -> CapMinMax:
+def fit_normalization(raws: list[np.ndarray], cfg: FeatureConfig) -> CapMinMax:
     """Fit the cap -> min-max map on the pooled raw training features of a
     client's traces, one (n_i, 36) matrix each.
 
     The position features are capped at the `cfg.cap_percentile` of their
     magnitudes; min/max are taken after capping and invalid-value replacement.
     """
-    cfg = cfg or FeatureConfig()
     mat = np.vstack(raws)
     if mat.shape[1] != N_FEATURES or mat.shape[0] == 0:
         raise ValueError(f"expected non-empty (n, {N_FEATURES}) matrices")

@@ -290,10 +290,6 @@ class FederationConfig:
     gate_threshold_delta: float = 0.02
     gate_eval_max_windows: int = 512
     init_seed: int = 0
-    # fault injection used by the quality-gate evaluation: the named client
-    # submits parameter-shuffled updates from the given round onward
-    corrupt_client_id: int | None = None
-    corrupt_from_round: int | None = None
 
     def __post_init__(self) -> None:
         if self.rounds < 1 or self.local_epochs < 1:
@@ -302,19 +298,6 @@ class FederationConfig:
             raise ValueError("gate_warmup_rounds and gate_threshold_delta must be >= 0")
         if self.gate_eval_max_windows < 1:
             raise ValueError("gate_eval_max_windows must be >= 1")
-
-
-def _corrupt_update(update: RoundUpdate, seed: int) -> RoundUpdate:
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, update.round_index, update.client_id])
-    )
-    vec = update.params.vector[rng.permutation(update.params.vector.size)]
-    return replace(
-        update,
-        params=lstm.LstmModelParams(
-            update.params.input_size, update.params.hidden_size, vec
-        ),
-    )
 
 
 def run_rounds(
@@ -357,12 +340,6 @@ def run_rounds(
             updates = pool.ask(
                 "train", global_state.params, round_index, cfg.local_epochs, announced_mean
             )
-            if cfg.corrupt_from_round is not None and round_index >= cfg.corrupt_from_round:
-                updates = [
-                    _corrupt_update(u, cfg.init_seed) if u.client_id == cfg.corrupt_client_id
-                    else u
-                    for u in updates
-                ]
 
             # a non-finite update is neither scored by the gate nor averaged
             finite = []

@@ -29,6 +29,7 @@ from fedspoof.federation import (
     RoundUpdate,
     SERVER_RECEIVABLE_MESSAGE_TYPES,
     fedavg,
+    run_rounds,
 )
 from fedspoof.lstm import (
     EarlyStopping,
@@ -39,6 +40,8 @@ from fedspoof.lstm import (
     param_count,
     train_local,
 )
+
+from clients import FaultyClient, shuffled
 
 SEED = 7
 FED_ROUNDS = 20
@@ -247,15 +250,14 @@ class TestC6QualityGateEfficacy:
         sim_cfg, traces = default_scenario
         bundles = _bundles_for(sim_cfg, traces, "iid")
         _, truth = pooled_test(bundles)
-        base = FederationConfig(
-            rounds=25, local_epochs=LOCAL_EPOCHS, init_seed=SEED,
-            corrupt_client_id=3, corrupt_from_round=15,
-        )
+        base = FederationConfig(rounds=25, local_epochs=LOCAL_EPOCHS, init_seed=SEED)
+        # client 3 uploads parameter-shuffled updates from round 15 on
+        clients = [FaultyClient(b.client, 15, shuffled(SEED)) if b.client.client_id == 3
+                   else b.client for b in bundles]
         aucs = {}
         for gated in (True, False):
-            cfg = dataclasses.replace(base, gate_enabled=gated)
-            params, _ = run_federated(bundles, cfg)
-            aucs[gated] = metrics.auc_from_scores(model_scores(params, bundles), truth)
+            state, _ = run_rounds(clients, dataclasses.replace(base, gate_enabled=gated))
+            aucs[gated] = metrics.auc_from_scores(model_scores(state.params, bundles), truth)
         gap = aucs[True] - aucs[False]
         _report(
             "C6 quality-gate-efficacy",

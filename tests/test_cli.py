@@ -101,8 +101,6 @@ class TestConfig:
         for text, message in (
             ("[sim]\nn_traces = many\n", r"bad value for \[sim\] n_traces"),
             ("[federation]\ngate_enabled = maybe\n", r"bad value for \[federation\] gate_enabled"),
-            ("[federation]\ncorrupt_client_id = 2\n",
-             r"key \[federation\] corrupt_client_id cannot be set from a config file"),
             ("[sim]\nprofiles = 1\n",
              r"key \[sim\] profiles cannot be set from a config file"),
             ("[experiment]\nsim = 1\n",
@@ -128,6 +126,8 @@ class TestConfig:
              r"invalid \[sim\] values: non-iid-by-device needs n_clients == n_devices"),
             ("[sim]\nn_traces = 4\nn_clients = 6\n",
              r"invalid \[sim\] values: n_traces \(4\) < n_clients \(6\)"),
+            ("[sim]\nduration_s = 60\n[features]\nwindow_len = 61\n",
+             r"invalid \[features\] values: window_len \(61\) > samples per trace \(60\)"),
             ("[experiment]\nseed = -3\n", r"invalid \[experiment\] values: seed must be >= 0"),
             ("[experiment]\ncells =\n", r"invalid \[experiment\] values: cells .* got ''"),
             ("[experiment]\ncells = clfl,warp\n",
@@ -161,10 +161,10 @@ class TestConfig:
 
     def test_hash_pinned(self):
         # the manifest's config_hash of the default and the shipped configs
-        for path, digest in ((None, "cc0ffb3dad08edcd"),
-                             ("configs/quickstart.ini", "6eb6ca94326cf59b"),
-                             ("configs/default-scenario.ini", "6ad2656075522a5c"),
-                             ("bench/matrix.ini", "0278874d853e710e")):
+        for path, digest in ((None, "a5e91f006dc4d88f"),
+                             ("configs/quickstart.ini", "9ce7a76a6ddb0af8"),
+                             ("configs/default-scenario.ini", "be86f696a5e8edb5"),
+                             ("bench/matrix.ini", "1889241c84a30a63")):
             cfg = load_config(path and os.path.join(ROOT, path))
             assert config_hash(cfg) == digest, path
 
@@ -233,11 +233,16 @@ class TestCliFlows:
         config = _write_config(
             tmp_path, MICRO_CONFIG.replace("attack_trace_prob = 1.0", "attack_fraction = 0.0")
         )
-        out = str(tmp_path / "clean")
-        assert _run("generate", "--config", config, "--out", out) == 0
-        assert _run("train", "--mode", "pds-baseline", "--config", config, "--out", out) == 3
-        assert "single" in capsys.readouterr().err.lower()
-        assert _run("eval", "--config", config, "--out", out) == 3
+        out = tmp_path / "clean"
+        assert _run("generate", "--config", config, "--out", str(out)) == 0
+        generated = sorted(os.listdir(out))
+        # the truth is checked before anything is trained or written
+        for mode in ("pds-baseline", "federated", "centralized"):
+            assert _run("train", "--mode", mode, "--config", config, "--out", str(out)) == 3
+            assert "single" in capsys.readouterr().err.lower()
+            assert sorted(os.listdir(out)) == generated, mode
+            assert "command=generate\n" in (out / "manifest.txt").read_text()
+        assert _run("eval", "--config", config, "--out", str(out)) == 3
 
     def test_unknown_mode_is_usage_error(self, tmp_path):
         config = _write_config(tmp_path)

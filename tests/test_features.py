@@ -72,7 +72,7 @@ class TestFitNormalization:
     def test_cap_is_95th_percentile_linear_interpolation(self):
         mat = np.ones((20, N_FEATURES))
         mat[:, 0] = np.arange(1.0, 21.0)
-        state = fit_normalization([mat])
+        state = fit_normalization([mat], FeatureConfig())
         assert state.caps[0] == pytest.approx(19.05)
         assert state.caps[0] == pytest.approx(brute_force_percentile(mat[:, 0], 95))
 
@@ -81,7 +81,7 @@ class TestFitNormalization:
             n = rng.integers(2, 200)
             mat = np.ones((n, N_FEATURES))
             mat[:, :4] = rng.normal(0, 50, (n, 4))
-            state = fit_normalization([mat])
+            state = fit_normalization([mat], FeatureConfig())
             for j in range(4):
                 assert state.caps[j] == pytest.approx(
                     brute_force_percentile(np.abs(mat[:, j]), 95), rel=1e-12
@@ -90,18 +90,18 @@ class TestFitNormalization:
     def test_single_element_percentile_is_that_element(self):
         mat = np.ones((1, N_FEATURES))
         mat[0, 0] = 42.0
-        assert fit_normalization([mat]).caps[0] == 42.0
+        assert fit_normalization([mat], FeatureConfig()).caps[0] == 42.0
 
     def test_degenerate_feature_scales_to_zero(self):
         mat = np.ones((10, N_FEATURES)) * 3.0
-        state = fit_normalization([mat])
+        state = fit_normalization([mat], FeatureConfig())
         assert np.array_equal(state.lo, state.hi)
         out = apply_normalization(mat, state)
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            fit_normalization([np.empty((0, N_FEATURES))])
+            fit_normalization([np.empty((0, N_FEATURES))], FeatureConfig())
 
     def test_signal_replacement_is_valid_range_minimum(self):
         agc = N_POSITION + signal_slot("gps_l1", "agc_db", "mean")
@@ -113,7 +113,7 @@ class TestFitNormalization:
         # an invalid value takes its slot's replacement, the fitted minimum here
         mat = np.ones((5, N_FEATURES))
         mat[0, agc] = np.nan
-        state = fit_normalization([mat])
+        state = fit_normalization([mat], FeatureConfig())
         assert state.lo[agc] == -100.0
         assert apply_normalization(mat, state)[0, agc] == 0.0
 
@@ -153,7 +153,7 @@ class TestApplyNormalization:
         _, traces = tiny_corpus
         cfg = fusion.FusionConfig()
         raws = [extract_raw(t, fusion.fuse_trace(t, cfg)) for t in traces]
-        state = fit_normalization(raws)
+        state = fit_normalization(raws, FeatureConfig())
         out = apply_normalization(raws[0], state)
         assert np.isfinite(out).all()
         assert out.dtype == np.float32
@@ -163,7 +163,7 @@ class TestApplyNormalization:
         _, traces = tiny_corpus
         cfg = fusion.FusionConfig()
         raws = [extract_raw(t, fusion.fuse_trace(t, cfg)) for t in traces]
-        state = fit_normalization(raws)
+        state = fit_normalization(raws, FeatureConfig())
         a = apply_normalization(raws[1], state)
         b = apply_normalization(raws[1], state)
         assert np.array_equal(a, b)
@@ -171,7 +171,7 @@ class TestApplyNormalization:
     def test_at_most_five_percent_at_cap_boundary(self, rng):
         mat = np.ones((400, N_FEATURES))
         mat[:, :4] = rng.normal(0, 20, (400, 4))
-        state = fit_normalization([mat])
+        state = fit_normalization([mat], FeatureConfig())
         out = apply_normalization(mat, state)
         assert out.max() <= 1.0
         for j in range(4):

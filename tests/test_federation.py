@@ -22,7 +22,7 @@ from fedspoof.federation import (
 )
 from fedspoof.lstm import LstmModelParams, TrainConfig, init_params, param_count
 
-from clients import client_from_windows
+from clients import FaultyClient, client_from_windows, not_finite, shuffled
 
 
 def _update(client_id, vector, n=1, round_index=1, input_size=4, hidden_size=3):
@@ -154,8 +154,8 @@ class TestQualityGate:
         state.last_auc = float(np.mean(aucs))
         assert state.last_auc > 0.8
 
-        shuffled = state.params.vector[rng.permutation(state.params.vector.size)]
-        bad = RoundUpdate(1, 6, LstmModelParams(6, 8, shuffled), n_samples=240)
+        vector = state.params.vector[rng.permutation(state.params.vector.size)]
+        bad = RoundUpdate(1, 6, LstmModelParams(6, 8, vector), n_samples=240)
         accepted, reports = quality_gate(bad, _reports(bad, clients), state, threshold_delta=0.02)
         assert not accepted
         assert np.mean([r.auc_vs_reference for r in reports]) < state.last_auc - 0.02
@@ -240,9 +240,7 @@ class TestRunRounds:
         # updates, gated and ungated, and client 2 still reviews the others
         _force_shards(monkeypatch, 2)  # client 2 trains in the forked shard
         good = [_separable_client(rng, i + 1, seed=i) for i in range(3)]
-        nan = _NanClient(2, good[1].train_x, good[1].train_y, good[1].train_cfg,
-                         good[1].feature_norm)
-        clients = [good[0], nan, good[2]]
+        clients = [good[0], FaultyClient(good[1], 2, not_finite), good[2]]
         ungated = FederationConfig(rounds=3, local_epochs=1, gate_enabled=False, init_seed=3)
         # a threshold of 1 accepts every update the gate scores
         gated = dataclasses.replace(ungated, gate_enabled=True, gate_warmup_rounds=1,
@@ -257,14 +255,6 @@ class TestRunRounds:
             assert dropped == [f"round {k}: dropped non-finite update from client 2"
                                for k in (2, 3)]
         assert not np.isnan(rows[2]["mean_gate_auc"])
-
-    def test_corruption_hook_applies_from_round(self, rng):
-        clients = [_separable_client(rng, i + 1, seed=i) for i in range(2)]
-        base = FederationConfig(rounds=2, local_epochs=1, gate_enabled=False, init_seed=3)
-        clean_state, _ = run_rounds(clients, base, hidden_size=4)
-        corrupted_cfg = dataclasses.replace(base, corrupt_client_id=2, corrupt_from_round=2)
-        corrupt_state, _ = run_rounds(clients, corrupted_cfg, hidden_size=4)
-        assert not np.array_equal(clean_state.params.vector, corrupt_state.params.vector)
 
     def test_metrics_rows_and_csv(self, rng, tmp_path):
         clients = [_separable_client(rng, i + 1, seed=i) for i in range(2)]
@@ -308,16 +298,6 @@ class _FailingClient(LocalClient):
         raise FloatingPointError(f"client {self.client_id} diverged")
 
 
-class _NanClient(LocalClient):
-    def train(self, global_params, round_index, *args):
-        update = super().train(global_params, round_index, *args)
-        if round_index < 2:
-            return update
-        vector = np.full_like(update.params.vector, np.nan)
-        return dataclasses.replace(update, params=LstmModelParams(
-            update.params.input_size, update.params.hidden_size, vector))
-
-
 class _DyingClient(LocalClient):
     server_pid = None
 
@@ -359,10 +339,13 @@ class TestShardedRounds:
     0 is the server process, the others are forked."""
 
     GATED = FederationConfig(rounds=3, local_epochs=2, gate_enabled=True, gate_warmup_rounds=1,
-                             init_seed=4, corrupt_client_id=3, corrupt_from_round=2)
+                             init_seed=4)
 
     def _clients(self, rng, k=4):
-        return [_separable_client(rng, i + 1, seed=i) for i in range(k)]
+        """k clients; client 3 uploads shuffled updates from round 2 on."""
+        clients = [_separable_client(rng, i + 1, seed=i) for i in range(k)]
+        clients[2] = FaultyClient(clients[2], 2, shuffled(self.GATED.init_seed))
+        return clients
 
     def test_shard_count_does_not_change_the_outcome(self, rng, monkeypatch):
         clients = self._clients(rng)
