@@ -49,7 +49,7 @@ _FIELD_TYPES = {
 }
 
 # per-stage seeds that load_config derives from [experiment] seed
-_DERIVED_SEEDS = {("sim", "rng_seed"), ("train", "rng_seed"), ("federation", "init_seed")}
+_DERIVED_SEEDS = {("sim", "rng_seed"), ("federation", "init_seed")}
 
 
 def _coerce(raw: str, target_type, key: str):
@@ -112,7 +112,6 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
     cfg = replace(
         cfg,
         sim=replace(cfg.sim, rng_seed=cfg.seed),
-        train=replace(cfg.train, rng_seed=cfg.seed),
         federation=replace(cfg.federation, init_seed=cfg.seed),
     )
     for key, known in (("cells", ALL_CELLS), ("splits", ALL_SPLITS)):

@@ -11,7 +11,7 @@ clients for one corpus-level ROC.
 from __future__ import annotations
 
 import os
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -103,7 +103,8 @@ def build_bundles(
             split.train,
             [fused[id(t)] for t in split.train],
             feature_cfg,
-            replace(train_cfg, rng_seed=master_seed + client_id),
+            train_cfg,
+            master_seed + client_id,
         )
         # Trace compares by identity: equal lists hold the same trace objects
         test_x, truth, pds_vals = _build_test_set(
@@ -159,9 +160,7 @@ def run_centralized(
     max_epochs: int,
 ) -> tuple[lstm.LstmModelParams, lstm.TrainReport]:
     x, y = pooled_training_set(bundles)
-    cfg = replace(train_cfg, max_epochs=max_epochs, rng_seed=seed)
-    params = lstm.init_params(seed)
-    return lstm.train_local(params, x, y, cfg)
+    return lstm.train_local(lstm.init_params(seed), x, y, train_cfg, max_epochs, seed)
 
 
 @dataclass
@@ -268,8 +267,8 @@ def experiment_matrix(
                 for b in bundles:
                     c = b.client
                     if c.n_train and b.test_x.shape[0]:
-                        cfg = replace(c.train_cfg, max_epochs=budget_epochs)
-                        jobs.append((partial(lstm.train_local, init, c.train_x, c.train_y, cfg),
+                        jobs.append((partial(lstm.train_local, init, c.train_x, c.train_y,
+                                             c.train_cfg, budget_epochs, c.seed),
                                      [("per_device", "local", f"device_{c.client_id}",
                                        str(c.client_id), [b])]))
 

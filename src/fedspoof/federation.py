@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,8 +102,8 @@ def fedavg(updates: list[RoundUpdate]) -> lstm.LstmModelParams:
 class LocalClient:
     """One mobile platform: local windows, self-supervised targets, the
     binarized reference labels used when evaluating other clients' updates,
-    and the feature map fitted on its training traces, which normalizes its
-    test traces."""
+    the feature map fitted on its training traces, which normalizes its
+    test traces, and the seed its local training rounds derive from."""
 
     def __init__(
         self,
@@ -111,12 +111,14 @@ class LocalClient:
         train_x: np.ndarray,
         train_y: np.ndarray,
         train_cfg: lstm.TrainConfig,
+        seed: int,
         feature_norm: CapMinMax,
     ):
         self.client_id = client_id
         self.train_x = np.asarray(train_x, dtype=np.float32)
         self.train_y = np.asarray(train_y, dtype=np.float32)
         self.train_cfg = train_cfg
+        self.seed = seed
         self.feature_norm = feature_norm
         self.reference_binary = self.train_y > 0.5
 
@@ -132,6 +134,7 @@ class LocalClient:
         fused: list[FusedEstimate],
         feature_cfg: feat.FeatureConfig,
         train_cfg: lstm.TrainConfig,
+        seed: int,
     ) -> "LocalClient":
         """Run the local pipeline on fused traces: self-label, normalize, window.
 
@@ -163,16 +166,14 @@ class LocalClient:
         else:
             train_x = np.concatenate(xs)
             train_y = np.concatenate(ys)
-        client = cls(client_id, train_x, train_y, train_cfg, fnorm)
+        client = cls(client_id, train_x, train_y, train_cfg, seed, fnorm)
         client.train_x.setflags(write=False)  # an IID test set shares these windows
         client.train_y.setflags(write=False)
         return client
 
     def _round_seed(self, round_index: int) -> int:
         # stable combination so identical client seeds give identical rounds
-        return int(
-            np.random.SeedSequence([self.train_cfg.rng_seed, round_index]).generate_state(1)[0]
-        )
+        return int(np.random.SeedSequence([self.seed, round_index]).generate_state(1)[0])
 
     def train(
         self,
@@ -182,13 +183,9 @@ class LocalClient:
         announced_mean_size: float | None,
     ) -> RoundUpdate:
         """Run local_epochs of training from the broadcast parameters."""
-        cfg = replace(
-            self.train_cfg,
-            max_epochs=local_epochs,
-            rng_seed=self._round_seed(round_index),
-        )
         trained, _ = lstm.train_local(
-            global_params.copy(), self.train_x, self.train_y, cfg, announced_mean_size
+            global_params.copy(), self.train_x, self.train_y, self.train_cfg, local_epochs,
+            self._round_seed(round_index), announced_mean_size
         )
         return RoundUpdate(
             client_id=self.client_id,

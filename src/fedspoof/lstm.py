@@ -379,24 +379,21 @@ class EarlyStopping:
     loss seen so far.
     """
 
-    def __init__(self, patience: int = 20, min_delta: float = 1e-6):
+    def __init__(self, patience: int, min_delta: float):
         self.patience = patience
         self.min_delta = min_delta
         self.best: float | None = None
-        self.best_epoch = 0
         self.counter = 0
         self.should_stop = False
 
-    def update(self, loss: float, epoch: int) -> bool:
+    def update(self, loss: float) -> None:
         if self.best is None or self.best - loss >= self.min_delta:
             self.best = loss
-            self.best_epoch = epoch
             self.counter = 0
-            return True
-        self.counter += 1
-        if self.counter >= self.patience:
-            self.should_stop = True
-        return False
+        else:
+            self.counter += 1
+            if self.counter >= self.patience:
+                self.should_stop = True
 
 
 @dataclass(frozen=True)
@@ -405,14 +402,12 @@ class TrainConfig:
 
     batch_size: int = 72
     base_learning_rate: float = 1e-3
-    max_epochs: int = 200
     early_stop_patience: int = 20
     validation_fraction: float = 0.2
     min_improvement: float = 1e-6
     clip_norm: float = 5.0
     lr_scale_min: float = 0.5
     lr_scale_max: float = 2.0
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -424,8 +419,6 @@ class TrainConfig:
         # a rate of 0 freezes the model, which pins early stopping in tests
         if self.base_learning_rate < 0.0:
             raise ValueError("base_learning_rate must be >= 0")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
         if self.min_improvement < 0.0 or self.clip_norm < 0.0:  # clip_norm 0: no clipping
             raise ValueError("min_improvement and clip_norm must be >= 0")
         if not 0.0 < self.lr_scale_min <= self.lr_scale_max:
@@ -434,13 +427,14 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch loss curves and the early-stopping outcome."""
+    """Per-epoch loss curves, one entry per epoch run."""
 
-    epochs_run: int
-    best_epoch: int
-    best_validation_loss: float
     train_mse_curve: list[float] = field(default_factory=list)
     val_mse_curve: list[float] = field(default_factory=list)
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.val_mse_curve)
 
 
 def scaled_learning_rate(cfg: TrainConfig, n_local: int, announced_mean: float | None) -> float:
@@ -473,15 +467,18 @@ def train_local(
     x: np.ndarray,
     targets: np.ndarray,
     cfg: TrainConfig,
+    epochs: int,
+    seed: int,
     announced_mean_size: float | None = None,
 ) -> tuple[LstmModelParams, TrainReport]:
-    """Train on one client's windows with Adam and early stopping.
+    """Train on one client's windows with Adam for at most `epochs` epochs,
+    stopping early when the validation loss stalls.
 
     The validation split is the last `validation_fraction` of the windows in
     time order (no shuffling across the split, to avoid temporal leakage).
     Mini-batches of `batch_size` are drawn from a per-epoch shuffle of the
     training windows, the final short batch kept.  Returns the parameters of
-    the best validation epoch; deterministic per cfg.rng_seed.
+    the best validation epoch; deterministic per seed.
     """
     x = np.asarray(x, dtype=np.float32)
     targets = np.asarray(targets, dtype=np.float32)
@@ -495,16 +492,15 @@ def train_local(
     work = params.copy()
     best_vec = work.vector.copy()
     best_loss = np.inf
-    best_epoch = 0
     lr = scaled_learning_rate(cfg, n_train, announced_mean_size)
     opt = AdamOptimizer(work.vector.size, lr, dtype=work.vector.dtype)
     # the min_delta rule governs only the stopping counter; the returned model
     # is the plain argmin of the validation curve
     stopper = EarlyStopping(cfg.early_stop_patience, cfg.min_improvement)
-    rng = np.random.default_rng(cfg.rng_seed)
-    report = TrainReport(epochs_run=0, best_epoch=0, best_validation_loss=np.inf)
+    rng = np.random.default_rng(seed)
+    report = TrainReport()
 
-    for epoch in range(1, cfg.max_epochs + 1):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n_train)
         sq_err_sum = 0.0
         for start in range(0, n_train, cfg.batch_size):
@@ -519,17 +515,13 @@ def train_local(
         report.train_mse_curve.append(sq_err_sum / n_train)
         val_mse = batch_mse(work, val_x, val_y)
         report.val_mse_curve.append(val_mse)
-        report.epochs_run = epoch
         if val_mse < best_loss:
             best_loss = val_mse
-            best_epoch = epoch
             best_vec = work.vector.copy()
-        stopper.update(val_mse, epoch)
+        stopper.update(val_mse)
         if stopper.should_stop:
             break
 
-    report.best_epoch = best_epoch
-    report.best_validation_loss = float(best_loss)
     return LstmModelParams(params.input_size, params.hidden_size, best_vec), report
 
 

@@ -14,9 +14,9 @@ FEATURE_MAP = features.fit_normalization([np.zeros((1, features.N_FEATURES))],
                                          features.FeatureConfig())
 
 
-def client_from_windows(client_id, x, y, train_cfg):
-    """A client that trains on windows x with targets y."""
-    return LocalClient(client_id, x, y, train_cfg, FEATURE_MAP)
+def client_from_windows(client_id, x, y, train_cfg, seed):
+    """A client that trains on windows x with targets y, seeded by seed."""
+    return LocalClient(client_id, x, y, train_cfg, seed, FEATURE_MAP)
 
 
 class FaultyClient(LocalClient):
@@ -26,7 +26,7 @@ class FaultyClient(LocalClient):
 
     def __init__(self, client, from_round, fault):
         super().__init__(client.client_id, client.train_x, client.train_y, client.train_cfg,
-                         client.feature_norm)
+                         client.seed, client.feature_norm)
         self.from_round = from_round
         self.fault = fault
 

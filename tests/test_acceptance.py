@@ -373,7 +373,7 @@ class TestC9EarlyStopping:
             stopped_at = None
             for epoch in range(1, 200):
                 loss = 2.0 / epoch if epoch <= plateau_start else 2.0 / plateau_start
-                stopper.update(loss, epoch)
+                stopper.update(loss)
                 if stopper.should_stop:
                     stopped_at = epoch
                     break
@@ -384,9 +384,8 @@ class TestC9EarlyStopping:
         rng = np.random.default_rng(SEED)
         x = rng.uniform(0, 1, (60, 5, 4)).astype(np.float32)
         y = rng.uniform(0, 1, 60).astype(np.float32)
-        cfg = TrainConfig(batch_size=16, base_learning_rate=0.0, max_epochs=500,
-                          early_stop_patience=20, rng_seed=SEED)
-        _, rep = train_local(init_params(SEED, 4, 3), x, y, cfg)
+        cfg = TrainConfig(batch_size=16, base_learning_rate=0.0, early_stop_patience=20)
+        _, rep = train_local(init_params(SEED, 4, 3), x, y, cfg, 500, SEED)
         outcomes.append(rep.epochs_run == 21)
 
         _report(

@@ -66,7 +66,6 @@ class TestConfig:
     def test_seed_propagates_to_stages(self, tmp_path):
         cfg = load_config(_write_config(tmp_path))
         assert cfg.sim.rng_seed == 11
-        assert cfg.train.rng_seed == 11
         assert cfg.federation.init_seed == 11
 
     def test_overrides_beat_file(self, tmp_path):
@@ -77,7 +76,8 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         for section, key in (("sim", "warp_drive"), ("federation", "checkpoint_every"),
                              ("federation", "checkpoint_dir"), ("federation", "weighted"),
-                             ("features", "valid_ranges")):
+                             ("features", "valid_ranges"), ("train", "max_epochs"),
+                             ("train", "rng_seed")):
             path = _write_config(tmp_path, f"[{section}]\n{key} = 1\n")
             message = rf"unknown key \[{section}\] {key}"
             with pytest.raises(ConfigError, match=message):
@@ -148,8 +148,7 @@ class TestConfig:
     def test_per_stage_seeds_rejected(self, tmp_path):
         # [experiment] seed drives every stage; a per-stage seed in a file
         # would be overwritten, so it is refused instead
-        for section, key in (("sim", "rng_seed"), ("train", "rng_seed"),
-                             ("federation", "init_seed")):
+        for section, key in (("sim", "rng_seed"), ("federation", "init_seed")):
             path = _write_config(tmp_path, f"[{section}]\n{key} = 3\n")
             with pytest.raises(ConfigError, match=r"\[experiment\] seed"):
                 load_config(path)
@@ -161,10 +160,10 @@ class TestConfig:
 
     def test_hash_pinned(self):
         # the manifest's config_hash of the default and the shipped configs
-        for path, digest in ((None, "a5e91f006dc4d88f"),
-                             ("configs/quickstart.ini", "9ce7a76a6ddb0af8"),
-                             ("configs/default-scenario.ini", "be86f696a5e8edb5"),
-                             ("bench/matrix.ini", "1889241c84a30a63")):
+        for path, digest in ((None, "a0f91e08090de9ec"),
+                             ("configs/quickstart.ini", "af821fb9d88803c9"),
+                             ("configs/default-scenario.ini", "60e4729e9fb140b3"),
+                             ("bench/matrix.ini", "5e7ad7fa91249b22")):
             cfg = load_config(path and os.path.join(ROOT, path))
             assert config_hash(cfg) == digest, path
 

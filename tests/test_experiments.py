@@ -28,7 +28,7 @@ def _micro_setup(seed=5, **sim_kwargs):
     sim = simulate.SimConfig(**defaults)
     traces = simulate.generate(sim)
     fc = features.FeatureConfig(window_len=6)
-    tc = lstm.TrainConfig(batch_size=24, base_learning_rate=0.003, rng_seed=seed)
+    tc = lstm.TrainConfig(batch_size=24, base_learning_rate=0.003)
     return sim, traces, fc, tc
 
 
@@ -70,7 +70,7 @@ class TestBundles:
         for c, n in enumerate((3, 0, 2)):
             values = (10 * c + np.arange(n)).astype(np.float32)
             client = client_from_windows(c + 1, np.broadcast_to(values[:, None, None], (n, 4, 2)),
-                                         values / 100, lstm.TrainConfig())
+                                         values / 100, lstm.TrainConfig(), 0)
             bundles.append(experiments.ClientBundle(client, np.empty((0, 4, 2)), np.empty(0),
                                                     np.empty(0)))
         x, y = pooled_training_set(bundles)
@@ -359,9 +359,9 @@ class TestEndToEnd:
 
         local_aucs = []
         for b in bundles:
-            cfg = replace(tc, max_epochs=20, rng_seed=sim.rng_seed + b.client.client_id)
             params, _ = lstm.train_local(
-                lstm.init_params(sim.rng_seed), b.client.train_x, b.client.train_y, cfg
+                lstm.init_params(sim.rng_seed), b.client.train_x, b.client.train_y, tc, 20,
+                b.client.seed
             )
             local_aucs.append(
                 metrics.auc_from_scores(model_scores(params, bundles), truth)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import io
+import logging
 import multiprocessing
 import os
 import pickle
@@ -92,7 +93,7 @@ class TestFedavg:
 def _client_from_windows(client_id, x, y, seed=0):
     # higher rate than the full-size default so micro nets converge quickly
     return client_from_windows(
-        client_id, x, y, TrainConfig(batch_size=16, base_learning_rate=5e-3, rng_seed=seed)
+        client_id, x, y, TrainConfig(batch_size=16, base_learning_rate=5e-3), seed
     )
 
 
@@ -218,7 +219,7 @@ class TestRunRounds:
 
     def test_no_trainable_client_rejected(self):
         empty = client_from_windows(1, np.empty((0, 4, 6), np.float32), np.empty(0, np.float32),
-                                    TrainConfig())
+                                    TrainConfig(), 0)
         with pytest.raises(ValueError, match="no client"):
             run_rounds([empty], FederationConfig(rounds=1), hidden_size=4)
 
@@ -347,17 +348,22 @@ class TestShardedRounds:
         clients[2] = FaultyClient(clients[2], 2, shuffled(self.GATED.init_seed))
         return clients
 
-    def test_shard_count_does_not_change_the_outcome(self, rng, monkeypatch):
+    def test_shard_count_does_not_change_the_outcome(self, rng, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="fedspoof.federation")
         clients = self._clients(rng)
         forks = _count_forks(monkeypatch)
         outcomes = {}
         for n in (1, 2, 3):
             _force_shards(monkeypatch, n)
             forks.clear()
+            caplog.clear()
             outcomes[n] = run_rounds(clients, self.GATED, hidden_size=4)
             assert len(forks) == n - 1
+            # the gate rejects the shuffled client 3, and only it
+            rejected = [r.getMessage() for r in caplog.records if "rejected" in r.getMessage()]
+            assert rejected == [f"round {k}: rejected update from client 3" for k in (2, 3)]
         state, rows = outcomes[1]
-        assert any(r["accepted_clients"] < len(clients) for r in rows)  # the gate rejected
+        assert [r["accepted_clients"] for r in rows] == [4, 3, 3]
         for n in (2, 3):
             assert np.array_equal(outcomes[n][0].params.vector, state.params.vector)
             assert outcomes[n][0].last_auc == state.last_auc
@@ -393,7 +399,7 @@ class TestShardedRounds:
     def test_shard_error_raised_in_server(self, rng, monkeypatch):
         _force_shards(monkeypatch, 2)
         good = _separable_client(rng, 1)
-        failing = _FailingClient(2, good.train_x, good.train_y, good.train_cfg,
+        failing = _FailingClient(2, good.train_x, good.train_y, good.train_cfg, good.seed,
                                  good.feature_norm)
         with pytest.raises(FloatingPointError, match="client 2 diverged") as excinfo:
             run_rounds([good, failing], self.GATED, hidden_size=4)
@@ -403,7 +409,8 @@ class TestShardedRounds:
     def test_dead_shard_raised_in_server(self, rng, monkeypatch):
         _force_shards(monkeypatch, 2)
         good = _separable_client(rng, 1)
-        dying = _DyingClient(2, good.train_x, good.train_y, good.train_cfg, good.feature_norm)
+        dying = _DyingClient(2, good.train_x, good.train_y, good.train_cfg, good.seed,
+                             good.feature_norm)
         dying.server_pid = os.getpid()
         with pytest.raises(RuntimeError, match="shard 1 exited without replying"):
             run_rounds([good, dying], self.GATED, hidden_size=4)

@@ -287,7 +287,7 @@ class TestEarlyStopping:
         stopped_at = None
         for epoch in range(1, 100):
             loss = 1.0 / epoch if epoch <= plateau_start else 1.0 / plateau_start
-            stopper.update(loss, epoch)
+            stopper.update(loss)
             if stopper.should_stop:
                 stopped_at = epoch
                 break
@@ -295,9 +295,9 @@ class TestEarlyStopping:
 
     def test_sub_delta_improvement_does_not_reset(self):
         stopper = EarlyStopping(patience=3, min_delta=1e-6)
-        stopper.update(1.0, 1)
+        stopper.update(1.0)
         for epoch in range(2, 5):
-            stopper.update(1.0 - 1e-9 * epoch, epoch)
+            stopper.update(1.0 - 1e-9 * epoch)
         assert stopper.should_stop
 
 
@@ -311,51 +311,41 @@ class TestTrainLocal:
     def test_converges_to_constant_target(self, rng):
         x = rng.uniform(0, 1, (80, 5, 4)).astype(np.float32)
         y = np.full(80, 0.3, dtype=np.float32)
-        cfg = TrainConfig(batch_size=16, max_epochs=60, rng_seed=0)
-        trained, _ = train_local(init_params(0, 4, 6), x, y, cfg)
+        cfg = TrainConfig(batch_size=16)
+        trained, _ = train_local(init_params(0, 4, 6), x, y, cfg, 60, 0)
         preds = predict(trained, x)
         assert np.all(np.abs(preds - 0.3) < 0.05)
 
     def test_training_loss_decreases(self, rng):
         x, y = _toy_dataset(rng, n=120)
-        cfg = TrainConfig(batch_size=24, max_epochs=30, rng_seed=2)
-        _, report = train_local(init_params(1, 5, 8), x, y, cfg)
+        cfg = TrainConfig(batch_size=24)
+        _, report = train_local(init_params(1, 5, 8), x, y, cfg, 30, 2)
         first = np.mean(report.train_mse_curve[:5])
         last = np.mean(report.train_mse_curve[-5:])
         assert last < first
 
     def test_deterministic_per_seed(self, rng):
         x, y = _toy_dataset(rng)
-        cfg = TrainConfig(batch_size=16, max_epochs=6, rng_seed=9)
-        a, _ = train_local(init_params(3, 5, 6), x, y, cfg)
-        b, _ = train_local(init_params(3, 5, 6), x, y, cfg)
+        cfg = TrainConfig(batch_size=16)
+        a, _ = train_local(init_params(3, 5, 6), x, y, cfg, 6, 9)
+        b, _ = train_local(init_params(3, 5, 6), x, y, cfg, 6, 9)
         assert np.array_equal(a.vector, b.vector)
 
     def test_zero_learning_rate_plateaus_after_exactly_patience(self, rng):
         # lr = 0 freezes the model, so validation loss plateaus from epoch 1
         # and training must stop at epoch 1 + patience
         x, y = _toy_dataset(rng)
-        cfg = TrainConfig(
-            batch_size=16, base_learning_rate=0.0, max_epochs=500,
-            early_stop_patience=20, rng_seed=4,
-        )
-        _, report = train_local(init_params(0, 5, 6), x, y, cfg)
+        cfg = TrainConfig(batch_size=16, base_learning_rate=0.0, early_stop_patience=20)
+        _, report = train_local(init_params(0, 5, 6), x, y, cfg, 500, 4)
         assert report.epochs_run == 21
-        assert report.best_epoch == 1
-
-    def test_best_loss_is_curve_minimum(self, rng):
-        x, y = _toy_dataset(rng)
-        cfg = TrainConfig(batch_size=16, max_epochs=15, rng_seed=5)
-        _, report = train_local(init_params(2, 5, 6), x, y, cfg)
-        assert report.best_validation_loss == pytest.approx(min(report.val_mse_curve))
 
     def test_returns_best_epoch_parameters(self, rng):
         x, y = _toy_dataset(rng)
-        cfg = TrainConfig(batch_size=16, max_epochs=15, rng_seed=6)
-        trained, report = train_local(init_params(2, 5, 6), x, y, cfg)
+        cfg = TrainConfig(batch_size=16)
+        trained, report = train_local(init_params(2, 5, 6), x, y, cfg, 15, 6)
         n_val = int(len(x) * cfg.validation_fraction)
         val_mse = batch_mse(trained, x[-n_val:], y[-n_val:])
-        assert val_mse == pytest.approx(report.best_validation_loss, rel=1e-5)
+        assert val_mse == pytest.approx(min(report.val_mse_curve), rel=1e-5)
 
     def test_validation_split_holds_out_tail(self):
         assert validation_split(63, 0.2) == 51
@@ -367,13 +357,14 @@ class TestTrainLocal:
     def test_tiny_dataset_rejected(self, rng):
         x = rng.uniform(0, 1, (3, 4, 3)).astype(np.float32)
         with pytest.raises(ValueError, match="validation split"):
-            train_local(init_params(0, 3, 2), x, np.zeros(3, dtype=np.float32), TrainConfig())
+            train_local(init_params(0, 3, 2), x, np.zeros(3, dtype=np.float32), TrainConfig(),
+                        1, 0)
 
     def test_input_params_not_mutated(self, rng):
         x, y = _toy_dataset(rng)
         p = init_params(7, 5, 6)
         before = p.vector.copy()
-        train_local(p, x, y, TrainConfig(batch_size=16, max_epochs=3, rng_seed=1))
+        train_local(p, x, y, TrainConfig(batch_size=16), 3, 1)
         assert np.array_equal(p.vector, before)
 
 
