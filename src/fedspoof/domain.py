@@ -46,21 +46,26 @@ class DatasetFormatError(ValueError):
     """Raised when a dataset file cannot be parsed or violates ordering rules."""
 
 
-#: Shape of one sample's entry in each Trace column.
-COLUMN_SHAPES = {
-    "t": (),
-    "p_true": (2,),
-    "p_gnss": (2,),
-    "p_net": (2,),
-    "v": (),
-    "a": (3,),
-    "omega": (3,),
-    "signal": (N_SIGNAL_SLOTS,),
-    "attacked": (),
+#: The dataset record: each Trace column, in file order, with the names of
+#: its file columns.  A column with one file column holds a scalar per sample.
+RECORD = {
+    "t": ("t_s",),
+    "p_true": ("lat_true_deg", "lon_true_deg"),
+    "p_gnss": ("lat_gnss_deg", "lon_gnss_deg"),
+    "p_net": ("lat_net_deg", "lon_net_deg"),
+    "v": ("speed_mps",),
+    "a": ("accel_n_mps2", "accel_e_mps2", "accel_u_mps2"),
+    "omega": ("omega_x_rads", "omega_y_rads", "omega_z_rads"),
+    "signal": SIGNAL_SLOTS,
+    "attacked": ("attacked",),
 }
 
-#: Latitude and longitude limits of the three (lat, lon) position pairs.
-_DEGREE_LIMITS = np.array([90.0, 180.0] * 3)
+#: Shape of one sample's entry in each Trace column.
+COLUMN_SHAPES = {name: () if len(cols) == 1 else (len(cols),) for name, cols in RECORD.items()}
+
+#: The (lat, lon) position columns, and their latitude and longitude limits.
+_POSITIONS = ("p_true", "p_gnss", "p_net")
+_DEGREE_LIMITS = np.array([90.0, 180.0] * len(_POSITIONS))
 
 
 def frozen_column(values, dtype=np.float64) -> np.ndarray:
@@ -70,9 +75,10 @@ def frozen_column(values, dtype=np.float64) -> np.ndarray:
     return col
 
 
-def _first_bad_position(latlon: np.ndarray) -> tuple[int, str] | None:
+def _first_bad_position(columns) -> tuple[int, str] | None:
     """Row and message of the first value outside the WGS-84 degree ranges in
-    (n, 6) rows of (lat, lon) pairs, or None; NaN is out of range."""
+    the position columns of a name -> column mapping, or None; NaN is out of range."""
+    latlon = np.hstack([columns[name] for name in _POSITIONS])
     bad = np.flatnonzero(~(np.abs(latlon) <= _DEGREE_LIMITS))
     if bad.size == 0:
         return None
@@ -121,7 +127,7 @@ class Trace:
         lengths = {name: len(getattr(self, name)) for name in COLUMN_SHAPES}
         if set(lengths.values()) != {n}:
             raise ValueError(f"column lengths differ in trace {self.trace_id}: {lengths}")
-        fault = _first_bad_position(np.hstack([self.p_true, self.p_gnss, self.p_net]))
+        fault = _first_bad_position(vars(self))
         if fault is not None:
             raise ValueError(fault[1])
         if not np.all(np.diff(self.t) > 0.0):
@@ -136,31 +142,14 @@ class Trace:
         return Trace, tuple(getattr(self, f.name) for f in fields(self))
 
 
-HEADER_COLUMNS = (
-    "platform_id",
-    "trace_id",
-    "t_s",
-    "lat_true_deg",
-    "lon_true_deg",
-    "lat_gnss_deg",
-    "lon_gnss_deg",
-    "lat_net_deg",
-    "lon_net_deg",
-    "speed_mps",
-    "accel_n_mps2",
-    "accel_e_mps2",
-    "accel_u_mps2",
-    "omega_x_rads",
-    "omega_y_rads",
-    "omega_z_rads",
-    *SIGNAL_SLOTS,
-    "attacked",
-)
+HEADER_COLUMNS = ("platform_id", "trace_id", *(c for cols in RECORD.values() for c in cols))
 
 MISSING_TOKEN = "na"
 
-#: Record columns between the ids and the signal block, in file order.
-_NUMERIC_COLUMNS = ("t", "p_true", "p_gnss", "p_net", "v", "a", "omega")
+#: Record columns between the ids and the signal block, in file order, and
+#: the offsets that split a record's numeric values into them.
+_NUMERIC_COLUMNS = tuple(RECORD)[: tuple(RECORD).index("signal")]
+_NUMERIC_SPLITS = np.cumsum([len(RECORD[c]) for c in _NUMERIC_COLUMNS])[:-1]
 _SIGNAL_START = HEADER_COLUMNS.index(SIGNAL_SLOTS[0])
 
 
@@ -189,9 +178,7 @@ def write_dataset(traces: list[Trace], path: str) -> None:
     formatted in shard i mod W and written in trace order.  An empty trace
     list produces a file holding only the header.
     """
-    jobs = [partial(_format_block, trace) for trace in traces]
-    with shards._Shards(jobs, shards._shard_count(len(jobs))) as pool:
-        blocks = pool.ask("__call__")
+    blocks = shards.run([partial(_format_block, trace) for trace in traces])
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(",".join(HEADER_COLUMNS) + "\n")
@@ -250,24 +237,19 @@ def read_dataset(path: str) -> list[Trace]:
     for pid, tid in sorted(groups):
         numeric_buf, signal_buf, attacked_buf, lines = groups.pop((pid, tid))
         num = np.frombuffer(numeric_buf).reshape(len(lines), -1)
-        order = np.argsort(num[:, 0], kind="stable")
-        num = num[order]
-        fault = _first_bad_position(num[:, 1:7])
+        columns = dict(zip(_NUMERIC_COLUMNS, np.split(num, _NUMERIC_SPLITS, axis=1)))
+        order = np.argsort(columns["t"].ravel(), kind="stable")
+        columns = {c: col[order].reshape(-1, *COLUMN_SHAPES[c]) for c, col in columns.items()}
+        fault = _first_bad_position(columns)
         if fault is not None:
             row, message = fault
             raise DatasetFormatError(f"line {lines[order[row]]}: {message}")
-        if np.any(np.diff(num[:, 0]) <= 0.0):
+        if np.any(np.diff(columns["t"]) <= 0.0):
             raise DatasetFormatError(f"non-monotone timestamps in trace {tid}")
         traces.append(Trace(
             trace_id=tid,
             platform_id=pid,
-            t=num[:, 0],
-            p_true=num[:, 1:3],
-            p_gnss=num[:, 3:5],
-            p_net=num[:, 5:7],
-            v=num[:, 7],
-            a=num[:, 8:11],
-            omega=num[:, 11:14],
+            **columns,
             signal=np.frombuffer(signal_buf).reshape(len(lines), N_SIGNAL_SLOTS)[order],
             attacked=np.frombuffer(attacked_buf, dtype=bool)[order],
         ))

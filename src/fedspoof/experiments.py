@@ -33,10 +33,6 @@ class ClientBundle:
     test_truth: np.ndarray
     test_pds: np.ndarray
 
-    def scores(self, params: lstm.LstmModelParams) -> np.ndarray:
-        """`params`' scores on this client's test windows."""
-        return lstm.predict(params, self.test_x)
-
 
 def _build_test_set(
     client: LocalClient,
@@ -126,8 +122,8 @@ def pooled_test(bundles: list[ClientBundle]) -> tuple[np.ndarray, np.ndarray]:
 def model_scores(params: lstm.LstmModelParams, bundles: list[ClientBundle]) -> np.ndarray:
     """Each bundle scores its own test windows in shard i mod W; the scores
     come back in bundle order."""
-    with shards._Shards(bundles, shards._shard_count(len(bundles))) as pool:
-        return np.concatenate([np.empty(0), *pool.ask("scores", params)])
+    scores = shards.run([partial(lstm.predict, params, b.test_x) for b in bundles])
+    return np.concatenate([np.empty(0), *scores])
 
 
 def pds_pooled(bundles: list[ClientBundle]) -> np.ndarray:
@@ -178,7 +174,7 @@ def _scores(train, groups: list[list[ClientBundle]]) -> list[np.ndarray]:
     """A matrix job: the model `train()` returns, scored on each group of
     bundles in the job's own shard, since a pool of its own would oversubscribe."""
     params, _ = train()
-    return [np.concatenate([b.scores(params) for b in g]) for g in groups]
+    return [np.concatenate([lstm.predict(params, b.test_x) for b in g]) for g in groups]
 
 
 GNUPLOT_SCRIPT = """\
@@ -204,7 +200,7 @@ def experiment_matrix(
     train_cfg: lstm.TrainConfig,
     fed_cfg: FederationConfig,
     master_seed: int,
-    out_dir: str | None = None,
+    out_dir: str,
     cells: tuple[str, ...] = ALL_CELLS,
     splits: tuple[str, ...] = ALL_SPLITS,
 ) -> list[MatrixRow]:
@@ -272,27 +268,21 @@ def experiment_matrix(
                                      [("per_device", "local", f"device_{c.client_id}",
                                        str(c.client_id), [b])]))
 
-        # job i runs in shard i mod W, one shard per usable CPU, and the
-        # results come back in job order whatever W is; no jobs, no pool
         scored = []
-        if jobs:
-            calls = [partial(_scores, train, [r[4] for r in job_rows]) for train, job_rows in jobs]
-            with shards._Shards(calls, shards._shard_count(len(calls))) as pool:
-                for (_, job_rows), job_scores in zip(jobs, pool.ask("__call__")):
-                    scored += zip(job_rows, job_scores)
+        calls = [partial(_scores, train, [r[4] for r in job_rows]) for train, job_rows in jobs]
+        for (_, job_rows), job_scores in zip(jobs, shards.run(calls)):
+            scored += zip(job_rows, job_scores)
         scored += pds_rows
         scored.sort(key=lambda row: ALL_CELLS.index(row[0][0]))  # stable: cell by cell
         for (cell, method, detail, tag, group), scores in scored:
             truth = np.concatenate([b.test_truth for b in group])
-            path = None if out_dir is None else os.path.join(
-                out_dir, f"roc_{cell}_{split}_{tag}.csv")
+            path = os.path.join(out_dir, f"roc_{cell}_{split}_{tag}.csv")
             rows.append(MatrixRow(cell, split, method, detail,
                                   *metrics.score_row(scores, truth, path)))
 
-    if out_dir is not None:
-        write_auc_table(rows, os.path.join(out_dir, "auc_table.csv"))
-        with open(os.path.join(out_dir, "plot_roc.gp"), "w", encoding="ascii") as fh:
-            fh.write(GNUPLOT_SCRIPT)
+    write_auc_table(rows, os.path.join(out_dir, "auc_table.csv"))
+    with open(os.path.join(out_dir, "plot_roc.gp"), "w", encoding="ascii") as fh:
+        fh.write(GNUPLOT_SCRIPT)
     return rows
 
 

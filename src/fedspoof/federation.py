@@ -310,9 +310,8 @@ def run_rounds(
     with FedAvg, and record metrics.  The model's input size is the feature
     count of the clients' windows.  A federation with one active client
     runs ungated: no other client can review its updates.  Client work runs
-    in shards, one per usable CPU (see `shards._shard_count`); results are
-    gathered in client order, so the outcome does not depend on the shard
-    count.
+    in shards, as many as the pool picks; results are gathered in client
+    order, so the outcome does not depend on the shard count.
     Deterministic given client seeds and cfg.init_seed.
     """
     active = [c for c in sorted(clients, key=lambda c: c.client_id) if c.n_train > 0]
@@ -332,7 +331,7 @@ def run_rounds(
     weights = np.array([c.n_train for c in active], dtype=np.float64)
     rows: list[dict] = []
 
-    with shards._Shards(active, shards._shard_count(len(active))) as pool:
+    with shards._Shards(active) as pool:
         for round_index in range(1, cfg.rounds + 1):
             updates = pool.ask(
                 "train", global_state.params, round_index, cfg.local_epochs, announced_mean

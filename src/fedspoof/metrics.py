@@ -72,16 +72,15 @@ def auc_from_scores(scores: np.ndarray, truth: np.ndarray) -> float:
     return auc(roc(scores, truth))
 
 
-def score_row(scores: np.ndarray, truth: np.ndarray, path: str | None) -> tuple[float, int, int]:
+def score_row(scores: np.ndarray, truth: np.ndarray, path: str) -> tuple[float, int, int]:
     """(AUC, n_pos, n_neg) of scores against boolean truth, with the ROC written to
-    `path` unless it is None; a single-class truth gives NaN and writes nothing."""
+    `path`; a single-class truth gives NaN and writes nothing."""
     n_pos = int(truth.sum())
     n_neg = truth.size - n_pos
     if not (n_pos and n_neg):
         return math.nan, n_pos, n_neg
     curve = roc(scores, truth)
-    if path is not None:
-        write_roc_csv(curve, path)
+    write_roc_csv(curve, path)
     return auc(curve), n_pos, n_neg
 
 

@@ -3,10 +3,11 @@ to one forked process per usable CPU.
 
 Items are spread over the shards, item i to shard i mod W, and a request
 runs a named method on each item; the replies come back in item order, so a
-result does not depend on W.  The users are corpus generation and dataset
-formatting (one job per trace), the federation's clients, the evaluation
-matrix's jobs and the pooled scoring of test windows.  Nothing here imports
-from the rest of the package, so every layer can use the pool.
+result does not depend on W, which the pool picks.  The federation's
+clients keep one pool for a run; `run` calls jobs once on a pool of their
+own: one per trace to generate or format, the evaluation matrix's models
+and the scoring of test windows.  Nothing here imports from the rest of
+the package, so every layer can use the pool.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _serve(conn, clients: list, inherited: list) -> None:
 
 class _Shards:
     """The items, such as a federation's active clients, spread over shards,
-    item i to shard i mod n.
+    item i to shard i mod n, where n is `_shard_count` of the items.
 
     Shard 0 is the server process.  Every other shard is a process forked
     once, when the shards are made, so it starts with its clients in memory;
@@ -58,9 +59,9 @@ class _Shards:
     #: seconds a shard that was hung up on may take to exit
     EXIT_TIMEOUT_S = 10.0
 
-    def __init__(self, clients: list, n: int):
+    def __init__(self, clients: list):
         self._clients = clients
-        self._n = n
+        self._n = n = _shard_count(len(clients))
         self._conns: list = []
         self._procs: list = []
         ctx = multiprocessing.get_context("fork")
@@ -114,6 +115,12 @@ class _Shards:
         for k, reply in enumerate(replies):
             results[k :: self._n] = reply
         return results
+
+
+def run(jobs: list) -> list:
+    """Each job called once, job i in shard i mod W; the results in job order."""
+    with _Shards(jobs) as pool:
+        return pool.ask("__call__")
 
 
 def _shard_count(n_clients: int) -> int:

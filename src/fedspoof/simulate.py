@@ -18,7 +18,8 @@ from functools import partial
 import numpy as np
 
 from . import shards
-from .domain import CONSTELLATIONS, STATISTICS, Trace, offset_geopos, signal_slot
+from .domain import (CONSTELLATIONS, STATISTICS, DatasetFormatError, Trace, offset_geopos,
+                     signal_slot)
 
 MAX_SPEED_MPS = 24.0
 MIN_SPEED_MPS = 3.0
@@ -400,12 +401,10 @@ def generate(cfg: SimConfig) -> list[Trace]:
     profiles = device_profiles(cfg)
     assignment = _assign_traces(cfg)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.n_traces)
-    jobs = [
+    return shards.run([
         partial(_generate_trace, i + 1, device, profiles[device], cfg, np.random.default_rng(seed))
         for i, (device, seed) in enumerate(zip(assignment, seeds))
-    ]
-    with shards._Shards(jobs, shards._shard_count(len(jobs))) as pool:
-        return pool.ask("__call__")
+    ])
 
 
 @dataclass
@@ -431,22 +430,23 @@ def partition(
     non-iid-by-trace additionally holds out TEST_FRACTION of traces (rounded
     half up) from all training.  trace_holdout overrides the mode's default
     hold-out behavior, which lets device-pure partitions be trace-split too.
-    Deterministic per seed.
+    Deterministic per seed.  Too few traces for the clients, or devices for a
+    device partition, raise DatasetFormatError; an unknown mode ValueError.
     """
     if not traces:
-        raise ValueError("no traces to partition")
+        raise DatasetFormatError("no traces to partition")
     rng = np.random.default_rng(seed)
 
     if mode == "non-iid-by-device":
         devices = sorted({t.platform_id for t in traces})
         if n_clients != len(devices):
-            raise ValueError(
+            raise DatasetFormatError(
                 f"device partition needs n_clients == n_devices ({len(devices)})"
             )
         owner = {i: t.platform_id for i, t in enumerate(traces)}
     elif mode in ("iid", "non-iid-by-trace"):
         if len(traces) < n_clients:
-            raise ValueError("fewer traces than clients")
+            raise DatasetFormatError("fewer traces than clients")
         order = rng.permutation(len(traces))
         owner = {int(ix): (pos % n_clients) + 1 for pos, ix in enumerate(order)}
     else:

@@ -1,11 +1,16 @@
 import glob
 import hashlib
 import os
+import re
+from dataclasses import fields
 
 import pytest
 
-from fedspoof import cli
-from fedspoof.config import ConfigError, config_hash, load_config
+from fedspoof import cli, domain
+from fedspoof.config import (
+    _DERIVED_SEEDS, _FIELD_TYPES, _SECTIONS, ConfigError, ExperimentConfig, _coerce, config_hash,
+    load_config,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -174,6 +179,21 @@ class TestConfig:
         cfg_c = load_config(_write_config(tmp_path), {"seed": 12})
         assert config_hash(cfg_a) != config_hash(cfg_c)
 
+    def test_readme_lists_every_key_with_its_default(self):
+        # each row of README's Configuration table: `key` (default), ...
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            rows = dict(re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", fh.read(), re.MULTILINE))
+        defaults = ExperimentConfig()
+        assert set(rows) == {"experiment", *_SECTIONS}
+        for section, row in rows.items():
+            obj = defaults if section == "experiment" else getattr(defaults, section)
+            settable = {f.name: _FIELD_TYPES[f.type] for f in fields(obj)
+                        if f.type in _FIELD_TYPES and (section, f.name) not in _DERIVED_SEEDS}
+            listed = dict(re.findall(r"`(\w+)` \(([^)]*)\)", row))
+            assert listed.keys() == settable.keys(), section
+            for key, raw in listed.items():
+                assert _coerce(raw, settable[key], key) == getattr(obj, key), (section, key)
+
 
 class TestCliFlows:
     def test_generate_then_train_then_eval(self, tmp_path, capsys):
@@ -227,6 +247,29 @@ class TestCliFlows:
         config = _write_config(tmp_path)
         out = str(tmp_path / "empty")
         assert _run("train", "--mode", "federated", "--config", config, "--out", out) == 3
+
+    def test_dataset_too_small_to_partition_is_data_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        by_device = _write_config(tmp_path, MICRO_CONFIG.replace(
+            "[sim]\n", "[sim]\npartition_mode = non-iid-by-device\n"), name="device.ini")
+        full = tmp_path / "full"
+        assert _run("generate", "--config", config, "--out", str(full)) == 0
+        traces = domain.read_dataset(str(full / "dataset.csv"))
+        one_device = [t for t in traces if t.platform_id == traces[0].platform_id]
+        train = [("train", "--mode", mode) for mode in ("federated", "pds-baseline")]
+        cases = (
+            ([], config, [*train, ("eval",)], "no traces to partition"),
+            (traces[:1], config, [*train, ("eval",)], "fewer traces than clients"),
+            (one_device, by_device, train, "device partition needs n_clients == n_devices (1)"),
+        )
+        for k, (subset, path, commands, message) in enumerate(cases):
+            out = tmp_path / f"case{k}"
+            out.mkdir()
+            domain.write_dataset(subset, str(out / "dataset.csv"))
+            for command in commands:
+                assert _run(*command, "--config", path, "--out", str(out)) == 3, command
+                assert f"data error: {message}" in capsys.readouterr().err, command
+                assert os.listdir(out) == ["dataset.csv"], command
 
     def test_no_attack_corpus_fails_fast_single_class(self, tmp_path, capsys):
         config = _write_config(

@@ -11,6 +11,7 @@ from fedspoof.domain import (
     COLUMN_SHAPES,
     DatasetFormatError,
     HEADER_COLUMNS,
+    RECORD,
     Trace,
     local_meters,
     offset_geopos,
@@ -53,6 +54,22 @@ class TestSignalSlots:
         assert signal_slot("gps_l1", "agc_db", "max") == 3
         assert signal_slot("gps_l1", "doppler_hz", "mean") == 12
         assert signal_slot("gal_e1", "agc_db", "mean") == 16
+
+
+class TestRecord:
+    def test_record_names_the_trace_columns_in_order(self):
+        names = [f.name for f in dataclasses.fields(Trace)]
+        assert names[:2] == ["trace_id", "platform_id"]
+        assert list(RECORD) == list(COLUMN_SHAPES) == names[2:]
+
+    def test_header_spans_each_column_in_record_order(self):
+        assert HEADER_COLUMNS[:2] == ("platform_id", "trace_id")
+        start = 2
+        for name, shape in COLUMN_SHAPES.items():
+            width = shape[0] if shape else 1
+            assert HEADER_COLUMNS[start:start + width] == RECORD[name], name
+            start += width
+        assert start == len(HEADER_COLUMNS) == 49
 
 
 class TestTrace:

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 from dataclasses import replace
@@ -130,7 +131,7 @@ class TestMatrixFederations:
     """experiment_matrix trains each hardware family's federation once per
     split and scores it for both per_model and cross_model."""
 
-    def _run(self, monkeypatch, cells, **sim_kwargs):
+    def _run(self, monkeypatch, tmp_path, cells, **sim_kwargs):
         sim, traces, fc, tc = _micro_setup(**sim_kwargs)
         fed_cfg = FederationConfig(rounds=1, local_epochs=1, gate_enabled=False,
                                    init_seed=sim.rng_seed)
@@ -144,28 +145,27 @@ class TestMatrixFederations:
         monkeypatch.setattr(experiments, "run_federated", spy)
         # the spy sees the calls of one process only: no forked shards
         monkeypatch.setattr(shards, "_shard_count", lambda n: 1)
-        rows = experiment_matrix(
-            traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed, cells=cells
-        )
+        rows = experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg,
+                                 sim.rng_seed, str(tmp_path), cells=cells)
         return calls, rows
 
-    def test_one_federation_per_split_and_family(self, monkeypatch):
+    def test_one_federation_per_split_and_family(self, monkeypatch, tmp_path):
         # devices 1 and 4 share the alpha8 family
         families = [(1, 4), (2,), (3,)]
         for cells in (("per_model", "cross_model"), ("cross_model",)):
-            calls, rows = self._run(monkeypatch, cells, n_devices=4, n_traces=12)
+            calls, rows = self._run(monkeypatch, tmp_path, cells, n_devices=4, n_traces=12)
             assert calls == families * 2
             per_split = [r.cell for r in rows if r.split == "iid"]
             assert per_split == [c for c in cells for _ in families]
 
-    def test_family_covering_every_bundle_trains_only_for_per_model(self, monkeypatch):
-        calls, rows = self._run(monkeypatch, ("cross_model",), n_devices=1)
+    def test_family_covering_every_bundle_trains_only_for_per_model(self, monkeypatch, tmp_path):
+        calls, rows = self._run(monkeypatch, tmp_path, ("cross_model",), n_devices=1)
         assert calls == [] and rows == []
-        calls, rows = self._run(monkeypatch, ("per_model",), n_devices=1)
+        calls, rows = self._run(monkeypatch, tmp_path, ("per_model",), n_devices=1)
         assert calls == [(1,), (1,)]
         assert [(r.cell, r.split) for r in rows] == [("per_model", "iid"), ("per_model", "trace")]
 
-    def test_each_trace_fused_once_per_matrix(self, monkeypatch):
+    def test_each_trace_fused_once_per_matrix(self, monkeypatch, tmp_path):
         # clfl and the by-device partitions of both splits share the traces
         real = experiments.fuse_trace
         fused = []
@@ -179,7 +179,7 @@ class TestMatrixFederations:
         fed_cfg = FederationConfig(rounds=1, local_epochs=1, gate_enabled=False,
                                    init_seed=sim.rng_seed)
         experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed,
-                          cells=("clfl", "per_device"))
+                          str(tmp_path), cells=("clfl", "per_device"))
         assert sorted(fused) == sorted(t.trace_id for t in traces)
 
 
@@ -234,16 +234,18 @@ class TestPooledScoring:
     def test_error_in_forked_shard_raised_in_server(self, monkeypatch):
         _force_shards(monkeypatch, 3)
         server_pid = os.getpid()
-        real = experiments.ClientBundle.scores
+        bundles = self._bundles()
+        real = lstm.predict
 
-        def failing(bundle, params):
+        def failing(params, x):
             if os.getpid() != server_pid:
-                raise FloatingPointError(f"client {bundle.client.client_id} diverged")
-            return real(bundle, params)
+                client = next(b.client for b in bundles if b.test_x is x)
+                raise FloatingPointError(f"client {client.client_id} diverged")
+            return real(params, x)
 
-        monkeypatch.setattr(experiments.ClientBundle, "scores", failing)
+        monkeypatch.setattr(lstm, "predict", failing)
         with pytest.raises(FloatingPointError, match="client 2 diverged") as excinfo:
-            model_scores(lstm.init_params(7), self._bundles())
+            model_scores(lstm.init_params(7), bundles)
         assert "shard 1" in str(excinfo.value.__cause__)
         assert multiprocessing.active_children() == []
 
@@ -254,7 +256,7 @@ class TestMatrixJobs:
 
     FED = dict(rounds=1, local_epochs=1, gate_enabled=False)
 
-    def _matrix(self, corpus, out_dir=None, cells=experiments.ALL_CELLS,
+    def _matrix(self, corpus, out_dir, cells=experiments.ALL_CELLS,
                 splits=experiments.ALL_SPLITS):
         sim, traces, fc, tc = corpus
         fed_cfg = FederationConfig(init_seed=sim.rng_seed, **self.FED)
@@ -267,11 +269,15 @@ class TestMatrixJobs:
         pools = []
         real_shards = shards._Shards
 
+        def kind(item):
+            if isinstance(item, functools.partial):
+                return "jobs" if item.func is experiments._scores else "scores"
+            return "clients"
+
         class RecordedShards(real_shards):
-            def __init__(self, items, n):
-                pools.append(("jobs" if callable(items[0]) else "bundles"
-                              if isinstance(items[0], experiments.ClientBundle) else "clients", n))
-                super().__init__(items, n)
+            def __init__(self, items):
+                super().__init__(items)
+                pools.append((kind(items[0]), self._n))
 
         monkeypatch.setattr(shards, "_Shards", RecordedShards)
         outcomes = {}
@@ -287,9 +293,9 @@ class TestMatrixJobs:
             # one job pool per split, each with n shards of at least n jobs;
             # every fork is the server's, n - 1 per pool it made, and job 0,
             # the clfl federation, runs in the server and forks its clients;
-            # a job scores its models in its own shard, with no pool of bundles
+            # a job scores its models in its own shard, with no pool of its own
             assert [k for kind, k in pools if kind == "jobs"] == [n, n]
-            assert "bundles" not in {kind for kind, _ in pools}
+            assert "scores" not in {kind for kind, _ in pools}
             assert len(forks) == sum(k - 1 for _, k in pools)
             assert any(kind == "clients" and k == min(n, 2) for kind, k in pools)
         table = outcomes[1][1]["auc_table.csv"].decode().splitlines()[1:]
@@ -297,7 +303,7 @@ class TestMatrixJobs:
         for n in (2, 3):
             assert outcomes[n] == outcomes[1]
 
-    def test_job_error_in_forked_shard_raised_in_server(self, monkeypatch):
+    def test_job_error_in_forked_shard_raised_in_server(self, monkeypatch, tmp_path):
         _force_shards(monkeypatch, 2)
         server_pid = os.getpid()
         real = experiments.run_centralized
@@ -309,11 +315,11 @@ class TestMatrixJobs:
 
         monkeypatch.setattr(experiments, "run_centralized", failing)
         with pytest.raises(FloatingPointError, match="centralized training diverged") as excinfo:
-            self._matrix(_micro_setup(), cells=("clfl",), splits=("iid",))
+            self._matrix(_micro_setup(), str(tmp_path), cells=("clfl",), splits=("iid",))
         assert "shard 1" in str(excinfo.value.__cause__)
         assert multiprocessing.active_children() == []
 
-    def test_row_order(self):
+    def test_row_order(self, tmp_path):
         # split by split: clfl federated, centralized, pds; per_device by
         # device; per_model and cross_model by hardware family (devices 1 and
         # 4 share alpha8); on the trace split only device 3 holds out a trace
@@ -325,19 +331,17 @@ class TestMatrixJobs:
                     + [("per_model", split, "federated", f) for f in families]
                     + [("cross_model", split, "federated", f"train_{f}") for f in families])
 
-        rows = self._matrix(_micro_setup(n_devices=4, n_traces=12))
+        rows = self._matrix(_micro_setup(n_devices=4, n_traces=12), str(tmp_path))
         assert [(r.cell, r.split, r.method, r.detail) for r in rows] == (
             split_rows("iid", (1, 2, 3, 4)) + split_rows("trace", (3,)))
 
-    def test_no_jobs_builds_no_pool(self, monkeypatch):
+    def test_no_jobs_builds_no_pool(self, tmp_path, forks):
         corpus = _micro_setup(n_devices=1)  # on a pool of its own, before the check
-
-        def no_pool(items, n):
-            raise AssertionError(f"a pool of {n} shards for {len(items)} jobs")
-
-        monkeypatch.setattr(shards, "_Shards", no_pool)
-        # one hardware family: no other family to test a cross_model row on
-        assert self._matrix(corpus, cells=("cross_model",)) == []
+        forks.clear()
+        # one hardware family: no other family to test a cross_model row on;
+        # an empty pool is the server alone
+        assert self._matrix(corpus, str(tmp_path), cells=("cross_model",)) == []
+        assert forks == []
 
 
 @pytest.mark.slow
@@ -400,7 +404,7 @@ class TestEndToEnd:
                                    init_seed=sim.rng_seed)
         rows = experiment_matrix(
             traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed,
-            out_dir=None, cells=("clfl",), splits=("iid",),
+            out_dir=str(tmp_path), cells=("clfl",), splits=("iid",),
         )
         assert {r.cell for r in rows} == {"clfl"}
         assert {r.split for r in rows} == {"iid"}

@@ -386,15 +386,15 @@ class TestShardedRounds:
         # shard 0, the server, answers for an empty list
         _fake_process(monkeypatch, cpus=8, threads=1)
         assert shards._shard_count(0) == 1
-        with shards._Shards([], shards._shard_count(0)) as pool:
+        with shards._Shards([]) as pool:
             assert pool.ask("__call__") == []
+        assert shards.run([]) == []
 
     def test_forked_shard_counts_one_shard(self, monkeypatch):
         # a daemonic shard may not fork; the server may, here 8 CPUs, 1 thread
         _fake_process(monkeypatch, cpus=8, threads=1)
         job = functools.partial(shards._shard_count, 6)
-        with shards._Shards([job, job], 2) as pool:
-            assert pool.ask("__call__") == [6, 1]
+        assert shards.run([job, job]) == [6, 1]
 
     def test_shard_error_raised_in_server(self, rng, monkeypatch):
         _force_shards(monkeypatch, 2)
