@@ -121,8 +121,10 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: str) -> int:
         cells=cfg.cells,
         splits=cfg.splits,
     )
-    bad = [r for r in rows if math.isnan(r.auc)]
-    if len(bad) == len(rows) and rows:
+    if not rows:
+        raise domain.DatasetFormatError(f"the matrix has no row for cells = {', '.join(cfg.cells)}"
+                                        f" and splits = {', '.join(cfg.splits)}")
+    if all(math.isnan(r.auc) for r in rows):
         raise metrics.SingleClassError(
             f"every cell of the matrix had a single-class test split "
             f"(first: {rows[0].cell}/{rows[0].split})"

@@ -43,22 +43,19 @@ def _build_test_set(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Test windows, with truth and PDS read at each window's last index; an
     IID split's test windows are the client's training windows themselves."""
-    xs, truths, pds_vals = [], [], []
-    for trace, fused in zip(test_traces, fused_traces):
-        if iid:
-            last = np.arange(cfg.window_len - 1, len(trace), cfg.stride)
-        else:
-            fx = feat.apply_normalization(feat.extract_raw(trace, fused), client.feature_norm)
-            wx, last = feat.make_windows(fx, cfg.window_len, cfg.stride)
-            xs.append(wx)
+    if iid:
+        test_x = client.train_x
+        ends = [feat.window_ends(len(t), cfg.window_len, cfg.stride) for t in test_traces]
+    else:
+        raws = (feat.extract_raw(t, f) for t, f in zip(test_traces, fused_traces))
+        test_x, ends = feat.window_traces(raws, client.feature_norm, cfg)
+    # an empty first part gives each array its dtype when no trace has a window
+    truths, pds_vals = [np.empty(0, dtype=bool)], [np.empty(0)]
+    for trace, fused, last in zip(test_traces, fused_traces, ends):
         if last.size:
             truths.append(trace.attacked[last])
             pds_vals.append(pds_score(trace, fused)[last])
-    # an empty first part gives each array its dtype when no trace has a window
-    test_x = client.train_x if iid else np.concatenate(
-        [np.empty((0, cfg.window_len, feat.N_FEATURES), dtype=np.float32), *xs])
-    truth = np.concatenate([np.empty(0, dtype=bool), *truths])
-    pds_vals = np.concatenate([np.empty(0), *pds_vals])
+    truth, pds_vals = np.concatenate(truths), np.concatenate(pds_vals)
     for a in (test_x, truth, pds_vals):
         a.setflags(write=False)
     return test_x, truth, pds_vals

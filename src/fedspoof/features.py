@@ -9,11 +9,13 @@ invalid signal values with the minimum of their valid range.  Normalization
 is `fusion`'s cap -> min-max map, fitted per client on local training data
 only: the position features are capped at their training 95th percentile
 (applied to magnitude, sign preserved), and every feature is min-max scaled
-to [0, 1].
+to [0, 1].  `window_traces` windows a client's training and test traces
+alike, each window ending where `window_ends` says.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,26 +105,33 @@ def apply_normalization(raw: np.ndarray, state: CapMinMax) -> np.ndarray:
     return apply_cap_minmax(valid, state).astype(np.float32)
 
 
+def window_ends(n: int, window_len: int, stride: int = 1) -> np.ndarray:
+    """The sample position of each window's last timestep in an n-sample trace."""
+    if window_len < 1 or stride < 1:
+        raise ValueError("window_len and stride must be >= 1")
+    return np.arange(window_len - 1, n, stride, dtype=np.int64)
+
+
 def make_windows(
     features: np.ndarray, window_len: int, stride: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding windows over one trace's features.
-
-    Returns (sequences, last_index): sequences is (k, window_len, 36) and
-    last_index maps each window to the sample position of its final
-    timestep, where callers read the window's target, truth or score.  A
-    trace shorter than the window yields zero windows.  Windows never span
-    trace boundaries because this operates on a single trace.
+    """Sliding windows over one trace's features: (k, window_len, 36)
+    sequences and their k `window_ends`, where callers read each window's
+    target, truth or score.  A trace shorter than the window yields none.
     """
-    if window_len < 1 or stride < 1:
-        raise ValueError("window_len and stride must be >= 1")
     features = np.asarray(features, dtype=np.float32)
-    n = features.shape[0]
-    if n < window_len:
-        return (
-            np.empty((0, window_len, features.shape[1]), dtype=np.float32),
-            np.empty(0, dtype=np.int64),
-        )
-    last = np.arange(window_len - 1, n, stride, dtype=np.int64)
-    seqs = np.stack([features[i - window_len + 1 : i + 1] for i in last])
-    return seqs, last
+    last = window_ends(features.shape[0], window_len, stride)
+    return features[last[:, None] + np.arange(1 - window_len, 1)], last
+
+
+def window_traces(
+    raws: Iterable[np.ndarray], norm: CapMinMax, cfg: FeatureConfig
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each trace's raw matrix normalized with `norm` and windowed: every
+    trace's windows, concatenated, and each trace's window ends.  `raws` may
+    be a generator, so that one raw matrix at a time is held."""
+    pairs = [make_windows(apply_normalization(raw, norm), cfg.window_len, cfg.stride)
+             for raw in raws]
+    # an empty first part gives the shape and dtype when no trace has a window
+    empty = np.empty((0, cfg.window_len, N_FEATURES), dtype=np.float32)
+    return np.concatenate([empty, *(wx for wx, _ in pairs)]), [last for _, last in pairs]

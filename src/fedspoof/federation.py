@@ -147,25 +147,15 @@ class LocalClient:
         fnorm = feat.fit_normalization(raws, feature_cfg)
         lnorm = lab.fit_label_norm(devs)
 
-        xs, ys = [], []
-        for trace, fused_t, raw in zip(traces, fused, raws):
-            fx = feat.apply_normalization(raw, fnorm)
-            wx, last = feat.make_windows(fx, feature_cfg.window_len, feature_cfg.stride)
-            if wx.shape[0] == 0:
-                log.warning(
-                    "trace %d of client %d shorter than window; skipped",
-                    trace.trace_id,
-                    client_id,
-                )
-                continue
-            xs.append(wx)
-            ys.append(lab.generate(trace, fused_t, lnorm)[last])
-        if not xs:
-            train_x = np.empty((0, feature_cfg.window_len, feat.N_FEATURES), dtype=np.float32)
-            train_y = np.empty(0, dtype=np.float32)
-        else:
-            train_x = np.concatenate(xs)
-            train_y = np.concatenate(ys)
+        train_x, ends = feat.window_traces(raws, fnorm, feature_cfg)
+        ys = [np.empty(0, dtype=np.float32)]  # the dtype when no trace has a window
+        for trace, fused_t, last in zip(traces, fused, ends):
+            if last.size:
+                ys.append(lab.generate(trace, fused_t, lnorm)[last])
+            else:
+                log.warning("trace %d of client %d shorter than window; skipped",
+                            trace.trace_id, client_id)
+        train_y = np.concatenate(ys)
         client = cls(client_id, train_x, train_y, train_cfg, seed, fnorm)
         client.train_x.setflags(write=False)  # an IID test set shares these windows
         client.train_y.setflags(write=False)

@@ -26,6 +26,7 @@ or reduction over the whole buffer after the time loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,14 +53,14 @@ def layout_blocks(input_size: int, hidden_size: int) -> list[tuple[str, tuple[in
     offset = 0
     for name, shape in shapes:
         blocks.append((name, shape, offset))
-        offset += int(np.prod(shape))
+        offset += math.prod(shape)
     return blocks
 
 
 def param_count(input_size: int, hidden_size: int) -> int:
     """Total parameters of the 2-layer LSTM plus dense head."""
     _, shape, offset = layout_blocks(input_size, hidden_size)[-1]
-    return offset + int(np.prod(shape))
+    return offset + math.prod(shape)
 
 
 @dataclass
@@ -77,27 +78,15 @@ class LstmModelParams:
             raise ValueError(
                 f"parameter vector must be flat with {expected} entries, got {self.vector.shape}"
             )
-        # views alias `vector`, so in-place writes to it (Adam steps,
-        # finite-difference probes) show through them; `vector` is never rebound
-        self._views = {
-            name: self.vector[offset : offset + int(np.prod(shape))].reshape(shape)
-            for name, shape, offset in self.layout()
-        }
-
-    def block(self, name: str) -> np.ndarray:
-        """Zero-copy view of one named block, reshaped per the layout."""
-        return self._views[name]
 
     def blocks(self) -> dict[str, np.ndarray]:
-        return dict(self._views)
+        """Zero-copy views of the named blocks, reshaped per the layout; in-place
+        writes to `vector` (Adam steps, finite-difference probes) show through them."""
+        return {name: self.vector[offset : offset + math.prod(shape)].reshape(shape)
+                for name, shape, offset in self.layout()}
 
     def layout(self) -> list[tuple[str, tuple[int, ...], int]]:
         return layout_blocks(self.input_size, self.hidden_size)
-
-    def __reduce__(self):
-        # rebuild from the vector alone: pickled or deep-copied views would
-        # be arrays of their own, no longer aliasing the new `vector`
-        return LstmModelParams, (self.input_size, self.hidden_size, self.vector)
 
     def copy(self) -> "LstmModelParams":
         return LstmModelParams(self.input_size, self.hidden_size, self.vector.copy())
@@ -118,15 +107,16 @@ def init_params(
         input_size, hidden_size, np.zeros(param_count(input_size, hidden_size), dtype=dtype)
     )
     h = hidden_size
+    blocks = params.blocks()
     for name in ("l1_wx", "l1_wh", "l2_wx", "l2_wh"):
-        w = params.block(name)
+        w = blocks[name]
         fan_in = w.shape[0]
         limit = np.sqrt(6.0 / (fan_in + h))
         w[:] = rng.uniform(-limit, limit, size=w.shape).astype(dtype)
     limit = np.sqrt(6.0 / (h + 1))
-    params.block("head_w")[:] = rng.uniform(-limit, limit, size=h).astype(dtype)
-    params.block("l1_b")[h : 2 * h] = 1.0
-    params.block("l2_b")[h : 2 * h] = 1.0
+    blocks["head_w"][:] = rng.uniform(-limit, limit, size=h).astype(dtype)
+    blocks["l1_b"][h : 2 * h] = 1.0
+    blocks["l2_b"][h : 2 * h] = 1.0
     return params
 
 

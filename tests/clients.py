@@ -1,11 +1,12 @@
 """Test-side clients: clients built from bare windows, for tests that need no
-traces, and a faulty client, the one way the tests inject a bad update."""
+traces, and a faulty client, the one way the tests inject a bad update; and
+traces cut short, for clients with fewer windows."""
 
 from dataclasses import replace
 
 import numpy as np
 
-from fedspoof import features
+from fedspoof import domain, features
 from fedspoof.federation import LocalClient
 from fedspoof.lstm import LstmModelParams
 
@@ -53,3 +54,8 @@ def shuffled(seed):
 def not_finite(update):
     """A fault: every parameter NaN, as a diverged training leaves it."""
     return np.full_like(update.params.vector, np.nan)
+
+
+def first_samples(trace, n):
+    """trace cut to its first n samples."""
+    return replace(trace, **{name: getattr(trace, name)[:n] for name in domain.COLUMN_SHAPES})

@@ -286,6 +286,19 @@ class TestCliFlows:
             assert "command=generate\n" in (out / "manifest.txt").read_text()
         assert _run("eval", "--config", config, "--out", str(out)) == 3
 
+    def test_empty_matrix_is_data_error(self, tmp_path, capsys):
+        # one device family: cross_model has no other family to test on
+        config = _write_config(tmp_path, MICRO_CONFIG.replace("cells = clfl", "cells = cross_model")
+                               .replace("n_traces = 8\nn_devices = 2\nn_clients = 2",
+                                        "n_traces = 4\nn_devices = 1\nn_clients = 1"))
+        out = tmp_path / "one_family"
+        assert _run("generate", "--config", config, "--out", str(out)) == 0
+        manifest = (out / "manifest.txt").read_text()
+        assert _run("eval", "--config", config, "--out", str(out)) == 3
+        assert ("data error: the matrix has no row for cells = cross_model and splits = iid"
+                in capsys.readouterr().err)
+        assert (out / "manifest.txt").read_text() == manifest
+
     def test_unknown_mode_is_usage_error(self, tmp_path):
         config = _write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedspoof import domain, experiments, features, fusion, lstm, metrics, shards, simulate
+from fedspoof import experiments, features, fusion, lstm, metrics, shards, simulate
 from fedspoof.experiments import (
     build_bundles,
     experiment_matrix,
@@ -19,7 +19,7 @@ from fedspoof.experiments import (
 )
 from fedspoof.federation import FederationConfig
 
-from clients import client_from_windows
+from clients import client_from_windows, first_samples
 
 
 def _micro_setup(seed=5, **sim_kwargs):
@@ -81,10 +81,6 @@ class TestBundles:
         assert np.array_equal(y, np.array([bundles[c].client.train_y[w] for c, w in order]))
 
 
-def _first_samples(trace, n):
-    return replace(trace, **{name: getattr(trace, name)[:n] for name in domain.COLUMN_SHAPES})
-
-
 class TestSharedIidSet:
     """An IID bundle tests on its training traces, so its test windows are its
     client's training windows, built once."""
@@ -93,7 +89,7 @@ class TestSharedIidSet:
     def test_iid_test_set_is_the_training_windows(self, stride):
         sim, traces, fc, tc = _micro_setup()
         fc = replace(fc, stride=stride)
-        short = _first_samples(traces[0], fc.window_len - 2)  # no window; skipped
+        short = first_samples(traces[0], fc.window_len - 2)  # no window; skipped
         own = [traces[1], short, traces[2]]
         part = {1: simulate.ClientSplit(train=own, test=list(own)),
                 2: simulate.ClientSplit(train=traces[3:5], test=traces[3:5])}

@@ -13,6 +13,8 @@ from fedspoof.features import (
     extract_raw,
     fit_normalization,
     make_windows,
+    window_ends,
+    window_traces,
 )
 
 import oracles
@@ -276,6 +278,27 @@ class TestWindows:
             assert x.shape[0] == expected
             if expected:
                 assert idx.min() == w - 1 and idx.max() == n - 1
+
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_window_traces_windows_each_trace_alike(self, rng, stride):
+        cfg = FeatureConfig(window_len=4, stride=stride)
+        raws = [rng.normal(size=(n, N_FEATURES)) for n in (11, 3, 4, 0, 9)]
+        norm = fit_normalization(raws, cfg)
+        x, ends = window_traces(iter(raws), norm, cfg)
+        expected = []
+        for raw, last in zip(raws, ends):
+            assert np.array_equal(last, window_ends(len(raw), 4, stride))
+            fx = apply_normalization(raw, norm)
+            expected += [fx[i - 3 : i + 1] for i in last]
+        assert x.dtype == np.float32 and x.shape == (len(expected), 4, N_FEATURES)
+        assert np.array_equal(x, np.stack(expected))
+
+    def test_window_traces_of_no_window(self):
+        cfg = FeatureConfig(window_len=4)
+        x, ends = window_traces([], fit_normalization([np.zeros((1, N_FEATURES))], cfg), cfg)
+        assert x.shape == (0, 4, N_FEATURES) and x.dtype == np.float32
+        assert ends == []
 
 
 class TestConfigValidation:

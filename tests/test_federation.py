@@ -5,11 +5,12 @@ import logging
 import multiprocessing
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
 
-from fedspoof import lstm, metrics, shards
+from fedspoof import features, fusion, lstm, metrics, shards
 from fedspoof.federation import (
     SERVER_RECEIVABLE_MESSAGE_TYPES,
     FederationConfig,
@@ -23,7 +24,7 @@ from fedspoof.federation import (
 )
 from fedspoof.lstm import LstmModelParams, TrainConfig, init_params, param_count
 
-from clients import FaultyClient, client_from_windows, not_finite, shuffled
+from clients import FaultyClient, client_from_windows, first_samples, not_finite, shuffled
 
 
 def _update(client_id, vector, n=1, round_index=1, input_size=4, hidden_size=3):
@@ -273,6 +274,43 @@ class TestRunRounds:
         assert len(lines) == 4
 
 
+class TestWindowlessClient:
+    """A client whose every trace is shorter than its window."""
+
+    CFG = features.FeatureConfig()
+
+    def _client(self, traces):
+        short = [first_samples(t, self.CFG.window_len - 1) for t in traces[:3]]
+        fused = [fusion.fuse_trace(t, fusion.FusionConfig()) for t in short]
+        return LocalClient.from_traces(9, short, fused, self.CFG, TrainConfig(), 0)
+
+    def test_from_traces_gives_no_windows(self, tiny_corpus, caplog):
+        _, traces = tiny_corpus
+        with caplog.at_level(logging.WARNING, logger="fedspoof.federation"):
+            client = self._client(traces)
+        assert client.train_x.shape == (0, self.CFG.window_len, features.N_FEATURES)
+        assert client.train_x.dtype == np.float32
+        assert client.train_y.shape == (0,) and client.train_y.dtype == np.float32
+        assert [r.getMessage() for r in caplog.records] == [
+            f"trace {t.trace_id} of client 9 shorter than window; skipped" for t in traces[:3]]
+
+    def test_skipped_beside_trainable_clients(self, rng, tiny_corpus, caplog):
+        _, traces = tiny_corpus
+        windowless = self._client(traces)
+        trainable = [_separable_client(rng, i + 1, seed=i) for i in range(3)]
+        cfg = FederationConfig(rounds=3, local_epochs=1, gate_warmup_rounds=1, init_seed=4)
+        with caplog.at_level(logging.WARNING, logger="fedspoof.federation"):
+            state, rows = run_rounds([*trainable, windowless], cfg, hidden_size=4)
+        assert "client 9 has no training windows; skipped" in caplog.messages
+        ref_state, ref_rows = run_rounds(trainable, cfg, hidden_size=4)
+        assert state.params.vector.tobytes() == ref_state.params.vector.tobytes()
+        assert np.float64(state.last_auc).tobytes() == np.float64(ref_state.last_auc).tobytes()
+        assert state.last_auc > 0.0  # the gate ran
+        assert rows[0].keys() == ref_rows[0].keys()
+        assert (np.array([list(r.values()) for r in rows]).tobytes()
+                == np.array([list(r.values()) for r in ref_rows]).tobytes())
+
+
 def _force_shards(monkeypatch, n):
     monkeypatch.setattr(shards, "_shard_count", lambda n_clients: min(n, n_clients))
 
@@ -305,6 +343,11 @@ class _DyingClient(LocalClient):
     def train(self, *args, **kwargs):
         assert os.getpid() != self.server_pid, "must only run in a forked shard"
         os._exit(3)
+
+
+class _SleepingClient(LocalClient):
+    def train(self, *args, **kwargs):
+        time.sleep(60)
 
 
 def _c7_violations(reply) -> list[str]:
@@ -406,6 +449,19 @@ class TestShardedRounds:
         assert "in shard 1" in str(excinfo.value.__cause__)
         assert multiprocessing.active_children() == []
 
+    def test_error_in_the_server_ends_a_working_shard(self, rng, monkeypatch):
+        # client 1 fails in shard 0, the server, while client 2 still trains
+        # in the forked shard; that shard is terminated, not waited for
+        _force_shards(monkeypatch, 2)
+        good = _separable_client(rng, 1)
+        args = (good.train_x, good.train_y, good.train_cfg, good.seed, good.feature_norm)
+        clients = [_FailingClient(1, *args), _SleepingClient(2, *args)]
+        start = time.monotonic()
+        with pytest.raises(FloatingPointError, match="client 1 diverged"):
+            run_rounds(clients, self.GATED, hidden_size=4)
+        assert time.monotonic() - start < shards._Shards.EXIT_TIMEOUT_S / 2
+        assert multiprocessing.active_children() == []
+
     def test_dead_shard_raised_in_server(self, rng, monkeypatch):
         _force_shards(monkeypatch, 2)
         good = _separable_client(rng, 1)
@@ -437,5 +493,5 @@ class TestShardedRounds:
         update = _update(1, _rand_vec(rng))
         assert _c7_violations([update, 0.5, None]) == []
         assert _c7_violations([update.params.vector]) != []
-        assert _c7_violations([update.params.block("l1_wx")]) != []
+        assert _c7_violations([update.params.blocks()["l1_wx"]]) != []
         assert _c7_violations([1]) == ["reply[0]: int"]

@@ -71,19 +71,19 @@ class TestLayout:
 
     def test_flatten_unflatten_round_trip(self):
         p = init_params(1, input_size=7, hidden_size=5)
-        rebuilt = np.concatenate([p.block(name).ravel() for name, _, _ in p.layout()])
+        rebuilt = np.concatenate([p.blocks()[name].ravel() for name, _, _ in p.layout()])
         assert np.array_equal(rebuilt, p.vector)
 
     def test_block_views_share_memory(self):
         p = init_params(2, input_size=4, hidden_size=3)
-        p.block("head_w")[:] = 7.0
+        p.blocks()["head_w"][:] = 7.0
         name, _, offset = [b for b in p.layout() if b[0] == "head_w"][0]
         assert np.all(p.vector[offset : offset + 3] == 7.0)
 
     def test_cached_views_alias_vector(self):
         p = init_params(2, input_size=4, hidden_size=3)
         for name, _, _ in p.layout():
-            assert np.shares_memory(p.block(name), p.vector), name
+            assert np.shares_memory(p.blocks()[name], p.vector), name
 
     @pytest.mark.parametrize("round_trip", [
         lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy,
@@ -91,9 +91,9 @@ class TestLayout:
     def test_views_alias_vector_after_round_trip(self, round_trip):
         p = round_trip(init_params(2))
         p.vector[0] = 42.0  # l1_wx opens the vector
-        assert p.block("l1_wx")[0, 0] == 42.0
+        assert p.blocks()["l1_wx"][0, 0] == 42.0
         for name, _, _ in p.layout():
-            assert np.shares_memory(p.block(name), p.vector), name
+            assert np.shares_memory(p.blocks()[name], p.vector), name
 
     def test_pickle_carries_the_vector_once(self):
         p = init_params(2)
@@ -114,12 +114,12 @@ class TestInit:
     def test_forget_gate_bias_is_one(self):
         p = init_params(0, input_size=6, hidden_size=4)
         for name in ("l1_b", "l2_b"):
-            b = p.block(name)
+            b = p.blocks()[name]
             assert np.all(b[4:8] == 1.0)
             assert np.all(b[:4] == 0.0) and np.all(b[8:] == 0.0)
 
     def test_head_bias_zero(self):
-        assert init_params(0).block("head_b")[0] == 0.0
+        assert init_params(0).blocks()["head_b"][0] == 0.0
 
 
 class TestSigmoid:
