@@ -129,6 +129,7 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: str) -> int:
             f"every cell of the matrix had a single-class test split "
             f"(first: {rows[0].cell}/{rows[0].split})"
         )
+    experiments.write_matrix(rows, out_dir)  # after the checks: a failed eval writes no table
     _write_manifest(out_dir, cfg, "eval")
     for r in rows:
         auc = "na" if math.isnan(r.auc) else f"{r.auc:.4f}"

@@ -29,7 +29,7 @@ class ClientBundle:
     """A client plus the simulator-side evaluation data for its test traces."""
 
     client: LocalClient
-    test_x: np.ndarray
+    test_x: feat.Windows
     test_truth: np.ndarray
     test_pds: np.ndarray
 
@@ -40,7 +40,7 @@ def _build_test_set(
     fused_traces: list[FusedEstimate],
     cfg: feat.FeatureConfig,
     iid: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[feat.Windows, np.ndarray, np.ndarray]:
     """Test windows, with truth and PDS read at each window's last index; an
     IID split's test windows are the client's training windows themselves."""
     if iid:
@@ -56,8 +56,8 @@ def _build_test_set(
             truths.append(trace.attacked[last])
             pds_vals.append(pds_score(trace, fused)[last])
     truth, pds_vals = np.concatenate(truths), np.concatenate(pds_vals)
-    for a in (test_x, truth, pds_vals):
-        a.setflags(write=False)
+    truth.setflags(write=False)
+    pds_vals.setflags(write=False)
     return test_x, truth, pds_vals
 
 
@@ -111,7 +111,8 @@ def build_bundles(
 
 
 def pooled_test(bundles: list[ClientBundle]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.concatenate([b.test_x for b in bundles])
+    """Every bundle's test windows, gathered once into one array, and their truth."""
+    x = np.asarray(feat.concat_windows([b.test_x for b in bundles]))
     truth = np.concatenate([b.test_truth for b in bundles])
     return x, truth
 
@@ -134,14 +135,15 @@ def run_federated(
     return state.params, rows
 
 
-def pooled_training_set(bundles: list[ClientBundle]) -> tuple[np.ndarray, np.ndarray]:
-    """All clients' windows in one array, interleaved by window position so
-    the time-ordered validation tail still mixes every client."""
+def pooled_training_set(bundles: list[ClientBundle]) -> tuple[feat.Windows, np.ndarray]:
+    """All clients' windows, over their rows concatenated, interleaved by
+    window position so the time-ordered validation tail still mixes every
+    client."""
     sizes = [b.client.n_train for b in bundles]
     client = np.repeat(np.arange(len(bundles)), sizes)
     position = np.concatenate([np.arange(n) for n in sizes])
     order = np.lexsort((client, position))
-    x = np.concatenate([b.client.train_x for b in bundles])[order]
+    x = feat.concat_windows([b.client.train_x for b in bundles])[order]
     y = np.concatenate([b.client.train_y for b in bundles])[order]
     return x, y
 
@@ -201,7 +203,8 @@ def experiment_matrix(
     cells: tuple[str, ...] = ALL_CELLS,
     splits: tuple[str, ...] = ALL_SPLITS,
 ) -> list[MatrixRow]:
-    """Run the comparison matrix and emit the AUC table plus ROC CSVs.
+    """Run the comparison matrix: its rows, with each two-class row's ROC
+    CSV written to out_dir; `write_matrix` writes the table of the rows.
 
     Cells: clfl (centralized vs federated vs position baseline), per_device
     (each device trains and tests alone), per_model (federation within each
@@ -277,10 +280,14 @@ def experiment_matrix(
             rows.append(MatrixRow(cell, split, method, detail,
                                   *metrics.score_row(scores, truth, path)))
 
+    return rows
+
+
+def write_matrix(rows: list[MatrixRow], out_dir: str) -> None:
+    """The matrix's AUC table and the script that plots its ROC CSVs."""
     write_auc_table(rows, os.path.join(out_dir, "auc_table.csv"))
     with open(os.path.join(out_dir, "plot_roc.gp"), "w", encoding="ascii") as fh:
         fh.write(GNUPLOT_SCRIPT)
-    return rows
 
 
 def write_auc_table(rows: list[MatrixRow], path: str) -> None:

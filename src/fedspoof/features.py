@@ -10,7 +10,9 @@ is `fusion`'s cap -> min-max map, fitted per client on local training data
 only: the position features are capped at their training 95th percentile
 (applied to magnitude, sign preserved), and every feature is min-max scaled
 to [0, 1].  `window_traces` windows a client's training and test traces
-alike, each window ending where `window_ends` says.
+alike, each window ending where `window_ends` says.  `Windows` holds them
+as the normalized rows plus each window's last row: with stride 1 a gathered
+(k, window_len, 36) array repeats every row window_len times.
 """
 
 from __future__ import annotations
@@ -112,26 +114,81 @@ def window_ends(n: int, window_len: int, stride: int = 1) -> np.ndarray:
     return np.arange(window_len - 1, n, stride, dtype=np.int64)
 
 
+class Windows:
+    """Sliding windows held as feature rows plus the row each window ends at.
+
+    `rows` is (n, d) read-only float32, shared by every view; window k is
+    rows[ends[k] - window_len + 1 : ends[k] + 1].  An int index gives that
+    (window_len, d) window; a slice or an index array gives the `Windows` of
+    those windows.  `np.asarray` gathers the (k, window_len, d) array, and
+    `shape`, `dtype`, `len` and `tobytes()` are the gathered array's.
+    """
+
+    __slots__ = ("rows", "ends", "window_len")
+
+    def __init__(self, rows: np.ndarray, ends: np.ndarray, window_len: int):
+        rows = np.asarray(rows, dtype=np.float32)
+        if rows.flags.writeable:  # freeze a view: the caller's array stays as it is
+            rows = rows.view()
+            rows.setflags(write=False)
+        self.rows = rows
+        self.ends = np.asarray(ends, dtype=np.int64)
+        self.window_len = window_len
+
+    def __len__(self) -> int:
+        return self.ends.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (len(self), self.window_len, self.rows.shape[1])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.rows.dtype
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            end = int(self.ends[index])
+            return self.rows[end - self.window_len + 1 : end + 1]
+        return Windows(self.rows, self.ends[index], self.window_len)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:  # a gather always copies
+        x = self.rows[self.ends[:, None] + np.arange(1 - self.window_len, 1)]
+        return x if dtype is None else x.astype(dtype, copy=False)
+
+    def tobytes(self) -> bytes:
+        return np.asarray(self).tobytes()
+
+
+def concat_windows(parts: list[Windows]) -> Windows:
+    """The windows of every part in order, over the parts' rows concatenated."""
+    offsets = np.cumsum([0] + [p.rows.shape[0] for p in parts[:-1]])
+    return Windows(np.concatenate([p.rows for p in parts]),
+                   np.concatenate([p.ends + off for p, off in zip(parts, offsets)]),
+                   parts[0].window_len)
+
+
 def make_windows(
     features: np.ndarray, window_len: int, stride: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding windows over one trace's features: (k, window_len, 36)
-    sequences and their k `window_ends`, where callers read each window's
-    target, truth or score.  A trace shorter than the window yields none.
+) -> tuple[Windows, np.ndarray]:
+    """Sliding windows over one trace's features: the `Windows` of its
+    (k, window_len, 36) sequences and their k `window_ends`, where callers
+    read each window's target, truth or score.  A trace shorter than the
+    window yields none.
     """
-    features = np.asarray(features, dtype=np.float32)
-    last = window_ends(features.shape[0], window_len, stride)
-    return features[last[:, None] + np.arange(1 - window_len, 1)], last
+    last = window_ends(np.shape(features)[0], window_len, stride)
+    return Windows(features, last, window_len), last
 
 
 def window_traces(
     raws: Iterable[np.ndarray], norm: CapMinMax, cfg: FeatureConfig
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[Windows, list[np.ndarray]]:
     """Each trace's raw matrix normalized with `norm` and windowed: every
-    trace's windows, concatenated, and each trace's window ends.  `raws` may
-    be a generator, so that one raw matrix at a time is held."""
-    pairs = [make_windows(apply_normalization(raw, norm), cfg.window_len, cfg.stride)
+    trace's windows, over their rows concatenated, and each trace's window
+    ends.  `raws` may be a generator, so that one raw matrix at a time is
+    held."""
+    parts = [make_windows(apply_normalization(raw, norm), cfg.window_len, cfg.stride)[0]
              for raw in raws]
-    # an empty first part gives the shape and dtype when no trace has a window
-    empty = np.empty((0, cfg.window_len, N_FEATURES), dtype=np.float32)
-    return np.concatenate([empty, *(wx for wx, _ in pairs)]), [last for _, last in pairs]
+    # an empty first part gives the row width when no trace is given
+    empty = Windows(np.empty((0, N_FEATURES)), np.empty(0), cfg.window_len)
+    return concat_windows([empty, *parts]), [w.ends for w in parts]

@@ -100,22 +100,23 @@ def fedavg(updates: list[RoundUpdate]) -> lstm.LstmModelParams:
 
 
 class LocalClient:
-    """One mobile platform: local windows, self-supervised targets, the
-    binarized reference labels used when evaluating other clients' updates,
-    the feature map fitted on its training traces, which normalizes its
-    test traces, and the seed its local training rounds derive from."""
+    """One mobile platform: local windows (`features.Windows`, which an IID
+    test set shares), self-supervised targets, the binarized reference
+    labels used when evaluating other clients' updates, the feature map
+    fitted on its training traces, which normalizes its test traces, and the
+    seed its local training rounds derive from."""
 
     def __init__(
         self,
         client_id: int,
-        train_x: np.ndarray,
+        train_x: feat.Windows,
         train_y: np.ndarray,
         train_cfg: lstm.TrainConfig,
         seed: int,
         feature_norm: CapMinMax,
     ):
         self.client_id = client_id
-        self.train_x = np.asarray(train_x, dtype=np.float32)
+        self.train_x = train_x
         self.train_y = np.asarray(train_y, dtype=np.float32)
         self.train_cfg = train_cfg
         self.seed = seed
@@ -124,7 +125,7 @@ class LocalClient:
 
     @property
     def n_train(self) -> int:
-        return int(self.train_x.shape[0])
+        return len(self.train_x)
 
     @classmethod
     def from_traces(
@@ -157,7 +158,6 @@ class LocalClient:
                             trace.trace_id, client_id)
         train_y = np.concatenate(ys)
         client = cls(client_id, train_x, train_y, train_cfg, seed, fnorm)
-        client.train_x.setflags(write=False)  # an IID test set shares these windows
         client.train_y.setflags(write=False)
         return client
 
@@ -174,7 +174,7 @@ class LocalClient:
     ) -> RoundUpdate:
         """Run local_epochs of training from the broadcast parameters."""
         trained, _ = lstm.train_local(
-            global_params.copy(), self.train_x, self.train_y, self.train_cfg, local_epochs,
+            global_params, self.train_x, self.train_y, self.train_cfg, local_epochs,
             self._round_seed(round_index), announced_mean_size
         )
         return RoundUpdate(

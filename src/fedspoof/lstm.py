@@ -273,11 +273,12 @@ def predict(params: LstmModelParams, x: np.ndarray) -> np.ndarray:
     The chunk size is fixed by numerics, not tuned: the input projection is
     one GEMM over a chunk's B*T rows, and OpenBLAS's result for a row depends
     on the GEMM's row count, so the scores of one model at chunk sizes 1, 7,
-    64 and 256 differ by up to 6e-8.  Changing it moves every AUC.
+    64 and 256 differ by up to 6e-8.  Changing it moves every AUC.  x needs
+    only `len` and slicing, so a chunk of lazily held windows is gathered
+    when it is scored.
     """
-    x = np.asarray(x)
-    out = np.empty(x.shape[0], dtype=np.float64)
-    for start in range(0, x.shape[0], PREDICT_CHUNK):
+    out = np.empty(len(x), dtype=np.float64)
+    for start in range(0, len(x), PREDICT_CHUNK):
         y, _ = forward(params, x[start : start + PREDICT_CHUNK])
         out[start : start + y.shape[0]] = y
     return out
@@ -468,11 +469,11 @@ def train_local(
     time order (no shuffling across the split, to avoid temporal leakage).
     Mini-batches of `batch_size` are drawn from a per-epoch shuffle of the
     training windows, the final short batch kept.  Returns the parameters of
-    the best validation epoch; deterministic per seed.
+    the best validation epoch; deterministic per seed.  x needs only `len`,
+    slicing and index arrays, so each batch is gathered when it is used.
     """
-    x = np.asarray(x, dtype=np.float32)
     targets = np.asarray(targets, dtype=np.float32)
-    n = x.shape[0]
+    n = len(x)
     if n == 0 or targets.shape[0] != n:
         raise ValueError("dataset empty or targets misaligned")
     n_train = validation_split(n, cfg.validation_fraction)

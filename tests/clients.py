@@ -16,8 +16,12 @@ FEATURE_MAP = features.fit_normalization([np.zeros((1, features.N_FEATURES))],
 
 
 def client_from_windows(client_id, x, y, train_cfg, seed):
-    """A client that trains on windows x with targets y, seeded by seed."""
-    return LocalClient(client_id, x, y, train_cfg, seed, FEATURE_MAP)
+    """A client that trains on bare (n, W, D) windows x with targets y, seeded
+    by seed.  x is held as `features.Windows` that do not overlap: the
+    windows' rows laid end to end, each window ending W rows after the last."""
+    n, w, d = np.shape(x)
+    windows = features.Windows(np.reshape(x, (-1, d)), np.arange(w - 1, n * w, w), w)
+    return LocalClient(client_id, windows, y, train_cfg, seed, FEATURE_MAP)
 
 
 class FaultyClient(LocalClient):

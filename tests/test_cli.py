@@ -298,6 +298,7 @@ class TestCliFlows:
         assert ("data error: the matrix has no row for cells = cross_model and splits = iid"
                 in capsys.readouterr().err)
         assert (out / "manifest.txt").read_text() == manifest
+        assert not (out / "auc_table.csv").exists() and not (out / "plot_roc.gp").exists()
 
     def test_unknown_mode_is_usage_error(self, tmp_path):
         config = _write_config(tmp_path)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedspoof import experiments, features, fusion, lstm, metrics, shards, simulate
+from fedspoof import config, experiments, features, fusion, lstm, metrics, shards, simulate
 from fedspoof.experiments import (
     build_bundles,
     experiment_matrix,
@@ -41,7 +41,8 @@ class TestBundles:
         assert [b.client.client_id for b in bundles] == [1, 2]
         for b in bundles:
             assert b.client.train_x.shape[1:] == (6, features.N_FEATURES)
-            assert b.client.train_x.min() >= 0.0 and b.client.train_x.max() <= 1.0
+            x = np.asarray(b.client.train_x)
+            assert x.min() >= 0.0 and x.max() <= 1.0
             assert b.test_x.shape[0] == b.test_truth.shape[0] == b.test_pds.shape[0]
             assert np.all((b.test_pds >= 0.0) & (b.test_pds <= 1.0))
 
@@ -81,6 +82,17 @@ class TestBundles:
         assert np.array_equal(y, np.array([bundles[c].client.train_y[w] for c, w in order]))
 
 
+class TestWindowMemory:
+    def test_default_scenario_rows_take_a_fifth_of_the_windows(self):
+        # with stride 1 a gathered window repeats each row window_len times
+        cfg = config.load_config(None, {})
+        part = simulate.partition(simulate.generate(cfg.sim), "iid", cfg.sim.n_clients, cfg.seed)
+        bundles = build_bundles(part, cfg.fusion, cfg.features, cfg.train, cfg.seed)
+        rows = sum(b.client.train_x.rows.nbytes for b in bundles)
+        gathered = sum(np.asarray(b.client.train_x).nbytes for b in bundles)
+        assert gathered > 0 and 5 * rows <= gathered
+
+
 class TestSharedIidSet:
     """An IID bundle tests on its training traces, so its test windows are its
     client's training windows, built once."""
@@ -110,15 +122,16 @@ class TestSharedIidSet:
         bundles = build_bundles(part, fusion.FusionConfig(), fc, tc, sim.rng_seed)
         assert sum(b.test_x.shape[0] for b in bundles) > 0
         for b in bundles:
-            assert not np.shares_memory(b.test_x, b.client.train_x)
+            assert not np.shares_memory(b.test_x.rows, b.client.train_x.rows)
 
     def test_windows_and_test_arrays_are_read_only(self):
         sim, traces, fc, tc = _micro_setup(n_traces=10)
         for mode in ("iid", "non-iid-by-trace"):
             part = simulate.partition(traces, mode, 2, sim.rng_seed)
             for b in build_bundles(part, fusion.FusionConfig(), fc, tc, sim.rng_seed):
-                for a in (b.client.train_x, b.client.train_y,
-                          b.test_x, b.test_truth, b.test_pds):
+                assert not b.client.train_x.rows.flags.writeable
+                assert not b.test_x.rows.flags.writeable
+                for a in (b.client.train_y, b.test_truth, b.test_pds):
                     with pytest.raises(ValueError, match="read-only"):
                         a[...] = 0
 
@@ -256,8 +269,10 @@ class TestMatrixJobs:
                 splits=experiments.ALL_SPLITS):
         sim, traces, fc, tc = corpus
         fed_cfg = FederationConfig(init_seed=sim.rng_seed, **self.FED)
-        return experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg,
+        rows = experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg,
                                  sim.rng_seed, out_dir=out_dir, cells=cells, splits=splits)
+        experiments.write_matrix(rows, out_dir)
+        return rows
 
     def test_pool_size_does_not_change_the_matrix(self, monkeypatch, tmp_path, forks):
         # the corpus is built, on its own pool, before pools are recorded
@@ -381,6 +396,7 @@ class TestEndToEnd:
             traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed,
             out_dir=str(tmp_path),
         )
+        experiments.write_matrix(rows, str(tmp_path))
         cells = {(r.cell, r.split) for r in rows}
         for cell in ("clfl", "per_device", "per_model", "cross_model"):
             assert (cell, "iid") in cells

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedspoof import fusion, labels
+from fedspoof import fusion, labels, lstm
 from fedspoof.domain import signal_slot
 from fedspoof.features import (
     FEATURE_NAMES,
@@ -9,6 +9,7 @@ from fedspoof.features import (
     N_FEATURES,
     N_POSITION,
     SIGNAL_REPLACEMENTS,
+    Windows,
     apply_normalization,
     extract_raw,
     fit_normalization,
@@ -243,7 +244,7 @@ class TestWindows:
     def test_exact_length_gives_one_window(self):
         x, idx = make_windows(self._feats(5), 5)
         assert x.shape == (1, 5, N_FEATURES)
-        assert x[0, -1, 0] == 4.0
+        assert x[0][-1, 0] == 4.0
         assert idx[0] == 4
 
     def test_seven_samples_window_five_gives_three(self):
@@ -262,7 +263,7 @@ class TestWindows:
         for _ in range(2):
             x, _ = make_windows(self._feats(5), 5)
             count += x.shape[0]
-            assert np.array_equal(x[0, :, 0], np.arange(5.0, dtype=np.float32))
+            assert np.array_equal(x[0][:, 0], np.arange(5.0, dtype=np.float32))
         assert count == 2
 
     def test_stride_respected(self):
@@ -283,22 +284,79 @@ class TestWindows:
     @pytest.mark.parametrize("stride", [1, 3])
     def test_window_traces_windows_each_trace_alike(self, rng, stride):
         cfg = FeatureConfig(window_len=4, stride=stride)
-        raws = [rng.normal(size=(n, N_FEATURES)) for n in (11, 3, 4, 0, 9)]
-        norm = fit_normalization(raws, cfg)
-        x, ends = window_traces(iter(raws), norm, cfg)
-        expected = []
-        for raw, last in zip(raws, ends):
-            assert np.array_equal(last, window_ends(len(raw), 4, stride))
-            fx = apply_normalization(raw, norm)
-            expected += [fx[i - 3 : i + 1] for i in last]
-        assert x.dtype == np.float32 and x.shape == (len(expected), 4, N_FEATURES)
-        assert np.array_equal(x, np.stack(expected))
+        for lengths in ((11, 3, 4, 0, 9), (2, 3)):  # (2, 3): a client with no window
+            raws = [rng.normal(size=(n, N_FEATURES)) for n in lengths]
+            norm = fit_normalization(raws, cfg)
+            x, ends = window_traces(iter(raws), norm, cfg)
+            # each window gathered on its own, as clients stored them before `Windows`
+            expected = [np.empty((0, 4, N_FEATURES), dtype=np.float32)]
+            for raw, last in zip(raws, ends):
+                assert np.array_equal(last, window_ends(len(raw), 4, stride))
+                fx = apply_normalization(raw, norm)
+                expected += [fx[None, i - 3 : i + 1] for i in last]
+            expected = np.concatenate(expected)
+            assert x.dtype == np.asarray(x).dtype == np.float32
+            assert x.shape == np.asarray(x).shape == expected.shape
+            assert len(x) == len(expected)
+            assert x.tobytes() == np.asarray(x).tobytes() == expected.tobytes()
+            assert x.rows.shape == (sum(lengths), N_FEATURES)  # each row stored once
 
     def test_window_traces_of_no_window(self):
         cfg = FeatureConfig(window_len=4)
         x, ends = window_traces([], fit_normalization([np.zeros((1, N_FEATURES))], cfg), cfg)
         assert x.shape == (0, 4, N_FEATURES) and x.dtype == np.float32
         assert ends == []
+
+
+class TestLazyWindows:
+    """`Windows` views share one copy of the rows, and the LSTM takes them
+    as it takes the gathered array."""
+
+    def _windows(self, rng, lengths=(11, 3, 9, 6)):
+        cfg = FeatureConfig(window_len=4)
+        raws = [rng.normal(size=(n, N_FEATURES)) for n in lengths]
+        return window_traces(raws, fit_normalization(raws, cfg), cfg)[0]
+
+    def test_indexing_shares_the_rows(self, rng):
+        x = self._windows(rng)
+        gathered = np.asarray(x)
+        for index in (slice(2, 9), slice(None, None, -3), np.array([7, 0, 7, 3]),
+                      np.arange(len(x)) % 2 == 0):
+            part = x[index]
+            assert isinstance(part, Windows) and part.rows is x.rows
+            assert np.asarray(part).tobytes() == gathered[index].tobytes()
+        for index in (0, 5, -1, np.int64(3)):
+            assert x[index].tobytes() == gathered[index].tobytes()
+            assert np.shares_memory(x[index], x.rows)
+
+    def test_rows_are_read_only(self, rng):
+        features = rng.random((7, N_FEATURES)).astype(np.float32)
+        x, _ = make_windows(features, 4)
+        for a in (x.rows, x[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        assert features.flags.writeable  # the caller's array is not frozen
+        x = self._windows(rng)
+        assert not x.rows.flags.writeable
+
+    def test_lstm_on_windows_matches_the_gathered_array(self, rng):
+        # more windows than one predict chunk, so that chunks are gathered
+        x = self._windows(rng, lengths=(60, 3, 45))
+        gathered = np.asarray(x)
+        y = rng.random(len(x)).astype(np.float32)
+        params = lstm.init_params(4, N_FEATURES, 8)
+        assert len(x) > lstm.PREDICT_CHUNK
+        assert (lstm.predict(params, x).tobytes()
+                == lstm.predict(params, gathered).tobytes())
+        idx = rng.permutation(len(x))[:20]
+        for got, want in zip(lstm.backward(params, x[idx], y[idx]),
+                             lstm.backward(params, gathered[idx], y[idx])):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        cfg = lstm.TrainConfig(batch_size=16)
+        (lazy, lazy_report), (eager, eager_report) = (
+            lstm.train_local(params, a, y, cfg, 3, 9) for a in (x, gathered))
+        assert lazy.vector.tobytes() == eager.vector.tobytes()
+        assert lazy_report == eager_report
 
 
 class TestConfigValidation:
