@@ -45,6 +45,7 @@ def _write_manifest(out_dir: str, cfg: ExperimentConfig, command: str) -> None:
         fh.write(f"command={command}\n")
         fh.write(f"config_hash={config_hash(cfg)}\n")
         fh.write(f"seed={cfg.seed}\n")
+        fh.write(f"openblas_num_threads={os.environ.get('OPENBLAS_NUM_THREADS')}\n")
 
 
 def _dataset_path(cfg: ExperimentConfig, out_dir: str) -> str:

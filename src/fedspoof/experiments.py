@@ -45,7 +45,7 @@ def _build_test_set(
     IID split's test windows are the client's training windows themselves."""
     if iid:
         test_x = client.train_x
-        ends = [feat.window_ends(len(t), cfg.window_len, cfg.stride) for t in test_traces]
+        ends = [feat.window_ends(len(t), cfg.window_len) for t in test_traces]
     else:
         raws = (feat.extract_raw(t, f) for t, f in zip(test_traces, fused_traces))
         test_x, ends = feat.window_traces(raws, client.feature_norm, cfg)

@@ -11,8 +11,8 @@ only: the position features are capped at their training 95th percentile
 (applied to magnitude, sign preserved), and every feature is min-max scaled
 to [0, 1].  `window_traces` windows a client's training and test traces
 alike, each window ending where `window_ends` says.  `Windows` holds them
-as the normalized rows plus each window's last row: with stride 1 a gathered
-(k, window_len, 36) array repeats every row window_len times.
+as the normalized rows plus each window's last row, one window per sample:
+a gathered (k, window_len, 36) array repeats every row window_len times.
 """
 
 from __future__ import annotations
@@ -47,17 +47,13 @@ SIGNAL_REPLACEMENTS = np.array(
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Windowing and cleaning knobs for the feature pipeline."""
+    """Windowing knob for the feature pipeline."""
 
     window_len: int = 10
-    stride: int = 1
-    cap_percentile: float = 95.0
 
     def __post_init__(self) -> None:
-        if self.window_len < 1 or self.stride < 1:
-            raise ValueError("window_len and stride must be >= 1")
-        if not 0.0 <= self.cap_percentile <= 100.0:
-            raise ValueError("cap_percentile must be in [0, 100]")
+        if self.window_len < 1:
+            raise ValueError("window_len must be >= 1")
 
 
 def extract_raw(trace: Trace, fused: FusedEstimate) -> np.ndarray:
@@ -84,17 +80,17 @@ def _replace_invalid(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def fit_normalization(raws: list[np.ndarray], cfg: FeatureConfig) -> CapMinMax:
+def fit_normalization(raws: list[np.ndarray]) -> CapMinMax:
     """Fit the cap -> min-max map on the pooled raw training features of a
     client's traces, one (n_i, 36) matrix each.
 
-    The position features are capped at the `cfg.cap_percentile` of their
+    The position features are capped at the CAP_PERCENTILE of their
     magnitudes; min/max are taken after capping and invalid-value replacement.
     """
     mat = np.vstack(raws)
     if mat.shape[1] != N_FEATURES or mat.shape[0] == 0:
         raise ValueError(f"expected non-empty (n, {N_FEATURES}) matrices")
-    return fit_cap_minmax(_replace_invalid(mat), cfg.cap_percentile, N_POSITION)
+    return fit_cap_minmax(_replace_invalid(mat), N_POSITION)
 
 
 def apply_normalization(raw: np.ndarray, state: CapMinMax) -> np.ndarray:
@@ -107,11 +103,11 @@ def apply_normalization(raw: np.ndarray, state: CapMinMax) -> np.ndarray:
     return apply_cap_minmax(valid, state).astype(np.float32)
 
 
-def window_ends(n: int, window_len: int, stride: int = 1) -> np.ndarray:
-    """The sample position of each window's last timestep in an n-sample trace."""
-    if window_len < 1 or stride < 1:
-        raise ValueError("window_len and stride must be >= 1")
-    return np.arange(window_len - 1, n, stride, dtype=np.int64)
+def window_ends(n: int, window_len: int) -> np.ndarray:
+    """Each window's last sample in an n-sample trace, windows one sample apart."""
+    if window_len < 1:
+        raise ValueError("window_len must be >= 1")
+    return np.arange(window_len - 1, n, dtype=np.int64)
 
 
 class Windows:
@@ -168,15 +164,13 @@ def concat_windows(parts: list[Windows]) -> Windows:
                    parts[0].window_len)
 
 
-def make_windows(
-    features: np.ndarray, window_len: int, stride: int = 1
-) -> tuple[Windows, np.ndarray]:
+def make_windows(features: np.ndarray, window_len: int) -> tuple[Windows, np.ndarray]:
     """Sliding windows over one trace's features: the `Windows` of its
     (k, window_len, 36) sequences and their k `window_ends`, where callers
     read each window's target, truth or score.  A trace shorter than the
     window yields none.
     """
-    last = window_ends(np.shape(features)[0], window_len, stride)
+    last = window_ends(np.shape(features)[0], window_len)
     return Windows(features, last, window_len), last
 
 
@@ -187,7 +181,7 @@ def window_traces(
     trace's windows, over their rows concatenated, and each trace's window
     ends.  `raws` may be a generator, so that one raw matrix at a time is
     held."""
-    parts = [make_windows(apply_normalization(raw, norm), cfg.window_len, cfg.stride)[0]
+    parts = [make_windows(apply_normalization(raw, norm), cfg.window_len)[0]
              for raw in raws]
     # an empty first part gives the row width when no trace is given
     empty = Windows(np.empty((0, N_FEATURES)), np.empty(0), cfg.window_len)

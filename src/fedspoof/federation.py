@@ -24,6 +24,9 @@ from .fusion import CapMinMax, FusedEstimate
 
 log = logging.getLogger(__name__)
 
+#: The most windows a client scores per model in a gated round.
+GATE_EVAL_MAX_WINDOWS = 512
+
 
 @dataclass(frozen=True)
 class RoundUpdate:
@@ -145,7 +148,7 @@ class LocalClient:
         """
         raws = [feat.extract_raw(t, f) for t, f in zip(traces, fused)]
         devs = [lab.raw_deviations(t, f) for t, f in zip(traces, fused)]
-        fnorm = feat.fit_normalization(raws, feature_cfg)
+        fnorm = feat.fit_normalization(raws)
         lnorm = lab.fit_label_norm(devs)
 
         train_x, ends = feat.window_traces(raws, fnorm, feature_cfg)
@@ -184,19 +187,19 @@ class LocalClient:
             n_samples=self.n_train,
         )
 
-    def eval_subset(self, max_windows: int) -> np.ndarray:
-        """Deterministic, evenly spaced window subset used for gate scoring."""
+    def eval_subset(self) -> np.ndarray:
+        """Evenly spaced indices of at most GATE_EVAL_MAX_WINDOWS windows, for gate scoring."""
         n = self.n_train
-        if n <= max_windows:
+        if n <= GATE_EVAL_MAX_WINDOWS:
             return np.arange(n)
-        return np.unique(np.linspace(0, n - 1, max_windows).astype(np.int64))
+        return np.unique(np.linspace(0, n - 1, GATE_EVAL_MAX_WINDOWS).astype(np.int64))
 
-    def score_candidate(self, params: lstm.LstmModelParams, max_windows: int) -> float | None:
+    def score_candidate(self, params: lstm.LstmModelParams) -> float | None:
         """Candidate AUC on local windows vs binarized self-labels.
 
         Returns None (abstains) when the local reference has a single class.
         """
-        idx = self.eval_subset(max_windows)
+        idx = self.eval_subset()
         ref = self.reference_binary[idx]
         if ref.all() or not ref.any():
             return None
@@ -204,14 +207,13 @@ class LocalClient:
 
     def validation_mse(self, params: lstm.LstmModelParams) -> float:
         """MSE of params on this client's validation windows."""
-        start = lstm.validation_split(self.n_train, self.train_cfg.validation_fraction)
+        start = lstm.validation_split(self.n_train)
         return lstm.batch_mse(params, self.train_x[start:], self.train_y[start:])
 
     def review(
         self,
         global_params: lstm.LstmModelParams,
         candidates: list[RoundUpdate],
-        max_windows: int,
     ) -> tuple[float | None, list[QualityReport | None]]:
         """This client's part of one gated round.
 
@@ -220,7 +222,7 @@ class LocalClient:
         the client abstains (single-class reference labels, AUC None too).
         The per-window scores stay with the client.
         """
-        global_auc = self.score_candidate(global_params, max_windows)
+        global_auc = self.score_candidate(global_params)
         if global_auc is None:
             log.warning("client %d abstained from gating (single-class labels)", self.client_id)
         reports: list[QualityReport | None] = []
@@ -228,7 +230,7 @@ class LocalClient:
             if candidate.client_id == self.client_id:
                 reports.append(None)
                 continue
-            auc = self.score_candidate(candidate.params, max_windows)
+            auc = self.score_candidate(candidate.params)
             reports.append(None if auc is None else QualityReport(
                 candidate_client_id=candidate.client_id,
                 evaluating_client_id=self.client_id,
@@ -275,7 +277,6 @@ class FederationConfig:
     gate_enabled: bool = True
     gate_warmup_rounds: int = 10
     gate_threshold_delta: float = 0.02
-    gate_eval_max_windows: int = 512
     init_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -283,8 +284,6 @@ class FederationConfig:
             raise ValueError("rounds and local_epochs must be >= 1")
         if self.gate_warmup_rounds < 0 or self.gate_threshold_delta < 0.0:
             raise ValueError("gate_warmup_rounds and gate_threshold_delta must be >= 0")
-        if self.gate_eval_max_windows < 1:
-            raise ValueError("gate_eval_max_windows must be >= 1")
 
 
 def run_rounds(
@@ -342,9 +341,7 @@ def run_rounds(
             gate_active = gate_enabled and round_index > cfg.gate_warmup_rounds
             gate_aucs: list[float] = []
             if gate_active:
-                reviews = pool.ask(
-                    "review", global_state.params, finite, cfg.gate_eval_max_windows
-                )
+                reviews = pool.ask("review", global_state.params, finite)
                 # rolling AUC of the model broadcast this round, same reference
                 # labels the candidates are judged against
                 global_aucs = [auc for auc, _ in reviews if auc is not None]

@@ -21,6 +21,10 @@ from .domain import Trace, frozen_column, local_meters, offset_geopos
 # Initial velocity uncertainty of the filter, m/s.
 INITIAL_VELOCITY_STD = 10.0
 
+#: The percentile of the magnitudes at which every cap -> min-max map caps:
+#: the position features', the labels' and the baseline detector's.
+CAP_PERCENTILE = 95.0
+
 
 @dataclass(frozen=True)
 class FusionConfig:
@@ -153,15 +157,13 @@ def _capped(mat: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_cap_minmax(
-    mat: np.ndarray, percentile: float = 95.0, n_capped: int | None = None
-) -> CapMinMax:
+def fit_cap_minmax(mat: np.ndarray, n_capped: int | None = None) -> CapMinMax:
     """Fit the map on the rows of mat: the cap of each of the first
-    `n_capped` columns (all by default) is the `percentile` of its
+    `n_capped` columns (all by default) is the CAP_PERCENTILE of its
     magnitudes, with linear interpolation between order statistics."""
     mat = np.asarray(mat)
     n_capped = mat.shape[1] if n_capped is None else n_capped
-    caps = np.percentile(np.abs(mat[:, :n_capped]), percentile, axis=0)
+    caps = np.percentile(np.abs(mat[:, :n_capped]), CAP_PERCENTILE, axis=0)
     capped = _capped(mat, caps)
     return CapMinMax(caps=caps, lo=capped.min(axis=0), hi=capped.max(axis=0))
 

@@ -387,6 +387,15 @@ class EarlyStopping:
                 self.should_stop = True
 
 
+#: The fixed local training recipe: the share of windows held out for
+#: validation, the least validation-loss drop that counts as an improvement,
+#: the gradient clipping norm and the clamp on the learning-rate multiplier.
+VALIDATION_FRACTION = 0.2
+MIN_IMPROVEMENT = 1e-6
+CLIP_NORM = 5.0
+LR_SCALE_MIN, LR_SCALE_MAX = 0.5, 2.0
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Local training hyperparameters."""
@@ -394,26 +403,15 @@ class TrainConfig:
     batch_size: int = 72
     base_learning_rate: float = 1e-3
     early_stop_patience: int = 20
-    validation_fraction: float = 0.2
-    min_improvement: float = 1e-6
-    clip_norm: float = 5.0
-    lr_scale_min: float = 0.5
-    lr_scale_max: float = 2.0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise ValueError("validation_fraction must be in (0, 1)")
         # a rate of 0 freezes the model, which pins early stopping in tests
         if self.base_learning_rate < 0.0:
             raise ValueError("base_learning_rate must be >= 0")
-        if self.min_improvement < 0.0 or self.clip_norm < 0.0:  # clip_norm 0: no clipping
-            raise ValueError("min_improvement and clip_norm must be >= 0")
-        if not 0.0 < self.lr_scale_min <= self.lr_scale_max:
-            raise ValueError("need 0 < lr_scale_min <= lr_scale_max")
 
 
 @dataclass
@@ -432,22 +430,22 @@ def scaled_learning_rate(cfg: TrainConfig, n_local: int, announced_mean: float |
     """Per-client learning rate: base rate scaled by local data volume.
 
     The multiplier is n_local over the server-announced mean dataset size,
-    clamped to [lr_scale_min, lr_scale_max]; without an announced mean the
+    clamped to [LR_SCALE_MIN, LR_SCALE_MAX]; without an announced mean the
     base rate is used unchanged.
     """
     if announced_mean is None or announced_mean <= 0.0:
         return cfg.base_learning_rate
-    scale = min(max(n_local / announced_mean, cfg.lr_scale_min), cfg.lr_scale_max)
+    scale = min(max(n_local / announced_mean, LR_SCALE_MIN), LR_SCALE_MAX)
     return cfg.base_learning_rate * scale
 
 
-def validation_split(n: int, fraction: float) -> int:
-    """Number of training windows when the last `fraction` of n windows is
-    held out for validation; windows [result, n) form the validation set.
+def validation_split(n: int) -> int:
+    """Number of training windows when the last VALIDATION_FRACTION of n
+    windows is held out; windows [result, n) form the validation set.
 
     Raises ValueError unless both parts hold at least one window.
     """
-    n_val = int(n * fraction)
+    n_val = int(n * VALIDATION_FRACTION)
     if n_val < 1 or n_val >= n:
         raise ValueError(f"dataset of {n} windows is smaller than the validation split minimum")
     return n - n_val
@@ -465,7 +463,7 @@ def train_local(
     """Train on one client's windows with Adam for at most `epochs` epochs,
     stopping early when the validation loss stalls.
 
-    The validation split is the last `validation_fraction` of the windows in
+    The validation split is the last VALIDATION_FRACTION of the windows in
     time order (no shuffling across the split, to avoid temporal leakage).
     Mini-batches of `batch_size` are drawn from a per-epoch shuffle of the
     training windows, the final short batch kept.  Returns the parameters of
@@ -476,7 +474,7 @@ def train_local(
     n = len(x)
     if n == 0 or targets.shape[0] != n:
         raise ValueError("dataset empty or targets misaligned")
-    n_train = validation_split(n, cfg.validation_fraction)
+    n_train = validation_split(n)
     train_x, val_x = x[:n_train], x[n_train:]
     train_y, val_y = targets[:n_train], targets[n_train:]
 
@@ -487,7 +485,7 @@ def train_local(
     opt = AdamOptimizer(work.vector.size, lr, dtype=work.vector.dtype)
     # the min_delta rule governs only the stopping counter; the returned model
     # is the plain argmin of the validation curve
-    stopper = EarlyStopping(cfg.early_stop_patience, cfg.min_improvement)
+    stopper = EarlyStopping(cfg.early_stop_patience, MIN_IMPROVEMENT)
     rng = np.random.default_rng(seed)
     report = TrainReport()
 
@@ -497,7 +495,7 @@ def train_local(
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             grad, mse = backward(work, train_x[idx], train_y[idx])
-            clip_gradient_norm(grad, cfg.clip_norm)
+            clip_gradient_norm(grad, CLIP_NORM)
             opt.step(work.vector, grad)
             sq_err_sum += mse * idx.size
         if not np.isfinite(work.vector).all():

@@ -26,6 +26,13 @@ MIN_SPEED_MPS = 3.0
 N_SATELLITES = 8
 CHAIKIN_ITERATIONS = 3
 TEST_FRACTION = 0.1
+#: Where every trajectory's local plane is anchored, degrees.
+ANCHOR_LAT, ANCHOR_LON = 59.35, 18.07
+#: Seconds a ramp attack takes to reach its full deviation.
+ATTACK_RAMP_S = 30.0
+#: An attack raises the attacked satellites' C/N0 (dB), shifts their AGC (dB)
+#: and scales each value's distance to the satellites' mean by a compression.
+CN0_UPLIFT_DB, AGC_SHIFT_DB, SIGNAL_COMPRESSION = 6.0, -3.0, 0.25
 
 
 @dataclass(frozen=True)
@@ -117,30 +124,23 @@ class SimConfig:
     rng_seed: int = 7
     partition_mode: str = "iid"
     n_clients: int = 6
-    anchor_lat: float = 59.35
-    anchor_lon: float = 18.07
     gnss_noise_m: float = 3.0
     attack_trace_prob: float = 0.8
-    attack_ramp_s: float = 30.0
     attack_dev_min_m: float = 60.0
     attack_dev_max_m: float = 250.0
     attack_step_prob: float = 0.15
-    cn0_uplift_db: float = 6.0
-    signal_compression: float = 0.25
-    agc_shift_db: float = -3.0
     profiles: tuple[DeviceProfile, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("attack_fraction", "attack_trace_prob", "attack_step_prob",
-                     "signal_compression"):
+        for name in ("attack_fraction", "attack_trace_prob", "attack_step_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.n_devices < 1 or self.n_traces < 1 or self.n_clients < 1:
             raise ValueError("need at least one device, one trace and one client")
         if self.sample_rate_hz <= 0 or round(self.duration_s * self.sample_rate_hz) < 2:
             raise ValueError("need sample_rate_hz > 0 and duration_s of at least two samples")
-        if self.gnss_noise_m < 0 or self.attack_ramp_s <= 0:
-            raise ValueError("need gnss_noise_m >= 0 and attack_ramp_s > 0")
+        if self.gnss_noise_m < 0:
+            raise ValueError("gnss_noise_m must be >= 0")
         if not 0.0 <= self.attack_dev_min_m <= self.attack_dev_max_m:
             raise ValueError("need 0 <= attack_dev_min_m <= attack_dev_max_m")
         if self.partition_mode not in ("iid", "non-iid-by-device", "non-iid-by-trace"):
@@ -249,7 +249,7 @@ def _plan_attack(rng: np.random.Generator, cfg: SimConfig) -> AttackScenario | N
         intervals=tuple(intervals),
         offset_model=model,
         max_deviation_m=rng.uniform(cfg.attack_dev_min_m, cfg.attack_dev_max_m),
-        ramp_s=cfg.attack_ramp_s,
+        ramp_s=ATTACK_RAMP_S,
         bearing_rad=rng.uniform(0.0, 2.0 * math.pi),
     )
 
@@ -269,7 +269,6 @@ def _signal_matrix(
     n: int,
     speed: np.ndarray,
     attacked: np.ndarray,
-    cfg: SimConfig,
 ) -> np.ndarray:
     """(n, 32) statistics matrix with NaN for dropped-out blocks."""
     out = np.empty((n, 32))
@@ -301,9 +300,9 @@ def _signal_matrix(
         )
 
         per_property = {
-            "agc_db": (agc, cfg.agc_shift_db),
-            "cn0_ant_dbhz": (ant, cfg.cn0_uplift_db),
-            "cn0_base_dbhz": (base, cfg.cn0_uplift_db),
+            "agc_db": (agc, AGC_SHIFT_DB),
+            "cn0_ant_dbhz": (ant, CN0_UPLIFT_DB),
+            "cn0_base_dbhz": (base, CN0_UPLIFT_DB),
             "doppler_hz": (doppler, 0.0),
         }
         dropout = max(profile.dropout_rate, profile.gal_dropout_rate) if is_gal \
@@ -314,7 +313,7 @@ def _signal_matrix(
                 # spoofed satellites look artificially alike and a bit stronger
                 sub = vals[attacked]
                 mean = sub.mean(axis=1, keepdims=True)
-                vals[attacked] = mean + (sub - mean) * cfg.signal_compression + shift
+                vals[attacked] = mean + (sub - mean) * SIGNAL_COMPRESSION + shift
             stats = np.column_stack(
                 [
                     vals.mean(axis=1),
@@ -369,10 +368,10 @@ def _generate_trace(
     gnss_n = north + off_n + rng.normal(0.0, cfg.gnss_noise_m, n)
     gnss_e = east + off_e + rng.normal(0.0, cfg.gnss_noise_m, n)
 
-    signal = _signal_matrix(rng, profile, n, speed, attacked, cfg)
+    signal = _signal_matrix(rng, profile, n, speed, attacked)
 
     def position(north_m: np.ndarray, east_m: np.ndarray) -> np.ndarray:
-        return np.column_stack(offset_geopos(cfg.anchor_lat, cfg.anchor_lon, north_m, east_m))
+        return np.column_stack(offset_geopos(ANCHOR_LAT, ANCHOR_LON, north_m, east_m))
 
     # per sample: speed, acceleration (north, east, up), attitude rate (x, y, z)
     noise = rng.normal(0.0, [0.1, 0.05, 0.05, 0.05, 0.01, 0.01, 0.005], size=(n, 7))

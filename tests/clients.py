@@ -11,8 +11,7 @@ from fedspoof.federation import LocalClient
 from fedspoof.lstm import LstmModelParams
 
 #: the feature map of every bare-window client, fitted on one all-zero sample
-FEATURE_MAP = features.fit_normalization([np.zeros((1, features.N_FEATURES))],
-                                         features.FeatureConfig())
+FEATURE_MAP = features.fit_normalization([np.zeros((1, features.N_FEATURES))])
 
 
 def client_from_windows(client_id, x, y, train_cfg, seed):

@@ -1,15 +1,13 @@
-import os
+# fedspoof before numpy: importing the package pins the BLAS to one thread,
+# without which the suite's process would run a thread per CPU and never
+# fork its shards
+import fedspoof  # noqa: F401
 
-# one BLAS thread, as CI runs the suite: an unpinned OpenBLAS starts a thread
-# per CPU at import, and a process with threads never forks its shards, so
-# the forked shard paths would run only in CI; set before numpy's import
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np
+import pytest
 
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-
-from fedspoof import features, fusion, lstm, simulate  # noqa: E402
-from fedspoof.experiments import build_bundles  # noqa: E402
+from fedspoof import features, fusion, lstm, simulate
+from fedspoof.experiments import build_bundles
 
 
 @pytest.fixture(scope="session")

@@ -67,11 +67,11 @@ def lstm_forward(blocks: dict, x) -> np.ndarray:
     return sigmoid(seq[:, -1] @ head_w + float(blocks["head_b"][0]))
 
 
-def fit_cap_minmax(values, percentile=95.0):
-    """(cap, lo, hi) of one column: its percentile (linear interpolation
+def fit_cap_minmax(values):
+    """(cap, lo, hi) of one column: its 95th percentile (linear interpolation
     between order statistics), then the min and max of the capped values."""
     values = np.asarray(values, dtype=np.float64)
-    cap = float(np.percentile(values, percentile))
+    cap = float(np.percentile(values, 95.0))
     capped = np.minimum(values, cap)
     return cap, float(capped.min()), float(capped.max())
 
@@ -104,16 +104,16 @@ def _clean_features(mat, caps, replacements, n_position):
     return cleaned
 
 
-def fit_feature_normalization(raws, cap_percentile=95.0, n_position=4):
+def fit_feature_normalization(raws, n_position=4):
     """(caps, replacements, lo, hi) fitted column by column on the pooled raw
-    feature matrices: the first n_position columns capped at the percentile
-    of their magnitudes (inf elsewhere), NaN signal values replaced with the
-    minimum of their valid range."""
+    feature matrices: the first n_position columns capped at the 95th
+    percentile of their magnitudes (inf elsewhere), NaN signal values
+    replaced with the minimum of their valid range."""
     mat = np.vstack(raws)
     replacements = _signal_replacements()
     caps = np.full(mat.shape[1], np.inf)
     for j in range(n_position):
-        caps[j] = np.percentile(np.abs(mat[:, j]), cap_percentile)
+        caps[j] = np.percentile(np.abs(mat[:, j]), 95.0)
     cleaned = _clean_features(mat, caps, replacements, n_position)
     return caps, replacements, cleaned.min(axis=0), cleaned.max(axis=0)
 

@@ -2,6 +2,8 @@ import glob
 import hashlib
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -82,7 +84,15 @@ class TestConfig:
         for section, key in (("sim", "warp_drive"), ("federation", "checkpoint_every"),
                              ("federation", "checkpoint_dir"), ("federation", "weighted"),
                              ("features", "valid_ranges"), ("train", "max_epochs"),
-                             ("train", "rng_seed")):
+                             ("train", "rng_seed"),
+                             # fixed values, held as module constants
+                             ("features", "stride"), ("features", "cap_percentile"),
+                             ("train", "validation_fraction"), ("train", "min_improvement"),
+                             ("train", "clip_norm"), ("train", "lr_scale_min"),
+                             ("train", "lr_scale_max"), ("federation", "gate_eval_max_windows"),
+                             ("sim", "anchor_lat"), ("sim", "anchor_lon"),
+                             ("sim", "attack_ramp_s"), ("sim", "cn0_uplift_db"),
+                             ("sim", "signal_compression"), ("sim", "agc_shift_db")):
             path = _write_config(tmp_path, f"[{section}]\n{key} = 1\n")
             message = rf"unknown key \[{section}\] {key}"
             with pytest.raises(ConfigError, match=message):
@@ -113,20 +123,14 @@ class TestConfig:
             ("[sim]\nduration_s = inf\n", r"bad value for \[sim\] duration_s"),
             ("[train]\nbase_learning_rate = nan\n", r"bad value for \[train\] base_learning_rate"),
             ("[sim]\nattack_trace_prob = 1.5\n", r"invalid \[sim\] values: attack_trace_prob"),
-            ("[sim]\nsignal_compression = 2\n", r"invalid \[sim\] values: signal_compression"),
             ("[sim]\nsample_rate_hz = 0\n", r"invalid \[sim\] values: .*sample_rate_hz"),
             ("[sim]\nduration_s = 0\n", r"invalid \[sim\] values: .*duration_s"),
             ("[sim]\ngnss_noise_m = -1\n", r"invalid \[sim\] values: .*gnss_noise_m"),
             ("[sim]\nattack_dev_min_m = 300\n", r"invalid \[sim\] values: .*attack_dev_min_m"),
             ("[sim]\nn_clients = 0\n", r"invalid \[sim\] values: .*client"),
-            ("[features]\ncap_percentile = 150\n",
-             r"invalid \[features\] values: cap_percentile"),
             ("[federation]\nrounds = 0\n", r"invalid \[federation\] values: rounds"),
-            ("[federation]\ngate_eval_max_windows = -1\n",
-             r"invalid \[federation\] values: gate_eval_max_windows"),
             ("[train]\nbase_learning_rate = -1\n",
              r"invalid \[train\] values: base_learning_rate"),
-            ("[train]\nlr_scale_max = -1\n", r"invalid \[train\] values: .*lr_scale_max"),
             ("[sim]\npartition_mode = non-iid-by-device\nn_devices = 2\nn_clients = 3\n",
              r"invalid \[sim\] values: non-iid-by-device needs n_clients == n_devices"),
             ("[sim]\nn_traces = 4\nn_clients = 6\n",
@@ -165,10 +169,10 @@ class TestConfig:
 
     def test_hash_pinned(self):
         # the manifest's config_hash of the default and the shipped configs
-        for path, digest in ((None, "a0f91e08090de9ec"),
-                             ("configs/quickstart.ini", "af821fb9d88803c9"),
-                             ("configs/default-scenario.ini", "60e4729e9fb140b3"),
-                             ("bench/matrix.ini", "5e7ad7fa91249b22")):
+        for path, digest in ((None, "4d246bfaf101c878"),
+                             ("configs/quickstart.ini", "6c36ff82c6ea7098"),
+                             ("configs/default-scenario.ini", "a595b91bedd34709"),
+                             ("bench/matrix.ini", "54eb516ec3782870")):
             cfg = load_config(path and os.path.join(ROOT, path))
             assert config_hash(cfg) == digest, path
 
@@ -326,6 +330,30 @@ class TestCliFlows:
         assert "seed=11" in manifest_a
         assert "seed=123" in manifest_b
         assert manifest_a != manifest_b
+        # the run's BLAS thread count, recorded beside the config hash
+        blas = f"openblas_num_threads={os.environ['OPENBLAS_NUM_THREADS']}\n"
+        assert blas in manifest_a and blas in manifest_b
+
+
+class TestBlasPin:
+    BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def _after_import(self, **user):
+        """Each BLAS variable as `import fedspoof` leaves it in a fresh
+        interpreter whose environment sets only `user` of them."""
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])])
+        code = f"import os, fedspoof; print(*(os.environ.get(k) for k in {self.BLAS!r}))"
+        out = subprocess.run([sys.executable, "-c", code], env={**env, **user},
+                             capture_output=True, text=True, check=True)
+        return out.stdout.split()
+
+    def test_import_pins_one_thread(self):
+        assert self._after_import() == ["1", "1", "1"]
+
+    def test_user_value_kept(self):
+        assert self._after_import(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
 
 
 @pytest.mark.slow

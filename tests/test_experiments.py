@@ -1,7 +1,6 @@
 import functools
 import multiprocessing
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,7 +83,7 @@ class TestBundles:
 
 class TestWindowMemory:
     def test_default_scenario_rows_take_a_fifth_of_the_windows(self):
-        # with stride 1 a gathered window repeats each row window_len times
+        # a gathered window repeats each row window_len times
         cfg = config.load_config(None, {})
         part = simulate.partition(simulate.generate(cfg.sim), "iid", cfg.sim.n_clients, cfg.seed)
         bundles = build_bundles(part, cfg.fusion, cfg.features, cfg.train, cfg.seed)
@@ -97,10 +96,8 @@ class TestSharedIidSet:
     """An IID bundle tests on its training traces, so its test windows are its
     client's training windows, built once."""
 
-    @pytest.mark.parametrize("stride", [1, 3])
-    def test_iid_test_set_is_the_training_windows(self, stride):
+    def test_iid_test_set_is_the_training_windows(self):
         sim, traces, fc, tc = _micro_setup()
-        fc = replace(fc, stride=stride)
         short = first_samples(traces[0], fc.window_len - 2)  # no window; skipped
         own = [traces[1], short, traces[2]]
         part = {1: simulate.ClientSplit(train=own, test=list(own)),
@@ -114,7 +111,7 @@ class TestSharedIidSet:
                 assert shared.dtype == built.dtype and shared.shape == built.shape
                 assert shared.tobytes() == built.tobytes()
         assert bundles[0].test_x.shape[0] == sum(
-            len(range(fc.window_len - 1, len(t), stride)) for t in own)
+            max(0, len(t) - fc.window_len + 1) for t in own)
 
     def test_trace_split_test_set_is_its_own_array(self):
         sim, traces, fc, tc = _micro_setup(n_traces=10)

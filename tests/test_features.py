@@ -75,7 +75,7 @@ class TestFitNormalization:
     def test_cap_is_95th_percentile_linear_interpolation(self):
         mat = np.ones((20, N_FEATURES))
         mat[:, 0] = np.arange(1.0, 21.0)
-        state = fit_normalization([mat], FeatureConfig())
+        state = fit_normalization([mat])
         assert state.caps[0] == pytest.approx(19.05)
         assert state.caps[0] == pytest.approx(brute_force_percentile(mat[:, 0], 95))
 
@@ -84,7 +84,7 @@ class TestFitNormalization:
             n = rng.integers(2, 200)
             mat = np.ones((n, N_FEATURES))
             mat[:, :4] = rng.normal(0, 50, (n, 4))
-            state = fit_normalization([mat], FeatureConfig())
+            state = fit_normalization([mat])
             for j in range(4):
                 assert state.caps[j] == pytest.approx(
                     brute_force_percentile(np.abs(mat[:, j]), 95), rel=1e-12
@@ -93,18 +93,18 @@ class TestFitNormalization:
     def test_single_element_percentile_is_that_element(self):
         mat = np.ones((1, N_FEATURES))
         mat[0, 0] = 42.0
-        assert fit_normalization([mat], FeatureConfig()).caps[0] == 42.0
+        assert fit_normalization([mat]).caps[0] == 42.0
 
     def test_degenerate_feature_scales_to_zero(self):
         mat = np.ones((10, N_FEATURES)) * 3.0
-        state = fit_normalization([mat], FeatureConfig())
+        state = fit_normalization([mat])
         assert np.array_equal(state.lo, state.hi)
         out = apply_normalization(mat, state)
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            fit_normalization([np.empty((0, N_FEATURES))], FeatureConfig())
+            fit_normalization([np.empty((0, N_FEATURES))])
 
     def test_signal_replacement_is_valid_range_minimum(self):
         agc = N_POSITION + signal_slot("gps_l1", "agc_db", "mean")
@@ -116,7 +116,7 @@ class TestFitNormalization:
         # an invalid value takes its slot's replacement, the fitted minimum here
         mat = np.ones((5, N_FEATURES))
         mat[0, agc] = np.nan
-        state = fit_normalization([mat], FeatureConfig())
+        state = fit_normalization([mat])
         assert state.lo[agc] == -100.0
         assert apply_normalization(mat, state)[0, agc] == 0.0
 
@@ -156,7 +156,7 @@ class TestApplyNormalization:
         _, traces = tiny_corpus
         cfg = fusion.FusionConfig()
         raws = [extract_raw(t, fusion.fuse_trace(t, cfg)) for t in traces]
-        state = fit_normalization(raws, FeatureConfig())
+        state = fit_normalization(raws)
         out = apply_normalization(raws[0], state)
         assert np.isfinite(out).all()
         assert out.dtype == np.float32
@@ -166,7 +166,7 @@ class TestApplyNormalization:
         _, traces = tiny_corpus
         cfg = fusion.FusionConfig()
         raws = [extract_raw(t, fusion.fuse_trace(t, cfg)) for t in traces]
-        state = fit_normalization(raws, FeatureConfig())
+        state = fit_normalization(raws)
         a = apply_normalization(raws[1], state)
         b = apply_normalization(raws[1], state)
         assert np.array_equal(a, b)
@@ -174,7 +174,7 @@ class TestApplyNormalization:
     def test_at_most_five_percent_at_cap_boundary(self, rng):
         mat = np.ones((400, N_FEATURES))
         mat[:, :4] = rng.normal(0, 20, (400, 4))
-        state = fit_normalization([mat], FeatureConfig())
+        state = fit_normalization([mat])
         out = apply_normalization(mat, state)
         assert out.max() <= 1.0
         for j in range(4):
@@ -198,39 +198,37 @@ class TestNormalizationOracle:
     """The map equals a column-by-column cleaner, bit for bit."""
 
     @staticmethod
-    def _assert_fit_equal(raws, percentile):
-        state = fit_normalization(raws, FeatureConfig(cap_percentile=percentile))
-        caps, replacements, lo, hi = oracles.fit_feature_normalization(raws, percentile)
+    def _assert_fit_equal(raws):
+        state = fit_normalization(raws)
+        caps, replacements, lo, hi = oracles.fit_feature_normalization(raws)
         assert state.caps.tobytes() == caps[:N_POSITION].tobytes()
         assert np.all(np.isinf(caps[N_POSITION:]))
         assert SIGNAL_REPLACEMENTS.tobytes() == replacements.tobytes()
         assert state.lo.tobytes() == lo.tobytes() and state.hi.tobytes() == hi.tobytes()
         return state, (caps, replacements, lo, hi)
 
-    @pytest.mark.parametrize("percentile", [95.0, 50.0])
-    def test_random_matrices(self, rng, percentile):
+    def test_random_matrices(self, rng):
         for n_rows in (1, 2, 7, 300):
             raws = [_awkward_raw(rng, n_rows), _awkward_raw(rng, 5)]
-            state, expected = self._assert_fit_equal(raws, percentile)
+            state, expected = self._assert_fit_equal(raws)
             # test-time values, up to ten times beyond the fitted range
             for raw in (*raws, _awkward_raw(rng, 50, scale=300.0), _awkward_raw(rng, 1)):
                 out = apply_normalization(raw, state)
                 assert out.dtype == np.float32
                 assert out.tobytes() == oracles.apply_feature_normalization(raw, expected).tobytes()
 
-    @pytest.mark.parametrize("percentile", [95.0, 50.0])
-    def test_corpus_traces(self, tiny_corpus, percentile):
+    def test_corpus_traces(self, tiny_corpus):
         _, traces = tiny_corpus
         cfg = fusion.FusionConfig()
         raws = [extract_raw(t, fusion.fuse_trace(t, cfg)) for t in traces]
-        state, expected = self._assert_fit_equal(raws[:4], percentile)
+        state, expected = self._assert_fit_equal(raws[:4])
         for raw in raws:
             assert (apply_normalization(raw, state).tobytes()
                     == oracles.apply_feature_normalization(raw, expected).tobytes())
 
     def test_single_row_is_degenerate(self, rng):
         raw = _awkward_raw(rng, 1)
-        state, expected = self._assert_fit_equal([raw], 95.0)
+        state, expected = self._assert_fit_equal([raw])
         assert np.array_equal(state.lo, state.hi)
         out = apply_normalization(raw, state)
         assert out.tobytes() == oracles.apply_feature_normalization(raw, expected).tobytes()
@@ -266,10 +264,6 @@ class TestWindows:
             assert np.array_equal(x[0][:, 0], np.arange(5.0, dtype=np.float32))
         assert count == 2
 
-    def test_stride_respected(self):
-        x, idx = make_windows(self._feats(10), 4, stride=3)
-        assert list(idx) == [3, 6, 9]
-
     def test_random_lengths_boundary_property(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 40))
@@ -281,17 +275,16 @@ class TestWindows:
                 assert idx.min() == w - 1 and idx.max() == n - 1
 
 
-    @pytest.mark.parametrize("stride", [1, 3])
-    def test_window_traces_windows_each_trace_alike(self, rng, stride):
-        cfg = FeatureConfig(window_len=4, stride=stride)
+    def test_window_traces_windows_each_trace_alike(self, rng):
+        cfg = FeatureConfig(window_len=4)
         for lengths in ((11, 3, 4, 0, 9), (2, 3)):  # (2, 3): a client with no window
             raws = [rng.normal(size=(n, N_FEATURES)) for n in lengths]
-            norm = fit_normalization(raws, cfg)
+            norm = fit_normalization(raws)
             x, ends = window_traces(iter(raws), norm, cfg)
             # each window gathered on its own, as clients stored them before `Windows`
             expected = [np.empty((0, 4, N_FEATURES), dtype=np.float32)]
             for raw, last in zip(raws, ends):
-                assert np.array_equal(last, window_ends(len(raw), 4, stride))
+                assert np.array_equal(last, window_ends(len(raw), 4))
                 fx = apply_normalization(raw, norm)
                 expected += [fx[None, i - 3 : i + 1] for i in last]
             expected = np.concatenate(expected)
@@ -303,7 +296,7 @@ class TestWindows:
 
     def test_window_traces_of_no_window(self):
         cfg = FeatureConfig(window_len=4)
-        x, ends = window_traces([], fit_normalization([np.zeros((1, N_FEATURES))], cfg), cfg)
+        x, ends = window_traces([], fit_normalization([np.zeros((1, N_FEATURES))]), cfg)
         assert x.shape == (0, 4, N_FEATURES) and x.dtype == np.float32
         assert ends == []
 
@@ -315,7 +308,7 @@ class TestLazyWindows:
     def _windows(self, rng, lengths=(11, 3, 9, 6)):
         cfg = FeatureConfig(window_len=4)
         raws = [rng.normal(size=(n, N_FEATURES)) for n in lengths]
-        return window_traces(raws, fit_normalization(raws, cfg), cfg)[0]
+        return window_traces(raws, fit_normalization(raws), cfg)[0]
 
     def test_indexing_shares_the_rows(self, rng):
         x = self._windows(rng)
@@ -363,8 +356,6 @@ class TestConfigValidation:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             FeatureConfig(window_len=0)
-        with pytest.raises(ValueError):
-            FeatureConfig(stride=0)
 
     def test_label_and_feature_residuals_share_metric(self, tiny_corpus):
         # the label deviation equals the norm of the two residual features

@@ -98,10 +98,10 @@ def _client_from_windows(client_id, x, y, seed=0):
     )
 
 
-def _reports(candidate, clients, max_windows=512):
+def _reports(candidate, clients):
     """Every other client's report on candidate, in client order, as run_rounds
     gathers them (None where an evaluator abstains)."""
-    return [c.review(candidate.params, [candidate], max_windows)[1][0]
+    return [c.review(candidate.params, [candidate])[1][0]
             for c in sorted(clients, key=lambda c: c.client_id)
             if c.client_id != candidate.client_id]
 
@@ -118,7 +118,7 @@ class TestQualityGate:
         clients = [_separable_client(rng, i + 1, seed=i) for i in range(3)]
         params = init_params(0, 6, 4)
         state = GlobalModelState(params)
-        aucs = [c.score_candidate(params, 256) for c in clients]
+        aucs = [c.score_candidate(params) for c in clients]
         state.last_auc = float(np.mean(aucs))
         candidate = RoundUpdate(1, 1, params, n_samples=10)
         accepted, reports = quality_gate(
@@ -152,7 +152,7 @@ class TestQualityGate:
         clients = [_separable_client(rng, i + 1, n=240, seed=i) for i in range(3)]
         cfg = FederationConfig(rounds=5, local_epochs=6, gate_enabled=False, init_seed=0)
         state, _ = run_rounds(clients, cfg, hidden_size=8)
-        aucs = [c.score_candidate(state.params, 256) for c in clients]
+        aucs = [c.score_candidate(state.params) for c in clients]
         state.last_auc = float(np.mean(aucs))
         assert state.last_auc > 0.8
 

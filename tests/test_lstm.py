@@ -343,16 +343,16 @@ class TestTrainLocal:
         x, y = _toy_dataset(rng)
         cfg = TrainConfig(batch_size=16)
         trained, report = train_local(init_params(2, 5, 6), x, y, cfg, 15, 6)
-        n_val = int(len(x) * cfg.validation_fraction)
+        n_val = int(len(x) * lstm.VALIDATION_FRACTION)
         val_mse = batch_mse(trained, x[-n_val:], y[-n_val:])
         assert val_mse == pytest.approx(min(report.val_mse_curve), rel=1e-5)
 
     def test_validation_split_holds_out_tail(self):
-        assert validation_split(63, 0.2) == 51
-        assert validation_split(5, 0.2) == 4
+        assert validation_split(63) == 51
+        assert validation_split(5) == 4
         for n in (1, 4):
             with pytest.raises(ValueError, match="validation split"):
-                validation_split(n, 0.2)
+                validation_split(n)
 
     def test_tiny_dataset_rejected(self, rng):
         x = rng.uniform(0, 1, (3, 4, 3)).astype(np.float32)
