@@ -93,11 +93,13 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
     cfg = ExperimentConfig()
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path!r}")
-        for section in parser.sections():
-            items = dict(parser.items(section))
+        try:
+            if not parser.read(path, encoding="utf-8"):
+                raise ConfigError(f"cannot read config file {path!r}")
+            sections = {section: dict(parser.items(section)) for section in parser.sections()}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
+        for section, items in sections.items():
             if section == "experiment":
                 cfg = _apply_section(cfg, section, items)
             elif section in _SECTIONS:

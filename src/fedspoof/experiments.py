@@ -220,7 +220,6 @@ def experiment_matrix(
 
     for split in splits:
         holdout = split == "trace"
-        uniform_mode = "non-iid-by-trace" if holdout else "iid"
         # one job per model to train: the training plus the rows it is scored
         # on, each (cell, method, detail, tag, test bundles); the centralized
         # training, the largest, is job 1, so it runs in a forked shard
@@ -229,7 +228,7 @@ def experiment_matrix(
         pds_rows = []  # scored by the server itself
 
         if "clfl" in cells:
-            part = partition(traces, uniform_mode, sim_cfg.n_clients, master_seed)
+            part = partition(traces, "iid", sim_cfg.n_clients, master_seed, holdout)
             clfl = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed, fused)
             jobs.append((partial(run_federated, clfl, fed_cfg),
                          [("clfl", "federated", "all", "federated", clfl)]))
@@ -239,9 +238,7 @@ def experiment_matrix(
 
         if {"per_device", "per_model", "cross_model"} & set(cells):
             n_devices = len({t.platform_id for t in traces})
-            part = partition(
-                traces, "non-iid-by-device", n_devices, master_seed, trace_holdout=holdout
-            )
+            part = partition(traces, "non-iid-by-device", n_devices, master_seed, holdout)
             bundles = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed, fused)
             by_model: dict[str, list[ClientBundle]] = {}
             for b in bundles:

@@ -116,8 +116,10 @@ class Windows:
     `rows` is (n, d) read-only float32, shared by every view; window k is
     rows[ends[k] - window_len + 1 : ends[k] + 1].  An int index gives that
     (window_len, d) window; a slice or an index array gives the `Windows` of
-    those windows.  `np.asarray` gathers the (k, window_len, d) array, and
-    `shape`, `dtype`, `len` and `tobytes()` are the gathered array's.
+    those windows.  `np.asarray` gathers the (k, window_len, d) array, laid
+    out time-major, so that the LSTM's (window_len, k, d) view of it is
+    contiguous; `shape`, `dtype`, `len` and `tobytes()` are the gathered
+    array's.
     """
 
     __slots__ = ("rows", "ends", "window_len")
@@ -149,7 +151,7 @@ class Windows:
         return Windows(self.rows, self.ends[index], self.window_len)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:  # a gather always copies
-        x = self.rows[self.ends[:, None] + np.arange(1 - self.window_len, 1)]
+        x = self.rows[np.arange(1 - self.window_len, 1)[:, None] + self.ends].transpose(1, 0, 2)
         return x if dtype is None else x.astype(dtype, copy=False)
 
     def tobytes(self) -> bytes:

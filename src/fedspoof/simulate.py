@@ -47,14 +47,8 @@ class DeviceProfile:
     doppler_noise_hz: float
     net_pos_noise_m: float
     dataset_scale: float
-    dropout_rate: float = 0.02
-    gal_dropout_rate: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.agc_jitter_db < 0 or self.cn0_jitter_db < 0:
-            raise ValueError("jitters must be >= 0")
-        if self.dataset_scale <= 0:
-            raise ValueError("dataset_scale must be positive")
+    dropout_rate: float
+    gal_dropout_rate: float
 
 
 #: Three synthetic hardware families; the flagship/legacy volume ratio of
@@ -68,48 +62,6 @@ DEFAULT_PROFILES = (
 #: Device slot -> profile index, repeating the paired-flagship pattern
 #: (devices 1 and 4 share a family, 2 and 6 share one, 3 and 5 share one).
 _PROFILE_PATTERN = (0, 1, 2, 0, 2, 1)
-
-
-@dataclass(frozen=True)
-class AttackScenario:
-    """Realized attack plan for one trace."""
-
-    duration_s: float
-    intervals: tuple[tuple[float, float], ...]
-    offset_model: str  # "ramp" | "step"
-    max_deviation_m: float
-    ramp_s: float
-    bearing_rad: float
-
-    def __post_init__(self) -> None:
-        if self.offset_model not in ("ramp", "step"):
-            raise ValueError(f"unknown offset model {self.offset_model!r}")
-        prev_end = -math.inf
-        for start, end in self.intervals:
-            if not (0.0 <= start < end <= self.duration_s):
-                raise ValueError("attack interval outside trace duration")
-            if start < prev_end:
-                raise ValueError("attack intervals overlap")
-            prev_end = end
-
-    def deviation_at(self, t: np.ndarray) -> np.ndarray:
-        """Offset magnitude in meters at each time."""
-        dev = np.zeros_like(t)
-        for start, end in self.intervals:
-            mask = (t >= start) & (t < end)
-            if self.offset_model == "step":
-                dev[mask] = self.max_deviation_m
-            else:
-                dev[mask] = self.max_deviation_m * np.minimum(
-                    1.0, (t[mask] - start) / self.ramp_s
-                )
-        return dev
-
-    def active_at(self, t: np.ndarray) -> np.ndarray:
-        mask = np.zeros(t.shape, dtype=bool)
-        for start, end in self.intervals:
-            mask |= (t >= start) & (t < end)
-        return mask
 
 
 @dataclass(frozen=True)
@@ -129,7 +81,6 @@ class SimConfig:
     attack_dev_min_m: float = 60.0
     attack_dev_max_m: float = 250.0
     attack_step_prob: float = 0.15
-    profiles: tuple[DeviceProfile, ...] = ()
 
     def __post_init__(self) -> None:
         for name in ("attack_fraction", "attack_trace_prob", "attack_step_prob"):
@@ -149,12 +100,8 @@ class SimConfig:
 
 def device_profiles(cfg: SimConfig) -> dict[int, DeviceProfile]:
     """Profile of each device id (1-based)."""
-    pool = cfg.profiles or DEFAULT_PROFILES
-    out = {}
-    for dev in range(1, cfg.n_devices + 1):
-        pattern_ix = _PROFILE_PATTERN[(dev - 1) % len(_PROFILE_PATTERN)]
-        out[dev] = pool[pattern_ix % len(pool)]
-    return out
+    return {dev: DEFAULT_PROFILES[_PROFILE_PATTERN[(dev - 1) % len(_PROFILE_PATTERN)]]
+            for dev in range(1, cfg.n_devices + 1)}
 
 
 def device_models(cfg: SimConfig) -> dict[int, str]:
@@ -217,11 +164,22 @@ def _speed_profile(rng: np.random.Generator, n: int, dt: float) -> np.ndarray:
     return np.clip(v, MIN_SPEED_MPS, MAX_SPEED_MPS)
 
 
-def _plan_attack(rng: np.random.Generator, cfg: SimConfig) -> AttackScenario | None:
-    if cfg.attack_fraction == 0.0:
-        return None
-    if rng.random() >= cfg.attack_trace_prob:
-        return None
+def _attack(
+    rng: np.random.Generator, cfg: SimConfig, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One trace's attacked flags and north and east GNSS offsets (m).
+
+    With probability attack_trace_prob, the trace is spoofed for
+    attack_fraction / attack_trace_prob of its duration (at most 80%): in one
+    interval, or in two if that totals at least 60 s and they fit.  Every
+    interval keeps 5 s from the trace's ends and 10 s from the other.  The
+    offset, along one bearing, ramps to its deviation over ATTACK_RAMP_S or,
+    with probability attack_step_prob, holds it from the start.
+    """
+    # ramp: the share of the deviation each sample's offset has reached
+    attacked, ramp = np.zeros(t.shape, dtype=bool), np.zeros(t.shape)
+    if cfg.attack_fraction == 0.0 or rng.random() >= cfg.attack_trace_prob:
+        return attacked, ramp, ramp
     margin, gap = 5.0, 10.0
     total = min(
         cfg.duration_s * cfg.attack_fraction / cfg.attack_trace_prob,
@@ -229,29 +187,26 @@ def _plan_attack(rng: np.random.Generator, cfg: SimConfig) -> AttackScenario | N
         cfg.duration_s - 2.0 * margin,
     )
     if total <= 0.0:
-        return None
+        return attacked, ramp, ramp
     if total >= 60.0 and cfg.duration_s - total - 2 * margin - gap > 0:
         split = rng.uniform(0.35, 0.65)
         lengths = [total * split, total * (1.0 - split)]
     else:
         lengths = [total]
-    intervals = []
     cursor = margin
     slack = cfg.duration_s - margin - sum(lengths) - gap * (len(lengths) - 1) - cursor
     for length in lengths:
         start = cursor + rng.uniform(0.0, max(0.0, slack))
-        intervals.append((start, start + length))
+        active = (t >= start) & (t < start + length)
+        attacked |= active
+        ramp[active] = np.minimum(1.0, (t[active] - start) / ATTACK_RAMP_S)
         slack -= start - cursor
         cursor = start + length + gap
-    model = "step" if rng.random() < cfg.attack_step_prob else "ramp"
-    return AttackScenario(
-        duration_s=cfg.duration_s,
-        intervals=tuple(intervals),
-        offset_model=model,
-        max_deviation_m=rng.uniform(cfg.attack_dev_min_m, cfg.attack_dev_max_m),
-        ramp_s=ATTACK_RAMP_S,
-        bearing_rad=rng.uniform(0.0, 2.0 * math.pi),
-    )
+    if rng.random() < cfg.attack_step_prob:
+        ramp = attacked.astype(np.float64)
+    dev = rng.uniform(cfg.attack_dev_min_m, cfg.attack_dev_max_m) * ramp
+    bearing = rng.uniform(0.0, 2.0 * math.pi)
+    return attacked, dev * math.cos(bearing), dev * math.sin(bearing)
 
 
 def _ar1(rng: np.random.Generator, shape: tuple[int, ...], rho: float, sigma: float) -> np.ndarray:
@@ -353,15 +308,7 @@ def _generate_trace(
     heading = np.unwrap(np.arctan2(vel_e, vel_n))
     yaw_rate = np.gradient(heading, dt)
 
-    scenario = _plan_attack(rng, cfg)
-    if scenario is None:
-        attacked = np.zeros(n, dtype=bool)
-        off_n = off_e = np.zeros(n)
-    else:
-        attacked = scenario.active_at(t)
-        dev = scenario.deviation_at(t)
-        off_n = dev * math.cos(scenario.bearing_rad)
-        off_e = dev * math.sin(scenario.bearing_rad)
+    attacked, off_n, off_e = _attack(rng, cfg, t)
 
     net_n = north + rng.normal(0.0, profile.net_pos_noise_m, n)
     net_e = east + rng.normal(0.0, profile.net_pos_noise_m, n)
@@ -419,16 +366,15 @@ def partition(
     mode: str,
     n_clients: int,
     seed: int,
-    trace_holdout: bool | None = None,
+    holdout: bool = False,
 ) -> dict[int, ClientSplit]:
     """Distribute traces over clients and fix the train/test regime; returns
     each client's split by client id.
 
     iid shuffles traces uniformly across clients and evaluates on the same
-    traces used for training; non-iid-by-device makes one client per device;
-    non-iid-by-trace additionally holds out TEST_FRACTION of traces (rounded
-    half up) from all training.  trace_holdout overrides the mode's default
-    hold-out behavior, which lets device-pure partitions be trace-split too.
+    traces used for training; non-iid-by-device makes one client per device.
+    holdout, which non-iid-by-trace implies, holds out TEST_FRACTION of the
+    traces (rounded half up) from all training as the test traces.
     Deterministic per seed.  Too few traces for the clients, or devices for a
     device partition, raise DatasetFormatError; an unknown mode ValueError.
     """
@@ -451,7 +397,7 @@ def partition(
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
 
-    holdout = trace_holdout if trace_holdout is not None else mode == "non-iid-by-trace"
+    holdout = holdout or mode == "non-iid-by-trace"
     held: set[int] = set()
     if holdout:
         n_test = int(math.floor(len(traces) * TEST_FRACTION + 0.5))  # round half up

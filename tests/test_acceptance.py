@@ -10,11 +10,12 @@ within the stated runtime targets.
 import dataclasses
 import time
 import typing
+from functools import partial
 
 import numpy as np
 import pytest
 
-from fedspoof import cli, domain, features, fusion, lstm, metrics, simulate
+from fedspoof import cli, domain, features, fusion, lstm, metrics, shards, simulate
 from fedspoof.experiments import (
     build_bundles,
     model_scores,
@@ -81,9 +82,13 @@ def iid_run(default_scenario):
 
     pds_auc = metrics.auc_from_scores(pds_pooled(bundles), truth)
     fed_cfg = FederationConfig(rounds=FED_ROUNDS, local_epochs=LOCAL_EPOCHS, init_seed=SEED)
-    fed_params, _ = run_federated(bundles, fed_cfg)
+    # two jobs on the shard pool: the federation here, the centralized
+    # baseline in a forked shard when a second CPU is free
+    (fed_params, _), (cen_params, _) = shards.run([
+        partial(run_federated, bundles, fed_cfg),
+        partial(run_centralized, bundles, TrainConfig(), SEED, CENTRAL_BUDGET),
+    ])
     fed_auc = metrics.auc_from_scores(model_scores(fed_params, bundles), truth)
-    cen_params, _ = run_centralized(bundles, TrainConfig(), SEED, CENTRAL_BUDGET)
     cen_auc = metrics.auc_from_scores(model_scores(cen_params, bundles), truth)
     return {
         "bundles": bundles,
@@ -254,10 +259,10 @@ class TestC6QualityGateEfficacy:
         # client 3 uploads parameter-shuffled updates from round 15 on
         clients = [FaultyClient(b.client, 15, shuffled(SEED)) if b.client.client_id == 3
                    else b.client for b in bundles]
-        aucs = {}
-        for gated in (True, False):
-            state, _ = run_rounds(clients, dataclasses.replace(base, gate_enabled=gated))
-            aucs[gated] = metrics.auc_from_scores(model_scores(state.params, bundles), truth)
+        runs = shards.run([partial(run_rounds, clients, dataclasses.replace(base, gate_enabled=g))
+                           for g in (True, False)])
+        aucs = {gated: metrics.auc_from_scores(model_scores(state.params, bundles), truth)
+                for gated, (state, _) in zip((True, False), runs)}
         gap = aucs[True] - aucs[False]
         _report(
             "C6 quality-gate-efficacy",

@@ -84,7 +84,7 @@ class TestConfig:
         for section, key in (("sim", "warp_drive"), ("federation", "checkpoint_every"),
                              ("federation", "checkpoint_dir"), ("federation", "weighted"),
                              ("features", "valid_ranges"), ("train", "max_epochs"),
-                             ("train", "rng_seed"),
+                             ("train", "rng_seed"), ("sim", "profiles"),
                              # fixed values, held as module constants
                              ("features", "stride"), ("features", "cap_percentile"),
                              ("train", "validation_fraction"), ("train", "min_improvement"),
@@ -116,8 +116,6 @@ class TestConfig:
         for text, message in (
             ("[sim]\nn_traces = many\n", r"bad value for \[sim\] n_traces"),
             ("[federation]\ngate_enabled = maybe\n", r"bad value for \[federation\] gate_enabled"),
-            ("[sim]\nprofiles = 1\n",
-             r"key \[sim\] profiles cannot be set from a config file"),
             ("[experiment]\nsim = 1\n",
              r"key \[experiment\] sim cannot be set from a config file"),
             ("[sim]\nduration_s = inf\n", r"bad value for \[sim\] duration_s"),
@@ -163,16 +161,34 @@ class TestConfig:
                 load_config(path)
             assert _run("generate", "--config", path, "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"[sim]\nn_traces = 8\nn_traces = 9\n", id="repeated-option"),
+        pytest.param(b"n_traces = 8\n", id="no-section-header"),
+        pytest.param(b"[sim]\nn_traces\n", id="line-without-equals"),
+        pytest.param(b"[experiment]\nout_dir = out/100%\n", id="bad-interpolation"),
+        pytest.param(b"[sim]\nn_traces = 8\xff\n", id="not-utf-8"),
+    ])
+    def test_unparsable_file_rejected(self, tmp_path, capsys, content):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="cannot parse config file"):
+            load_config(str(path))
+        out = tmp_path / "o"
+        assert _run("generate", "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot parse config file") and str(path) in err
+        assert not out.exists()
+
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/exp.ini")
 
     def test_hash_pinned(self):
         # the manifest's config_hash of the default and the shipped configs
-        for path, digest in ((None, "4d246bfaf101c878"),
-                             ("configs/quickstart.ini", "6c36ff82c6ea7098"),
-                             ("configs/default-scenario.ini", "a595b91bedd34709"),
-                             ("bench/matrix.ini", "54eb516ec3782870")):
+        for path, digest in ((None, "0da6f5c9dfd337b7"),
+                             ("configs/quickstart.ini", "e6a9ef21a61895c9"),
+                             ("configs/default-scenario.ini", "4d4ef1cab5e265b4"),
+                             ("bench/matrix.ini", "1fc006abad5d61ed")):
             cfg = load_config(path and os.path.join(ROOT, path))
             assert config_hash(cfg) == digest, path
 

@@ -354,16 +354,17 @@ class TestMatrixJobs:
 
 @pytest.mark.slow
 class TestEndToEnd:
-    def test_federated_beats_best_local_on_two_clusters(self):
+    def test_federated_beats_best_local_on_two_clusters(self, monkeypatch):
         # two dissimilar hardware families, one client each: a model trained on
         # either alone generalizes worse to the pooled test set than the
         # federated model that saw both
-        profiles = (
-            simulate.DeviceProfile("alpha", 45.0, 1.0, 40.0, 0.8, 12.0, 15.0, 1.0, 0.01, 0.01),
-            simulate.DeviceProfile("omega", 36.0, 3.5, 31.0, 3.0, 30.0, 28.0, 1.0, 0.05, 0.85),
-        )
+        families = {
+            1: simulate.DeviceProfile("alpha", 45.0, 1.0, 40.0, 0.8, 12.0, 15.0, 1.0, 0.01, 0.01),
+            2: simulate.DeviceProfile("omega", 36.0, 3.5, 31.0, 3.0, 30.0, 28.0, 1.0, 0.05, 0.85),
+        }
+        monkeypatch.setattr(simulate, "device_profiles", lambda cfg: families)
         sim, traces, fc, tc = _micro_setup(
-            seed=5, n_traces=12, duration_s=90.0, attack_trace_prob=0.9, profiles=profiles
+            seed=5, n_traces=12, duration_s=90.0, attack_trace_prob=0.9
         )
         part = simulate.partition(traces, "non-iid-by-device", 2, sim.rng_seed)
         bundles = build_bundles(part, fusion.FusionConfig(), fc, tc, sim.rng_seed)

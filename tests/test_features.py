@@ -332,10 +332,20 @@ class TestLazyWindows:
         x = self._windows(rng)
         assert not x.rows.flags.writeable
 
+    def test_gather_is_time_major(self, rng):
+        # the LSTM reads (window_len, k, d); the gather writes that order, so
+        # the LSTM's transpose of it is contiguous and copies nothing
+        x = self._windows(rng)
+        for part in (x, x[np.array([7, 0, 7, 3])]):
+            gathered = np.asarray(part)
+            assert gathered.shape == part.shape
+            assert gathered.transpose(1, 0, 2).flags.c_contiguous
+
     def test_lstm_on_windows_matches_the_gathered_array(self, rng):
-        # more windows than one predict chunk, so that chunks are gathered
+        # more windows than one predict chunk, so that chunks are gathered;
+        # the eager copy is window-major, as a caller's own array would be
         x = self._windows(rng, lengths=(60, 3, 45))
-        gathered = np.asarray(x)
+        gathered = np.ascontiguousarray(x)
         y = rng.random(len(x)).astype(np.float32)
         params = lstm.init_params(4, N_FEATURES, 8)
         assert len(x) > lstm.PREDICT_CHUNK

@@ -3,11 +3,12 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from fedspoof import shards
-from fedspoof.domain import COLUMN_SHAPES, signal_slot
+from fedspoof import shards, simulate
+from fedspoof.domain import COLUMN_SHAPES, local_meters, signal_slot
 from fedspoof.simulate import (
-    AttackScenario,
-    DEFAULT_PROFILES,
+    ANCHOR_LAT,
+    ANCHOR_LON,
+    ATTACK_RAMP_S,
     DeviceProfile,
     SimConfig,
     device_models,
@@ -27,6 +28,19 @@ def rank_probability_smaller(a, b):
     return wins / (len(a) * len(b))
 
 
+def attacked_runs(flags):
+    """Sample indices of each maximal run of attacked samples, in order."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], flags.astype(np.int8), [0]])))
+    return [np.arange(a, b) for a, b in zip(edges[::2], edges[1::2])]
+
+
+def gnss_offset_m(trace):
+    """Distance of each GNSS fix from the true position, in the local plane."""
+    gnss = local_meters(ANCHOR_LAT, ANCHOR_LON, *trace.p_gnss.T)
+    true = local_meters(ANCHOR_LAT, ANCHOR_LON, *trace.p_true.T)
+    return np.hypot(gnss[0] - true[0], gnss[1] - true[1])
+
+
 class TestConfigAndScenario:
     def test_attack_fraction_validated(self):
         with pytest.raises(ValueError):
@@ -36,27 +50,50 @@ class TestConfigAndScenario:
         with pytest.raises(ValueError):
             SimConfig(partition_mode="bogus")
 
-    def test_scenario_rejects_overlap(self):
-        with pytest.raises(ValueError, match="overlap"):
-            AttackScenario(100.0, ((10.0, 50.0), (40.0, 80.0)), "ramp", 100.0, 10.0, 0.0)
-
-    def test_scenario_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="duration"):
-            AttackScenario(100.0, ((90.0, 120.0),), "step", 100.0, 10.0, 0.0)
-
-    def test_scenario_rejects_unknown_model(self):
-        with pytest.raises(ValueError, match="offset model"):
-            AttackScenario(100.0, ((10.0, 20.0),), "teleport", 100.0, 10.0, 0.0)
-
     def test_ramp_deviation_shape(self):
-        sc = AttackScenario(100.0, ((10.0, 60.0),), "ramp", 200.0, 25.0, 0.0)
-        t = np.arange(100.0)
-        dev = sc.deviation_at(t)
-        assert dev[9] == 0.0
-        assert dev[10] == 0.0  # ramp starts from zero
-        assert dev[22] == pytest.approx(200.0 * 12.0 / 25.0)
-        assert dev[50] == 200.0
-        assert dev[60] == 0.0
+        # noise-free GNSS: within each attacked run the offset from the true
+        # position grows by dev / ATTACK_RAMP_S per second, then holds at dev
+        dev = 200.0
+        for rate_hz in (1.0, 10.0):
+            cfg = SimConfig(n_traces=4, duration_s=200.0, sample_rate_hz=rate_hz,
+                            attack_fraction=0.5, attack_trace_prob=1.0, attack_step_prob=0.0,
+                            attack_dev_min_m=dev, attack_dev_max_m=dev, gnss_noise_m=0.0,
+                            rng_seed=3)
+            dt = 1.0 / rate_hz
+            n_runs = 0
+            for trace in generate(cfg):
+                offset = gnss_offset_m(trace)
+                assert np.all(offset[~trace.attacked] < 1e-6)
+                for run in attacked_runs(trace.attacked):
+                    n_runs += 1
+                    ramp = offset[run]
+                    held = int(np.argmax(np.abs(ramp - dev) < 1e-6))
+                    assert held > 0, "a ramp starts below its deviation"
+                    assert ATTACK_RAMP_S - dt <= held * dt <= ATTACK_RAMP_S
+                    assert ramp[0] < dev / ATTACK_RAMP_S * dt + 1e-6
+                    np.testing.assert_allclose(np.diff(ramp[:held]), dev / ATTACK_RAMP_S * dt,
+                                               rtol=1e-6)
+                    assert 0.0 < ramp[held] - ramp[held - 1] <= dev / ATTACK_RAMP_S * dt + 1e-6
+                    np.testing.assert_allclose(ramp[held:], dev, rtol=1e-9)
+            assert n_runs == 8  # 100 s of attack per trace, in two runs
+
+    def test_attack_runs_keep_margins_and_gap(self):
+        # at most two runs, each at least 5 s from the trace's ends and 10 s
+        # from the other, at either sample rate and attack share
+        for rate_hz in (1.0, 10.0):
+            for fraction in (0.2, 0.5, 0.8):
+                for seed in (1, 2, 3):
+                    cfg = SimConfig(n_traces=3, duration_s=200.0, sample_rate_hz=rate_hz,
+                                    attack_fraction=fraction, attack_trace_prob=0.9,
+                                    rng_seed=seed)
+                    for trace in generate(cfg):
+                        runs = attacked_runs(trace.attacked)
+                        assert len(runs) <= 2
+                        for run in runs:
+                            assert trace.t[run[0]] >= 5.0
+                            assert trace.t[run[-1]] < cfg.duration_s - 5.0
+                        if len(runs) == 2:
+                            assert trace.t[runs[1][0]] - trace.t[runs[0][-1]] >= 10.0
 
 
 class TestGenerate:
@@ -160,11 +197,11 @@ class TestGenerate:
         spreads = signal[valid, hi] - signal[valid, lo]
         assert np.median(spreads) > 500.0
 
-    def test_dropout_produces_missing_blocks(self):
-        profiles = (DeviceProfile("dropper", 40.0, 1.0, 35.0, 1.0, 10.0, 15.0, 1.0,
-                                  dropout_rate=0.5),)
-        cfg = SimConfig(n_traces=2, n_devices=1, n_clients=1, duration_s=60.0,
-                        rng_seed=3, profiles=profiles)
+    def test_dropout_produces_missing_blocks(self, monkeypatch):
+        dropper = DeviceProfile("dropper", 40.0, 1.0, 35.0, 1.0, 10.0, 15.0, 1.0,
+                                dropout_rate=0.5, gal_dropout_rate=0.02)
+        monkeypatch.setattr(simulate, "device_profiles", lambda cfg: {1: dropper})
+        cfg = SimConfig(n_traces=2, n_devices=1, n_clients=1, duration_s=60.0, rng_seed=3)
         traces = generate(cfg)
         values = np.concatenate([t.signal for t in traces])
         assert np.isnan(values).any()
@@ -191,10 +228,6 @@ class TestProfiles:
         flagship = [d for d, p in profiles.items() if p.dataset_scale == 1.58]
         legacy = [d for d, p in profiles.items() if p.dataset_scale == 1.0]
         assert sum(counts[d] for d in flagship) > sum(counts[d] for d in legacy)
-
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            DeviceProfile("bad", 40.0, -1.0, 35.0, 1.0, 10.0, 15.0, 1.0)
 
 
 class TestPartition:
@@ -251,7 +284,7 @@ class TestPartition:
 
     def test_holdout_override_on_device_partition(self):
         traces = self._traces(30)
-        part = partition(traces, "non-iid-by-device", 6, seed=5, trace_holdout=True)
+        part = partition(traces, "non-iid-by-device", 6, seed=5, holdout=True)
         assert any(split.test for split in part.values())
         for split in part.values():
             held = {t.trace_id for t in split.test}
