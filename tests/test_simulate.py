@@ -77,9 +77,9 @@ class TestConfigAndScenario:
                     np.testing.assert_allclose(ramp[held:], dev, rtol=1e-9)
             assert n_runs == 8  # 100 s of attack per trace, in two runs
 
-    def test_attack_runs_keep_margins_and_gap(self):
-        # at most two runs, each at least 5 s from the trace's ends and 10 s
-        # from the other, at either sample rate and attack share
+    @staticmethod
+    def generated_runs():
+        """(cfg, attacked runs) of each trace, over rates, attack shares and seeds."""
         for rate_hz in (1.0, 10.0):
             for fraction in (0.2, 0.5, 0.8):
                 for seed in (1, 2, 3):
@@ -87,13 +87,21 @@ class TestConfigAndScenario:
                                     attack_fraction=fraction, attack_trace_prob=0.9,
                                     rng_seed=seed)
                     for trace in generate(cfg):
-                        runs = attacked_runs(trace.attacked)
-                        assert len(runs) <= 2
-                        for run in runs:
-                            assert trace.t[run[0]] >= 5.0
-                            assert trace.t[run[-1]] < cfg.duration_s - 5.0
-                        if len(runs) == 2:
-                            assert trace.t[runs[1][0]] - trace.t[runs[0][-1]] >= 10.0
+                        yield cfg, trace, attacked_runs(trace.attacked)
+
+    def test_scenario_rejects_overlap(self):
+        # the attack plan admits at most two runs, 10 s apart
+        for _, trace, runs in self.generated_runs():
+            assert len(runs) <= 2
+            if len(runs) == 2:
+                assert trace.t[runs[1][0]] - trace.t[runs[0][-1]] >= 10.0
+
+    def test_scenario_rejects_out_of_range(self):
+        # the attack plan admits no run within 5 s of the trace's ends
+        for cfg, trace, runs in self.generated_runs():
+            for run in runs:
+                assert trace.t[run[0]] >= 5.0
+                assert trace.t[run[-1]] < cfg.duration_s - 5.0
 
 
 class TestGenerate:
