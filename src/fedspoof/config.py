@@ -118,9 +118,9 @@ def load_config(path: str | None, overrides: dict[str, object] | None = None) ->
     )
     for key, known in (("cells", ALL_CELLS), ("splits", ALL_SPLITS)):
         names = getattr(cfg, key)
-        if not names or not set(names) <= set(known):
+        if not names or not set(names) <= set(known) or len(set(names)) < len(names):
             raise ConfigError(f"invalid [experiment] values: {key} must name one or more "
-                              f"of {','.join(known)}, got {','.join(names)!r}")
+                              f"of {','.join(known)}, each once, got {','.join(names)!r}")
     sim = cfg.sim
     if sim.partition_mode == "non-iid-by-device" and sim.n_clients != sim.n_devices:
         raise ConfigError(f"invalid [sim] values: non-iid-by-device needs n_clients == "

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import features as feat
 from . import lstm, metrics, shards
-from .domain import Trace
+from .domain import DatasetFormatError, Trace
 from .federation import FederationConfig, LocalClient, run_rounds
 from .fusion import FusedEstimate, FusionConfig, fuse_trace, pds_score
 from .simulate import ClientSplit, SimConfig, device_models, partition
@@ -41,21 +41,17 @@ def _build_test_set(
     cfg: feat.FeatureConfig,
     iid: bool,
 ) -> tuple[feat.Windows, np.ndarray, np.ndarray]:
-    """Test windows, with truth and PDS read at each window's last index; an
+    """Test windows, with truth and PDS read at each window's last row; an
     IID split's test windows are the client's training windows themselves."""
     if iid:
         test_x = client.train_x
-        ends = [feat.window_ends(len(t), cfg.window_len) for t in test_traces]
     else:
         raws = (feat.extract_raw(t, f) for t, f in zip(test_traces, fused_traces))
-        test_x, ends = feat.window_traces(raws, client.feature_norm, cfg)
-    # an empty first part gives each array its dtype when no trace has a window
-    truths, pds_vals = [np.empty(0, dtype=bool)], [np.empty(0)]
-    for trace, fused, last in zip(test_traces, fused_traces, ends):
-        if last.size:
-            truths.append(trace.attacked[last])
-            pds_vals.append(pds_score(trace, fused)[last])
-    truth, pds_vals = np.concatenate(truths), np.concatenate(pds_vals)
+        test_x = feat.window_traces(raws, client.feature_norm, cfg)
+    # an empty first part gives each array its dtype when there is no test trace
+    truth = np.concatenate([np.empty(0, bool), *(t.attacked for t in test_traces)])
+    pds_vals = np.concatenate([np.empty(0), *map(pds_score, test_traces, fused_traces)])
+    truth, pds_vals = truth[test_x.ends], pds_vals[test_x.ends]
     truth.setflags(write=False)
     pds_vals.setflags(write=False)
     return test_x, truth, pds_vals
@@ -99,6 +95,11 @@ def build_bundles(
             train_cfg,
             master_seed + client_id,
         )
+        if client.n_train:  # a windowless client sits out every training
+            try:
+                lstm.validation_split(client.n_train)
+            except ValueError as exc:
+                raise DatasetFormatError(f"client {client_id}: {exc}") from exc
         # Trace compares by identity: equal lists hold the same trace objects
         test_x, truth, pds_vals = _build_test_set(
             client, split.test, [fused[id(t)] for t in split.test], feature_cfg,

@@ -10,9 +10,10 @@ is `fusion`'s cap -> min-max map, fitted per client on local training data
 only: the position features are capped at their training 95th percentile
 (applied to magnitude, sign preserved), and every feature is min-max scaled
 to [0, 1].  `window_traces` windows a client's training and test traces
-alike, each window ending where `window_ends` says.  `Windows` holds them
+alike, each window ending where `make_windows` says.  `Windows` holds them
 as the normalized rows plus each window's last row, one window per sample:
-a gathered (k, window_len, 36) array repeats every row window_len times.
+a gathered (k, window_len, 36) array repeats every row window_len times;
+a client's labels, truth and baseline scores are read at those last rows.
 """
 
 from __future__ import annotations
@@ -103,23 +104,15 @@ def apply_normalization(raw: np.ndarray, state: CapMinMax) -> np.ndarray:
     return apply_cap_minmax(valid, state).astype(np.float32)
 
 
-def window_ends(n: int, window_len: int) -> np.ndarray:
-    """Each window's last sample in an n-sample trace, windows one sample apart."""
-    if window_len < 1:
-        raise ValueError("window_len must be >= 1")
-    return np.arange(window_len - 1, n, dtype=np.int64)
-
-
 class Windows:
     """Sliding windows held as feature rows plus the row each window ends at.
 
     `rows` is (n, d) read-only float32, shared by every view; window k is
-    rows[ends[k] - window_len + 1 : ends[k] + 1].  An int index gives that
-    (window_len, d) window; a slice or an index array gives the `Windows` of
-    those windows.  `np.asarray` gathers the (k, window_len, d) array, laid
-    out time-major, so that the LSTM's (window_len, k, d) view of it is
-    contiguous; `shape`, `dtype`, `len` and `tobytes()` are the gathered
-    array's.
+    rows[ends[k] - window_len + 1 : ends[k] + 1].  A slice or an index array
+    gives the `Windows` of those windows.  `np.asarray` gathers the
+    (k, window_len, d) array, laid out time-major, so that the LSTM's
+    (window_len, k, d) view of it is contiguous; `shape`, `dtype`, `len` and
+    `tobytes()` are the gathered array's.
     """
 
     __slots__ = ("rows", "ends", "window_len")
@@ -131,6 +124,8 @@ class Windows:
             rows.setflags(write=False)
         self.rows = rows
         self.ends = np.asarray(ends, dtype=np.int64)
+        if self.ends.ndim != 1:  # an int index; window k is np.asarray(w)[k]
+            raise TypeError("Windows take a slice or an index array, not an int")
         self.window_len = window_len
 
     def __len__(self) -> int:
@@ -144,10 +139,7 @@ class Windows:
     def dtype(self) -> np.dtype:
         return self.rows.dtype
 
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            end = int(self.ends[index])
-            return self.rows[end - self.window_len + 1 : end + 1]
+    def __getitem__(self, index) -> Windows:
         return Windows(self.rows, self.ends[index], self.window_len)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:  # a gather always copies
@@ -167,24 +159,20 @@ def concat_windows(parts: list[Windows]) -> Windows:
 
 
 def make_windows(features: np.ndarray, window_len: int) -> tuple[Windows, np.ndarray]:
-    """Sliding windows over one trace's features: the `Windows` of its
-    (k, window_len, 36) sequences and their k `window_ends`, where callers
-    read each window's target, truth or score.  A trace shorter than the
-    window yields none.
+    """Sliding windows over one trace's features, one sample apart: the
+    `Windows` of its (k, window_len, 36) sequences and each one's last row.
+    A trace shorter than the window yields none.
     """
-    last = window_ends(np.shape(features)[0], window_len)
+    last = np.arange(window_len - 1, np.shape(features)[0], dtype=np.int64)
     return Windows(features, last, window_len), last
 
 
-def window_traces(
-    raws: Iterable[np.ndarray], norm: CapMinMax, cfg: FeatureConfig
-) -> tuple[Windows, list[np.ndarray]]:
+def window_traces(raws: Iterable[np.ndarray], norm: CapMinMax, cfg: FeatureConfig) -> Windows:
     """Each trace's raw matrix normalized with `norm` and windowed: every
-    trace's windows, over their rows concatenated, and each trace's window
-    ends.  `raws` may be a generator, so that one raw matrix at a time is
-    held."""
+    trace's windows, over their rows concatenated.  `raws` may be a
+    generator, so that one raw matrix at a time is held."""
     parts = [make_windows(apply_normalization(raw, norm), cfg.window_len)[0]
              for raw in raws]
     # an empty first part gives the row width when no trace is given
     empty = Windows(np.empty((0, N_FEATURES)), np.empty(0), cfg.window_len)
-    return concat_windows([empty, *parts]), [w.ends for w in parts]
+    return concat_windows([empty, *parts])

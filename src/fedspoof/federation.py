@@ -151,16 +151,13 @@ class LocalClient:
         fnorm = feat.fit_normalization(raws)
         lnorm = lab.fit_label_norm(devs)
 
-        train_x, ends = feat.window_traces(raws, fnorm, feature_cfg)
-        ys = [np.empty(0, dtype=np.float32)]  # the dtype when no trace has a window
-        for trace, fused_t, last in zip(traces, fused, ends):
-            if last.size:
-                ys.append(lab.generate(trace, fused_t, lnorm)[last])
-            else:
+        for trace in traces:
+            if len(trace) < feature_cfg.window_len:
                 log.warning("trace %d of client %d shorter than window; skipped",
                             trace.trace_id, client_id)
-        train_y = np.concatenate(ys)
-        client = cls(client_id, train_x, train_y, train_cfg, seed, fnorm)
+        train_x = feat.window_traces(raws, fnorm, feature_cfg)
+        ys = np.concatenate([lab.generate(t, f, lnorm) for t, f in zip(traces, fused)])
+        client = cls(client_id, train_x, ys[train_x.ends], train_cfg, seed, fnorm)
         client.train_y.setflags(write=False)
         return client
 

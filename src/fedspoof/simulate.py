@@ -375,8 +375,9 @@ def partition(
     traces used for training; non-iid-by-device makes one client per device.
     holdout, which non-iid-by-trace implies, holds out TEST_FRACTION of the
     traces (rounded half up) from all training as the test traces.
-    Deterministic per seed.  Too few traces for the clients, or devices for a
-    device partition, raise DatasetFormatError; an unknown mode ValueError.
+    Deterministic per seed.  Too few traces for the clients, devices for a
+    device partition, or a hold-out that leaves a client no training trace
+    raise DatasetFormatError; an unknown mode ValueError.
     """
     if not traces:
         raise DatasetFormatError("no traces to partition")
@@ -412,4 +413,8 @@ def partition(
             split.train.append(trace)
             if not holdout:
                 split.test.append(trace)
+    for client_id, split in sorted(clients.items()):
+        if not split.train:
+            raise DatasetFormatError(f"the trace hold-out leaves client {client_id} "
+                                     "no training trace")
     return clients

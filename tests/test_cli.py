@@ -140,6 +140,10 @@ class TestConfig:
             ("[experiment]\ncells = clfl,warp\n",
              r"invalid \[experiment\] values: cells .* got 'clfl,warp'"),
             ("[experiment]\nsplits = ,\n", r"invalid \[experiment\] values: splits"),
+            ("[experiment]\nsplits = iid, iid\n",
+             r"invalid \[experiment\] values: splits .* each once, got 'iid,iid'"),
+            ("[experiment]\ncells = clfl,per_device,clfl\n",
+             r"invalid \[experiment\] values: cells .* got 'clfl,per_device,clfl'"),
         ):
             path = _write_config(tmp_path, text)
             with pytest.raises(ConfigError, match=message):
@@ -290,6 +294,37 @@ class TestCliFlows:
                 assert _run(*command, "--config", path, "--out", str(out)) == 3, command
                 assert f"data error: {message}" in capsys.readouterr().err, command
                 assert os.listdir(out) == ["dataset.csv"], command
+
+    def test_client_left_no_training_trace_is_data_error(self, tmp_path, capsys):
+        # one trace per device: the device whose trace is held out has none to train on
+        config = _write_config(tmp_path, MICRO_CONFIG
+                               .replace("seed = 11", "seed = 3")
+                               .replace("cells = clfl", "cells = per_device")
+                               .replace("splits = iid", "splits = trace")
+                               .replace("n_traces = 8", "n_traces = 6")
+                               .replace("n_devices = 2", "n_devices = 6"))
+        out = tmp_path / "one_each"
+        assert _run("generate", "--config", config, "--out", str(out)) == 0
+        generated = sorted(os.listdir(out))
+        assert _run("eval", "--config", config, "--out", str(out)) == 3
+        assert re.search(r"data error: the trace hold-out leaves client \d+ no training trace",
+                         capsys.readouterr().err)
+        assert sorted(os.listdir(out)) == generated
+
+    def test_client_too_small_to_validate_is_data_error(self, tmp_path, capsys):
+        # 12-sample traces hold 3 windows of 10, too few for a validation tail
+        config = _write_config(tmp_path, MICRO_CONFIG
+                               .replace("n_traces = 8", "n_traces = 2")
+                               .replace("duration_s = 60.0", "duration_s = 12.0")
+                               .replace("window_len = 6", "window_len = 10"))
+        out = tmp_path / "short"
+        assert _run("generate", "--config", config, "--out", str(out)) == 0
+        generated = sorted(os.listdir(out))
+        for command in (("eval",), ("train", "--mode", "federated")):
+            assert _run(*command, "--config", config, "--out", str(out)) == 3, command
+            assert ("data error: client 1: dataset of 3 windows is smaller than the validation "
+                    "split minimum" in capsys.readouterr().err), command
+            assert sorted(os.listdir(out)) == generated, command
 
     def test_no_attack_corpus_fails_fast_single_class(self, tmp_path, capsys):
         config = _write_config(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedspoof import config, experiments, features, fusion, lstm, metrics, shards, simulate
+from fedspoof.domain import DatasetFormatError
 from fedspoof.experiments import (
     build_bundles,
     experiment_matrix,
@@ -53,6 +54,14 @@ class TestBundles:
         test = sum(b.test_x.shape[0] for b in bundles)
         assert test < train
 
+    def test_client_too_small_to_validate_rejected(self):
+        # two 12-sample traces give each client 3 windows of 10: no validation tail
+        sim, traces, _, tc = _micro_setup(n_traces=2, duration_s=12.0)
+        part = simulate.partition(traces, "iid", 2, sim.rng_seed)
+        with pytest.raises(DatasetFormatError, match=r"client 1: dataset of 3 windows"):
+            build_bundles(part, fusion.FusionConfig(), features.FeatureConfig(window_len=10), tc,
+                          sim.rng_seed)
+
     def test_pooled_training_set_interleaves_clients(self):
         sim, traces, fc, tc = _micro_setup()
         part = simulate.partition(traces, "iid", 2, sim.rng_seed)
@@ -60,9 +69,10 @@ class TestBundles:
         x, y = pooled_training_set(bundles)
         assert x.shape[0] == sum(b.client.n_train for b in bundles)
         # first rows alternate between clients rather than concatenating them
-        assert np.array_equal(x[0], bundles[0].client.train_x[0])
-        assert np.array_equal(x[1], bundles[1].client.train_x[0])
-        assert np.array_equal(x[2], bundles[0].client.train_x[1])
+        x, first, second = (np.asarray(w) for w in (x, *(b.client.train_x for b in bundles)))
+        assert np.array_equal(x[0], first[0])
+        assert np.array_equal(x[1], second[0])
+        assert np.array_equal(x[2], first[1])
 
     def test_pooled_training_set_interleaves_ragged_clients(self):
         # three clients of 3, 0 and 2 windows; window w of client c is filled
@@ -77,7 +87,8 @@ class TestBundles:
         x, y = pooled_training_set(bundles)
         order = [(0, 0), (2, 0), (0, 1), (2, 1), (0, 2)]
         assert x.dtype == y.dtype == np.float32
-        assert np.array_equal(x, np.stack([bundles[c].client.train_x[w] for c, w in order]))
+        windows = [np.asarray(b.client.train_x) for b in bundles]
+        assert np.array_equal(x, np.stack([windows[c][w] for c, w in order]))
         assert np.array_equal(y, np.array([bundles[c].client.train_y[w] for c, w in order]))
 
 

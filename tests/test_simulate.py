@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedspoof import shards, simulate
-from fedspoof.domain import COLUMN_SHAPES, local_meters, signal_slot
+from fedspoof.domain import COLUMN_SHAPES, DatasetFormatError, local_meters, signal_slot
 from fedspoof.simulate import (
     ANCHOR_LAT,
     ANCHOR_LON,
@@ -279,6 +279,17 @@ class TestPartition:
     def test_fewer_traces_than_clients_rejected(self):
         with pytest.raises(ValueError, match="fewer traces"):
             partition(self._traces(3), "iid", 5, seed=0)
+
+    def test_holdout_leaving_a_client_no_training_trace_rejected(self):
+        # six traces, one per device or client: a held-out trace leaves its owner none
+        traces = self._traces(6)
+        message = r"the trace hold-out leaves client \d+ no training trace"
+        for mode in ("iid", "non-iid-by-device"):
+            with pytest.raises(DatasetFormatError, match=message):
+                partition(traces, mode, 6, seed=3, holdout=True)
+            partition(traces, mode, 6, seed=3)  # without the hold-out every client trains
+        with pytest.raises(DatasetFormatError, match=message):
+            partition(traces, "non-iid-by-trace", 6, seed=3)
 
     def test_deterministic(self):
         traces = self._traces(20)

@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 # cli imports every fedspoof module, which the tracer looks up in sys.modules
-from fedspoof import cli, experiments, fusion, lstm  # noqa: F401
+from fedspoof import cli, experiments, features, fusion, lstm, simulate  # noqa: F401
 
 TRACING_PY = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracing.py"
@@ -53,3 +53,22 @@ def test_tracer_counts_the_epochs_train_local_ran(rng):
     counts = tracer.phase_counts(tracer.phase)
     assert counts["lstm.train_local.calls"] == 1
     assert counts["lstm.train_local.epochs"] == report.epochs_run
+
+
+def test_tracer_counts_the_windows_and_samples_built(tiny_corpus):
+    # the trace split windows test traces too, and leaves one client none
+    cfg, traces = tiny_corpus
+    part = simulate.partition(traces, "non-iid-by-trace", 2, cfg.rng_seed)
+    assert sorted(bool(split.test) for split in part.values()) == [False, True]
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        bundles = experiments.build_bundles(part, fusion.FusionConfig(), features.FeatureConfig(),
+                                            lstm.TrainConfig(), cfg.rng_seed)
+    finally:
+        tracer.uninstall()
+    counts = tracer.phase_counts(tracer.phase)
+    windows = sum(b.client.n_train + len(b.test_x) for b in bundles)
+    assert counts["features.make_windows.windows"] == windows > 0
+    samples = sum(len(t) for split in part.values() for t in split.train)
+    assert counts["labels.generate.samples"] == samples > 0
