@@ -217,8 +217,9 @@ def experiment_matrix(
     # every partition below holds these trace objects; fuse each one once
     fused = fuse_each(traces, fusion_cfg)
     budget_epochs = fed_cfg.rounds * fed_cfg.local_epochs
-    rows: list[MatrixRow] = []
-
+    # every split is partitioned and built before the first training, so a
+    # split that cannot be fails the run before any work or file write
+    plans = []
     for split in splits:
         holdout = split == "trace"
         # one job per model to train: the training plus the rows it is scored
@@ -265,7 +266,10 @@ def experiment_matrix(
                                              c.train_cfg, budget_epochs, c.seed),
                                      [("per_device", "local", f"device_{c.client_id}",
                                        str(c.client_id), [b])]))
+        plans.append((split, jobs, pds_rows))
 
+    rows: list[MatrixRow] = []
+    for split, jobs, pds_rows in plans:
         scored = []
         calls = [partial(_scores, train, [r[4] for r in job_rows]) for train, job_rows in jobs]
         for (_, job_rows), job_scores in zip(jobs, shards.run(calls)):

@@ -5,7 +5,11 @@ Clients keep their traces, features and labels local; the only values that
 cross the client/server boundary are flat parameter vectors, sample counts
 and per-evaluator AUCs.  Client work runs in shards: the server process
 itself and forked processes, up to one per usable CPU, which exchange
-pickled value-semantic messages with the server over pipes.
+value-semantic messages with the server over pipes.  A message crosses as a
+small pickle followed by each parameter vector's bytes, written from the
+vector's own memory and read into the memory the received vector owns
+(`shards._send`), so a gated round's broadcast of the global model and every
+candidate is never copied whole.
 """
 
 from __future__ import annotations
@@ -70,10 +74,10 @@ SERVER_RECEIVABLE_MESSAGE_TYPES = (RoundUpdate, QualityReport)
 def fedavg(updates: list[RoundUpdate]) -> lstm.LstmModelParams:
     """Coordinate-wise mean of client parameters, weighted by sample counts.
 
-    Accumulates in 64-bit and returns the updates' dtype.  Updates are
-    canonicalized by client id first, so the result is bitwise
-    permutation-invariant; weights n_k / sum(n_k) make it exactly invariant
-    under uniform scaling of all n_k.
+    Accumulates in 64-bit, each update weighted in one scratch vector, and
+    returns the updates' dtype.  Updates are canonicalized by client id
+    first, so the result is bitwise permutation-invariant; weights
+    n_k / sum(n_k) make it exactly invariant under uniform scaling of all n_k.
     """
     if not updates:
         raise ValueError("fedavg needs at least one update")
@@ -93,8 +97,12 @@ def fedavg(updates: list[RoundUpdate]) -> lstm.LstmModelParams:
     ordered = sorted(updates, key=lambda u: u.client_id)
     total = float(sum(u.n_samples for u in ordered))
     acc = np.zeros(first.params.vector.size, dtype=np.float64)
+    scratch = np.empty_like(acc)
     for u in ordered:
-        acc += (u.n_samples / total) * u.params.vector.astype(np.float64)
+        scratch[...] = u.params.vector
+        scratch *= u.n_samples / total
+        acc += scratch
+    del scratch  # freed before the result is made
     return lstm.LstmModelParams(
         first.params.input_size,
         first.params.hidden_size,

@@ -182,13 +182,15 @@ def _layer_backward(wx, wh, cache, d_hs, need_dx=True):
 
     Each step's gradient on the gate pre-activations (the unscaled z, so the
     stored weights serve as they are) overwrites that step's activations in
-    the cache's gate buffer, which is then reduced with one GEMM per weight;
-    the cache cannot be used again.  The input-weight and bias reductions run
-    over batch-major copies of the buffer and the input: a sum over the B*T
-    rows in another order would change their bits.  Returns gradients for the
-    layer inputs (time-major; None unless need_dx) and for (wx, wh, b).
+    the cache's gate buffer, which is then reduced with one GEMM per weight.
+    The arrays are taken out of the cache, which is left empty, so the cell
+    and hidden states are freed once the time loop is done.  The input-weight
+    and bias reductions run over batch-major copies of the buffer and the
+    input: a sum over the B*T rows in another order would change their bits.
+    Returns gradients for the layer inputs (time-major; None unless need_dx)
+    and for (wx, wh, b).
     """
-    x, gates, cs, tc, hs = cache["x"], cache["gates"], cache["c"], cache["tc"], cache["hs"]
+    x, gates, cs, tc, hs = (cache.pop(k) for k in ("x", "gates", "c", "tc", "hs"))
     steps, bsz, in_dim = x.shape
     h_dim = wh.shape[0]
     d_act = np.empty((bsz, 4 * h_dim), dtype=gates.dtype)
@@ -233,6 +235,7 @@ def _layer_backward(wx, wh, cache, d_hs, need_dx=True):
         if t > 0:
             d_wh += hs[t - 1].T @ z
             dh_rec = z @ wh.T
+    del cs, tc, hs, t_c
 
     dz = _batch_major(gates)
     d_wx = _batch_major(x).T @ dz
@@ -279,7 +282,7 @@ def predict(params: LstmModelParams, x: np.ndarray) -> np.ndarray:
     """
     out = np.empty(len(x), dtype=np.float64)
     for start in range(0, len(x), PREDICT_CHUNK):
-        y, _ = forward(params, x[start : start + PREDICT_CHUNK])
+        y = forward(params, x[start : start + PREDICT_CHUNK])[0]  # the cache dies here
         out[start : start + y.shape[0]] = y
     return out
 
@@ -310,21 +313,25 @@ def backward(
     dy = (2.0 / bsz) * resid
     du = (dy * y * (1.0 - y)).astype(dtype)
 
-    # each block's gradient goes straight into its view of the flat vector
-    grad = LstmModelParams(params.input_size, params.hidden_size, np.empty_like(params.vector))
-    g = grad.blocks()
-    g["head_w"][...] = cache["h2_last"].T @ du
-    g["head_b"][...] = du.sum()
-
+    # layer 2's cache, h2_last (a view of it) included, and d_h2 die before
+    # the layer-1 BPTT, and the gradient vector is made after both layers
+    d_head_w = cache.pop("h2_last").T @ du
     steps = x.shape[1]
     d_h2 = np.zeros((steps, bsz, params.hidden_size), dtype=dtype)
     d_h2[-1] = np.outer(du, blocks["head_w"])
-    d_h1, g["l2_wx"][...], g["l2_wh"][...], g["l2_b"][...] = _layer_backward(
-        blocks["l2_wx"], blocks["l2_wh"], cache["cache2"], d_h2
+    d_h1, *d_l2 = _layer_backward(blocks["l2_wx"], blocks["l2_wh"], cache.pop("cache2"), d_h2)
+    del d_h2
+    _, *d_l1 = _layer_backward(
+        blocks["l1_wx"], blocks["l1_wh"], cache.pop("cache1"), d_h1, need_dx=False
     )
-    _, g["l1_wx"][...], g["l1_wh"][...], g["l1_b"][...] = _layer_backward(
-        blocks["l1_wx"], blocks["l1_wh"], cache["cache1"], d_h1, need_dx=False
-    )
+
+    # each block's gradient goes into its view of the flat vector
+    grad = LstmModelParams(params.input_size, params.hidden_size, np.empty_like(params.vector))
+    g = grad.blocks()
+    g["l1_wx"][...], g["l1_wh"][...], g["l1_b"][...] = d_l1
+    g["l2_wx"][...], g["l2_wh"][...], g["l2_b"][...] = d_l2
+    g["head_w"][...] = d_head_w
+    g["head_b"][...] = du.sum()
     return grad.vector, mse
 
 
@@ -342,7 +349,8 @@ def clip_gradient_norm(grad: np.ndarray, max_norm: float) -> float:
 
 
 class AdamOptimizer:
-    """Adam with bias correction; moments live in the parameter dtype."""
+    """Adam with bias correction; moments live in the parameter dtype, and a
+    step works in place through two scratch vectors of that dtype."""
 
     def __init__(self, n_params: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, dtype=np.float32):
@@ -356,11 +364,24 @@ class AdamOptimizer:
 
     def step(self, vector: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m += (1.0 - self.beta1) * (grad - self.m)
-        self.v += (1.0 - self.beta2) * (grad * grad - self.v)
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        vector -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(vector.dtype)
+        a, b = np.empty_like(self.m), np.empty_like(self.m)
+        # one operation at a time, in the order of
+        # m += (1 - beta1) * (grad - m) and v += (1 - beta2) * (grad^2 - v)
+        np.subtract(grad, self.m, out=a)
+        a *= 1.0 - self.beta1
+        self.m += a
+        np.multiply(grad, grad, out=a)
+        a -= self.v
+        a *= 1.0 - self.beta2
+        self.v += a
+        # and of vector -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=a)
+        a *= self.lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        vector -= a.astype(vector.dtype, copy=False)
 
 
 class EarlyStopping:

@@ -8,13 +8,44 @@ clients keep one pool for a run; `run` calls jobs once on a pool of their
 own: one per trace to generate or format, the evaluation matrix's models
 and the scoring of test windows.  Nothing here imports from the rest of
 the package, so every layer can use the pool.
+
+A message crosses a pipe as a pickle of protocol 5 (PEP 574) that holds
+everything but the data of its contiguous arrays, followed by that data,
+written from each array's own memory and read into a buffer that the
+unpickled array then owns; neither side ever holds a message's bytes whole.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import traceback
+
+
+def _send(conn, obj) -> None:
+    """Send obj over conn, each contiguous array's data out of band."""
+    buffers: list = []
+    head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    raws = [buf.raw() for buf in buffers]
+    conn.send((head, [raw.nbytes for raw in raws]))
+    for raw in raws:
+        while raw:
+            raw = raw[os.write(conn.fileno(), raw):]
+
+
+def _recv(conn):
+    """The object `_send` sent over conn; EOFError once the other end has closed."""
+    head, sizes = conn.recv()
+    buffers = [bytearray(size) for size in sizes]
+    for buf in buffers:
+        view = memoryview(buf)
+        while view:
+            n = os.readv(conn.fileno(), [view])
+            if n == 0:
+                raise EOFError
+            view = view[n:]
+    return pickle.loads(head, buffers=buffers)
 
 
 def _shard_reply(clients: list, method: str, args: tuple) -> list:
@@ -33,7 +64,7 @@ def _serve(conn, clients: list, inherited: list) -> None:
     with conn:
         while True:
             try:
-                method, args = conn.recv()
+                method, args = _recv(conn)
             except EOFError:
                 return
             try:
@@ -41,7 +72,7 @@ def _serve(conn, clients: list, inherited: list) -> None:
             except Exception as exc:  # noqa: BLE001 - raised again in the server
                 reply = ("error", exc, traceback.format_exc())
             try:
-                conn.send(reply)
+                _send(conn, reply)
             except BrokenPipeError:
                 return
 
@@ -101,11 +132,11 @@ class _Shards:
     def ask(self, method: str, *args) -> list:
         """`method(*args)` on every client, the results in client order."""
         for conn in self._conns:
-            conn.send((method, args))
+            _send(conn, (method, args))
         replies = [_shard_reply(self._clients[:: self._n], method, args)]
         for k, conn in enumerate(self._conns, 1):
             try:
-                status, payload, remote_tb = conn.recv()
+                status, payload, remote_tb = _recv(conn)
             except EOFError:
                 raise RuntimeError(f"shard {k} exited without replying") from None
             if status == "error":

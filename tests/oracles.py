@@ -1,6 +1,8 @@
-"""Independent reference computations that the tests check the package against."""
+"""Independent reference computations that the tests check the package
+against, and the traced-memory meter of the memory tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -15,6 +17,26 @@ def haversine_m(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float
     dlon = lon2 - lon1
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+def traced_peak(fn) -> int:
+    """Bytes by which the traced heap's peak during fn() rose above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def adam_step(m, v, t, vector, grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step as whole-array expressions; updates m, v and vector in place."""
+    m += (1.0 - beta1) * (grad - m)
+    v += (1.0 - beta2) * (grad * grad - v)
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    vector -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(vector.dtype)
 
 
 def dataset_text(traces) -> str:

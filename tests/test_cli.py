@@ -296,20 +296,22 @@ class TestCliFlows:
                 assert os.listdir(out) == ["dataset.csv"], command
 
     def test_client_left_no_training_trace_is_data_error(self, tmp_path, capsys):
-        # one trace per device: the device whose trace is held out has none to train on
-        config = _write_config(tmp_path, MICRO_CONFIG
-                               .replace("seed = 11", "seed = 3")
-                               .replace("cells = clfl", "cells = per_device")
-                               .replace("splits = iid", "splits = trace")
-                               .replace("n_traces = 8", "n_traces = 6")
-                               .replace("n_devices = 2", "n_devices = 6"))
+        # one trace per device: the device whose trace is held out has none to
+        # train on; an iid split before it must not train or write either
         out = tmp_path / "one_each"
-        assert _run("generate", "--config", config, "--out", str(out)) == 0
-        generated = sorted(os.listdir(out))
-        assert _run("eval", "--config", config, "--out", str(out)) == 3
-        assert re.search(r"data error: the trace hold-out leaves client \d+ no training trace",
-                         capsys.readouterr().err)
-        assert sorted(os.listdir(out)) == generated
+        for splits in ("trace", "iid, trace"):
+            config = _write_config(tmp_path, MICRO_CONFIG
+                                   .replace("seed = 11", "seed = 3")
+                                   .replace("cells = clfl", "cells = per_device")
+                                   .replace("splits = iid", f"splits = {splits}")
+                                   .replace("n_traces = 8", "n_traces = 6")
+                                   .replace("n_devices = 2", "n_devices = 6"))
+            assert _run("generate", "--config", config, "--out", str(out)) == 0
+            generated = sorted(os.listdir(out))
+            assert _run("eval", "--config", config, "--out", str(out)) == 3, splits
+            assert re.search(r"data error: the trace hold-out leaves client \d+ no training trace",
+                             capsys.readouterr().err), splits
+            assert sorted(os.listdir(out)) == generated, splits
 
     def test_client_too_small_to_validate_is_data_error(self, tmp_path, capsys):
         # 12-sample traces hold 3 windows of 10, too few for a validation tail

@@ -25,6 +25,7 @@ from fedspoof.federation import (
 from fedspoof.lstm import LstmModelParams, TrainConfig, init_params, param_count
 
 from clients import FaultyClient, client_from_windows, first_samples, not_finite, shuffled
+from oracles import traced_peak
 
 
 def _update(client_id, vector, n=1, round_index=1, input_size=4, hidden_size=3):
@@ -495,3 +496,78 @@ class TestShardedRounds:
         assert _c7_violations([update.params.vector]) != []
         assert _c7_violations([update.params.blocks()["l1_wx"]]) != []
         assert _c7_violations([1]) == ["reply[0]: int"]
+
+
+def _in_shard(value):
+    return os.getpid(), value
+
+
+def _raise_in_shard():
+    raise KeyError("no such client")
+
+
+class _ReviewSink:
+    """A client whose review takes the broadcast and answers nothing."""
+
+    def review(self, global_params, candidates):
+        return None
+
+
+class TestShardWire:
+    """How values cross a forked shard's pipe: contiguous arrays out of band,
+    everything else in the pickle."""
+
+    def test_replies_arrive_bitwise(self, rng, monkeypatch, tiny_corpus):
+        _force_shards(monkeypatch, 2)
+        frozen = rng.integers(0, 9, (5, 4))
+        frozen.setflags(write=False)
+        arrays = [
+            rng.normal(0, 1, 1000).astype(np.float32),  # C-contiguous vector
+            frozen,
+            rng.normal(0, 1, (6, 8))[::2, 1:],  # non-contiguous view
+            np.asfortranarray(rng.normal(0, 1, (3, 5))),
+            np.empty((0, 3), dtype=np.float32),
+        ]
+        trace = tiny_corpus[1][0]
+        update = _update(3, _rand_vec(rng), n=17, round_index=4)
+        values = [*arrays, trace, update]
+        # job 2i + 1 runs in the forked shard, so each value crosses its pipe
+        jobs = [job for v in values for job in (int, functools.partial(_in_shard, v))]
+        replies = shards.run(jobs)[1::2]
+        assert os.getpid() not in {pid for pid, _ in replies}
+        got = [value for _, value in replies]
+        for sent, came in zip(arrays, got):
+            assert (came.dtype, came.shape) == (sent.dtype, sent.shape)
+            assert came.tobytes() == sent.tobytes()
+        assert not got[1].flags.writeable
+        came = got[len(arrays)]
+        for f in dataclasses.fields(trace):
+            sent_col, came_col = getattr(trace, f.name), getattr(came, f.name)
+            if isinstance(sent_col, np.ndarray):
+                assert (came_col.dtype, came_col.shape) == (sent_col.dtype, sent_col.shape)
+                assert came_col.tobytes() == sent_col.tobytes(), f.name
+                assert not came_col.flags.writeable, f.name
+            else:
+                assert came_col == sent_col
+        came = got[-1]
+        assert (came.client_id, came.round_index, came.n_samples) == (3, 4, 17)
+        assert (came.params.input_size, came.params.hidden_size) == (4, 3)
+        assert came.params.vector.dtype == np.float32
+        assert came.params.vector.tobytes() == update.params.vector.tobytes()
+
+    def test_shard_error_arrives_with_its_type_and_traceback(self, monkeypatch):
+        _force_shards(monkeypatch, 2)
+        with pytest.raises(KeyError, match="no such client") as excinfo:
+            shards.run([int, _raise_in_shard])
+        remote = str(excinfo.value.__cause__)
+        assert "in shard 1" in remote and "_raise_in_shard" in remote
+        assert multiprocessing.active_children() == []
+
+    def test_broadcast_is_not_copied_whole(self, monkeypatch):
+        # the review broadcast: the global model and six candidates
+        _force_shards(monkeypatch, 2)
+        global_params = init_params(1)
+        candidates = [RoundUpdate(k, 1, init_params(k + 2), 10) for k in range(6)]
+        with shards._Shards([_ReviewSink(), _ReviewSink()]) as pool:
+            rise = traced_peak(lambda: pool.ask("review", global_params, candidates))
+        assert rise < global_params.vector.nbytes

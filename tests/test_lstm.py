@@ -25,7 +25,7 @@ from fedspoof.lstm import (
     train_local,
     validation_split,
 )
-from oracles import lstm_forward
+from oracles import adam_step, lstm_forward, traced_peak
 
 
 def finite_difference_grad(params, x, y, coords, eps=1e-4):
@@ -146,6 +146,14 @@ class TestForward:
         y, _ = forward(p, rng.uniform(0, 1, (8, 7, 6)))
         assert np.all((y > 0.0) & (y < 1.0))
 
+    def test_predict_frees_each_chunk_before_the_next(self, rng):
+        # 4 chunks of 64 windows peak as high as one: a chunk's BPTT cache
+        # is not kept through the next chunk's forward
+        p = init_params(3)
+        x = rng.uniform(0, 1, (4 * lstm.PREDICT_CHUNK, 10, p.input_size)).astype(np.float32)
+        one_chunk = traced_peak(lambda: forward(p, x[: lstm.PREDICT_CHUNK]))
+        assert traced_peak(lambda: predict(p, x)) <= 1.2 * one_chunk
+
     def test_order_sensitivity(self, rng):
         p = init_params(4, input_size=6, hidden_size=5)
         x = rng.uniform(0, 1, (1, 7, 6)).astype(np.float32)
@@ -236,6 +244,15 @@ class TestBackward:
         assert np.array_equal(g1, g2)
         assert mse1 == mse2
 
+    def test_layer_2_is_freed_before_layer_1(self, rng):
+        # backward holds the forward caches; of what it makes itself, one
+        # layer's reductions at a time, and the gradient vector only at the end
+        p = init_params(3)
+        x = rng.uniform(0, 1, (72, 10, p.input_size)).astype(np.float32)
+        y = rng.uniform(0, 1, 72).astype(np.float32)
+        forward_peak = traced_peak(lambda: forward(p, x))
+        assert traced_peak(lambda: backward(p, x, y)) <= 1.25 * forward_peak
+
     def test_target_mismatch_rejected(self, rng):
         p = init_params(0, input_size=3, hidden_size=2)
         with pytest.raises(ValueError, match="targets"):
@@ -271,6 +288,28 @@ class TestOptimizerAndClip:
         v = np.zeros(2, dtype=np.float32)
         opt.step(v, np.array([1.0, -1.0], dtype=np.float32))
         assert v[0] < 0.0 < v[1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_step_equals_the_whole_array_expressions(self, rng, dtype):
+        n = 1000
+        opt = AdamOptimizer(n, lr=1.7e-3, dtype=dtype)
+        m, v = np.zeros(n, dtype), np.zeros(n, dtype)
+        vec = rng.normal(0, 1, n).astype(dtype)
+        ref = vec.copy()
+        for t in range(1, 6):
+            grad = rng.normal(0, 1, n).astype(dtype)
+            opt.step(vec, grad)
+            adam_step(m, v, t, ref, grad, 1.7e-3)
+        assert vec.tobytes() == ref.tobytes()
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+
+    def test_adam_step_works_in_two_scratch_vectors(self, rng):
+        n = param_count(lstm.DEFAULT_INPUT_SIZE, lstm.DEFAULT_HIDDEN_SIZE)
+        assert n == 135_301
+        opt = AdamOptimizer(n, lr=1e-3)
+        vec = rng.normal(0, 1, n).astype(np.float32)
+        grad = rng.normal(0, 1, n).astype(np.float32)
+        assert traced_peak(lambda: opt.step(vec, grad)) < 2.5 * vec.nbytes
 
     def test_lr_scaling_clamped(self):
         cfg = TrainConfig()
