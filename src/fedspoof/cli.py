@@ -82,22 +82,23 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, mode: str) -> int:
     if truth.all() or not truth.any():  # checked before any training or writing
         raise metrics.SingleClassError(f"{mode} evaluation on {cfg.sim.partition_mode!r} "
                                        f"test split: {metrics.SINGLE_CLASS}")
-    if mode == "federated":
-        params, rows = experiments.run_federated(bundles, cfg.federation)
-        metrics.write_csv(os.path.join(out_dir, "metrics_federated.csv"),
-                          rows[0].keys(), [r.values() for r in rows])
-        lstm.save_checkpoint(params, os.path.join(out_dir, "model_federated.ckpt"))
-        scores = experiments.model_scores(params, bundles)
-    elif mode == "centralized":
-        budget = cfg.federation.rounds * cfg.federation.local_epochs
-        params, report = experiments.run_centralized(bundles, cfg.train, cfg.seed, budget)
-        curves = zip(range(1, report.epochs_run + 1), report.train_mse_curve, report.val_mse_curve)
-        metrics.write_csv(os.path.join(out_dir, "metrics_centralized.csv"),
-                          ("epoch", "train_mse", "val_mse"), curves)
-        lstm.save_checkpoint(params, os.path.join(out_dir, "model_centralized.ckpt"))
-        scores = experiments.model_scores(params, bundles)
-    else:  # pds-baseline
+    if mode == "pds-baseline":
         scores = experiments.pds_pooled(bundles)
+    else:
+        if mode == "federated":
+            params, rows = experiments.run_federated(bundles, cfg.federation)
+            header, table = rows[0].keys(), [r.values() for r in rows]
+        else:  # centralized
+            budget = cfg.federation.rounds * cfg.federation.local_epochs
+            params, report = experiments.run_centralized(bundles, cfg.train, cfg.seed, budget)
+            header = ("epoch", "train_mse", "val_mse")
+            table = zip(range(1, report.epochs_run + 1), report.train_mse_curve,
+                        report.val_mse_curve)
+        metrics.write_csv(os.path.join(out_dir, f"metrics_{mode}.csv"), header, table)
+        # the model is scored as it was saved, so the checkpoint is what the AUC measures
+        ckpt = os.path.join(out_dir, f"model_{mode}.ckpt")
+        lstm.save_checkpoint(params, ckpt)
+        scores = experiments.model_scores(lstm.load_checkpoint(ckpt), bundles)
 
     tag = mode.replace("-baseline", "")
     auc, n_pos, n_neg = metrics.score_row(scores, truth, os.path.join(out_dir, f"roc_{tag}.csv"))

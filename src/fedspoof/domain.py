@@ -191,10 +191,10 @@ def read_dataset(path: str) -> list[Trace]:
     """Read a dataset file back into traces, one line at a time.
 
     Traces are grouped by (platform_id, trace_id) and ordered by t.  Malformed
-    records, a non-finite time, position or motion value, an attacked flag
-    other than 0/1 and an out-of-range position raise DatasetFormatError
-    naming the line; a repeated timestamp within a trace raises naming the
-    trace.
+    records, a non-finite time, position or motion value, an infinite signal
+    value, an attacked flag other than 0/1 and an out-of-range position raise
+    DatasetFormatError naming the line; a repeated timestamp within a trace
+    raises naming the trace.  A `nan` signal value reads as missing.
     """
     # (numeric values, signal values, attacked flags, line numbers) per trace
     groups: dict[tuple[int, int], tuple[array, array, bytearray, list[int]]] = {}
@@ -236,6 +236,13 @@ def read_dataset(path: str) -> list[Trace]:
     traces = []
     for pid, tid in sorted(groups):
         numeric_buf, signal_buf, attacked_buf, lines = groups.pop((pid, tid))
+        signal = np.frombuffer(signal_buf).reshape(len(lines), N_SIGNAL_SLOTS)
+        infinite = np.isinf(signal)
+        if infinite.any():  # checked on each trace's block, not per line
+            row, slot = np.argwhere(infinite)[0]
+            raise DatasetFormatError(
+                f"line {lines[row]}: {SIGNAL_SLOTS[slot]} is not finite: {signal[row, slot]}"
+            )
         num = np.frombuffer(numeric_buf).reshape(len(lines), -1)
         columns = dict(zip(_NUMERIC_COLUMNS, np.split(num, _NUMERIC_SPLITS, axis=1)))
         order = np.argsort(columns["t"].ravel(), kind="stable")
@@ -250,7 +257,7 @@ def read_dataset(path: str) -> list[Trace]:
             trace_id=tid,
             platform_id=pid,
             **columns,
-            signal=np.frombuffer(signal_buf).reshape(len(lines), N_SIGNAL_SLOTS)[order],
+            signal=signal[order],
             attacked=np.frombuffer(attacked_buf, dtype=bool)[order],
         ))
     return traces

@@ -59,10 +59,12 @@ class QualityReport:
             raise ValueError("auc_vs_reference must be in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlobalModelState:
+    """The final global parameters and the gate's last rolling AUC (0.0 ungated)."""
+
     params: lstm.LstmModelParams
-    last_auc: float = 0.0
+    last_auc: float
 
 
 #: Every message type the server can receive from clients.  The privacy
@@ -112,10 +114,11 @@ def fedavg(updates: list[RoundUpdate]) -> lstm.LstmModelParams:
 
 class LocalClient:
     """One mobile platform: local windows (`features.Windows`, which an IID
-    test set shares), self-supervised targets, the binarized reference
-    labels used when evaluating other clients' updates, the feature map
-    fitted on its training traces, which normalizes its test traces, and the
-    seed its local training rounds derive from."""
+    test set shares), self-supervised targets, the feature map fitted on its
+    training traces, which normalizes its test traces, the seed its local
+    training rounds derive from, and its gate evidence, fixed once: at most
+    GATE_EVAL_MAX_WINDOWS evenly spaced training windows and their binarized
+    self-labels, or None (the client abstains) when those hold one class."""
 
     def __init__(
         self,
@@ -132,7 +135,10 @@ class LocalClient:
         self.train_cfg = train_cfg
         self.seed = seed
         self.feature_norm = feature_norm
-        self.reference_binary = self.train_y > 0.5
+        n = len(train_x)
+        idx = np.unique(np.linspace(0, n - 1, min(n, GATE_EVAL_MAX_WINDOWS)).astype(np.int64))
+        ref = self.train_y[idx] > 0.5
+        self.gate_evidence = None if ref.all() or not ref.any() else (train_x[idx], ref)
 
     @property
     def n_train(self) -> int:
@@ -192,23 +198,13 @@ class LocalClient:
             n_samples=self.n_train,
         )
 
-    def eval_subset(self) -> np.ndarray:
-        """Evenly spaced indices of at most GATE_EVAL_MAX_WINDOWS windows, for gate scoring."""
-        n = self.n_train
-        if n <= GATE_EVAL_MAX_WINDOWS:
-            return np.arange(n)
-        return np.unique(np.linspace(0, n - 1, GATE_EVAL_MAX_WINDOWS).astype(np.int64))
-
     def score_candidate(self, params: lstm.LstmModelParams) -> float | None:
-        """Candidate AUC on local windows vs binarized self-labels.
-
-        Returns None (abstains) when the local reference has a single class.
-        """
-        idx = self.eval_subset()
-        ref = self.reference_binary[idx]
-        if ref.all() or not ref.any():
+        """AUC of params on the gate windows against their binarized
+        self-labels, or None (abstains) without gate evidence."""
+        if self.gate_evidence is None:
             return None
-        return metrics.auc_from_scores(lstm.predict(params, self.train_x[idx]), ref)
+        x, ref = self.gate_evidence
+        return metrics.auc_from_scores(lstm.predict(params, x), ref)
 
     def validation_mse(self, params: lstm.LstmModelParams) -> float:
         """MSE of params on this client's validation windows."""
@@ -219,58 +215,48 @@ class LocalClient:
         self,
         global_params: lstm.LstmModelParams,
         candidates: list[RoundUpdate],
-    ) -> tuple[float | None, list[QualityReport | None]]:
+    ) -> tuple[float | None, list[QualityReport]]:
         """This client's part of one gated round.
 
-        Returns the AUC of the broadcast model and one entry per candidate:
-        a QualityReport, or None for the client's own candidate and where
-        the client abstains (single-class reference labels, AUC None too).
+        Returns the AUC of the broadcast model and one QualityReport per
+        other client's candidate, in candidate order.  A client without gate
+        evidence abstains: it scores no candidate and returns (None, []).
         The per-window scores stay with the client.
         """
         global_auc = self.score_candidate(global_params)
         if global_auc is None:
             log.warning("client %d abstained from gating (single-class labels)", self.client_id)
-        reports: list[QualityReport | None] = []
-        for candidate in candidates:
-            if candidate.client_id == self.client_id:
-                reports.append(None)
-                continue
-            auc = self.score_candidate(candidate.params)
-            reports.append(None if auc is None else QualityReport(
-                candidate_client_id=candidate.client_id,
-                evaluating_client_id=self.client_id,
-                auc_vs_reference=auc,
-            ))
-        return global_auc, reports
+            return None, []
+        return global_auc, [
+            QualityReport(candidate.client_id, self.client_id,
+                          self.score_candidate(candidate.params))
+            for candidate in candidates if candidate.client_id != self.client_id
+        ]
 
 
 def quality_gate(
     candidate: RoundUpdate,
-    reports: list[QualityReport | None],
-    global_state: GlobalModelState,
+    reports: list[QualityReport],
+    last_auc: float,
     threshold_delta: float,
 ) -> tuple[bool, list[QualityReport]]:
     """Cross-client screening of one candidate update.
 
-    `reports` holds one entry per client other than the candidate's own, in
-    client-id order: that evaluator's QualityReport on the candidate, scored
-    on its local windows against its binarized self-supervised labels, or
-    None where it abstained.  The update is accepted iff the mean AUC is at
-    least the global model's rolling AUC minus threshold_delta; if every
-    evaluator abstained it is accepted with a warning.  Returns the verdict
-    and the reports that were given.
+    `reports` may hold a whole round's reports; the candidate is judged on
+    those whose candidate_client_id names it, each one evaluator's AUC of
+    the candidate on its gate windows against its binarized self-labels.
+    The update is accepted iff their mean is at least last_auc, the global
+    model's rolling AUC, minus threshold_delta; with no report on it (every
+    evaluator abstained) it is accepted with a warning.  Returns the verdict
+    and the reports it was judged on, in the order given.
     """
-    if not reports:
-        raise ValueError("quality gate needs at least one evaluator besides the candidate")
-    given = [r for r in reports if r is not None]
+    given = [r for r in reports if r.candidate_client_id == candidate.client_id]
     if not given:
-        log.warning(
-            "all evaluators abstained for client %d; accepting by default",
-            candidate.client_id,
-        )
+        log.warning("all evaluators abstained for client %d; accepting by default",
+                    candidate.client_id)
         return True, []
     mean_auc = float(np.mean([r.auc_vs_reference for r in given]))
-    return mean_auc >= global_state.last_auc - threshold_delta, given
+    return mean_auc >= last_auc - threshold_delta, given
 
 
 @dataclass(frozen=True)
@@ -300,7 +286,9 @@ def run_rounds(
 
     Per round: broadcast the global parameters, train every client locally,
     drop any update with a non-finite parameter, screen the rest through the
-    quality gate once the warm-up has passed, aggregate the accepted updates
+    quality gate once the warm-up has passed (every client's review reply is
+    flattened into the round's reports, and the gate picks each candidate's
+    by the id they carry), aggregate the accepted updates
     with FedAvg, and record metrics.  The model's input size is the feature
     count of the clients' windows.  A federation with one active client
     runs ungated: no other client can review its updates.  Client work runs
@@ -321,15 +309,14 @@ def run_rounds(
 
     announced_mean = float(np.mean([c.n_train for c in active]))
     input_size = active[0].train_x.shape[2]
-    global_state = GlobalModelState(lstm.init_params(cfg.init_seed, input_size, hidden_size))
+    params = lstm.init_params(cfg.init_seed, input_size, hidden_size)
+    last_auc = 0.0
     weights = np.array([c.n_train for c in active], dtype=np.float64)
     rows: list[dict] = []
 
     with shards._Shards(active) as pool:
         for round_index in range(1, cfg.rounds + 1):
-            updates = pool.ask(
-                "train", global_state.params, round_index, cfg.local_epochs, announced_mean
-            )
+            updates = pool.ask("train", params, round_index, cfg.local_epochs, announced_mean)
 
             # a non-finite update is neither scored by the gate nor averaged
             finite = []
@@ -337,50 +324,38 @@ def run_rounds(
                 if np.isfinite(update.params.vector).all():
                     finite.append(update)
                 else:
-                    log.warning(
-                        "round %d: dropped non-finite update from client %d",
-                        round_index,
-                        update.client_id,
-                    )
+                    log.warning("round %d: dropped non-finite update from client %d",
+                                round_index, update.client_id)
 
             gate_active = gate_enabled and round_index > cfg.gate_warmup_rounds
             gate_aucs: list[float] = []
             if gate_active:
-                reviews = pool.ask("review", global_state.params, finite)
-                # rolling AUC of the model broadcast this round, same reference
-                # labels the candidates are judged against
+                reviews = pool.ask("review", params, finite)
+                # rolling AUC of the model broadcast this round, on the same
+                # evidence the candidates are judged on
                 global_aucs = [auc for auc, _ in reviews if auc is not None]
                 if global_aucs:
-                    global_state.last_auc = float(np.mean(global_aucs))
+                    last_auc = float(np.mean(global_aucs))
+                # in evaluator client-id order, as the pool returns the replies
+                reports = [r for _, given in reviews for r in given]
                 accepted = []
-                for j, update in enumerate(finite):
-                    ok, reports = quality_gate(
-                        update,
-                        [r[j] for c, (_, r) in zip(active, reviews)
-                         if c.client_id != update.client_id],
-                        global_state,
-                        cfg.gate_threshold_delta,
-                    )
-                    gate_aucs.extend(r.auc_vs_reference for r in reports)
+                for update in finite:
+                    ok, given = quality_gate(update, reports, last_auc, cfg.gate_threshold_delta)
+                    gate_aucs.extend(r.auc_vs_reference for r in given)
                     if ok:
                         accepted.append(update)
                     else:
-                        log.info(
-                            "round %d: rejected update from client %d",
-                            round_index,
-                            update.client_id,
-                        )
+                        log.info("round %d: rejected update from client %d",
+                                 round_index, update.client_id)
             else:
                 accepted = finite
 
             if accepted:
-                new_params = fedavg(accepted)
+                params = fedavg(accepted)
             else:
                 log.warning("round %d: no update accepted; global model unchanged", round_index)
-                new_params = global_state.params
-            global_state = GlobalModelState(new_params, last_auc=global_state.last_auc)
 
-            val_mses = np.array(pool.ask("validation_mse", new_params))
+            val_mses = np.array(pool.ask("validation_mse", params))
             rows.append(
                 {
                     "round": round_index,
@@ -389,4 +364,4 @@ def run_rounds(
                     "global_val_mse": float(np.average(val_mses, weights=weights)),
                 }
             )
-    return global_state, rows
+    return GlobalModelState(params, last_auc), rows

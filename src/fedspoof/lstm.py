@@ -349,15 +349,12 @@ def clip_gradient_norm(grad: np.ndarray, max_norm: float) -> float:
 
 
 class AdamOptimizer:
-    """Adam with bias correction; moments live in the parameter dtype, and a
-    step works in place through two scratch vectors of that dtype."""
+    """Adam with bias correction, with beta1, beta2 and eps the module's
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS; moments live in the parameter dtype,
+    and a step works in place through two scratch vectors of that dtype."""
 
-    def __init__(self, n_params: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, dtype=np.float32):
+    def __init__(self, n_params: int, lr: float, dtype=np.float32):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(n_params, dtype=dtype)
         self.v = np.zeros(n_params, dtype=dtype)
@@ -368,18 +365,18 @@ class AdamOptimizer:
         # one operation at a time, in the order of
         # m += (1 - beta1) * (grad - m) and v += (1 - beta2) * (grad^2 - v)
         np.subtract(grad, self.m, out=a)
-        a *= 1.0 - self.beta1
+        a *= 1.0 - ADAM_BETA1
         self.m += a
         np.multiply(grad, grad, out=a)
         a -= self.v
-        a *= 1.0 - self.beta2
+        a *= 1.0 - ADAM_BETA2
         self.v += a
         # and of vector -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(self.m, 1.0 - self.beta1**self.t, out=a)
+        np.divide(self.m, 1.0 - ADAM_BETA1**self.t, out=a)
         a *= self.lr
-        np.divide(self.v, 1.0 - self.beta2**self.t, out=b)
+        np.divide(self.v, 1.0 - ADAM_BETA2**self.t, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += ADAM_EPS
         a /= b
         vector -= a.astype(vector.dtype, copy=False)
 
@@ -410,10 +407,12 @@ class EarlyStopping:
 
 #: The fixed local training recipe: the share of windows held out for
 #: validation, the least validation-loss drop that counts as an improvement,
-#: the gradient clipping norm and the clamp on the learning-rate multiplier.
+#: the gradient clipping norm, Adam's moment decays and denominator offset,
+#: and the clamp on the learning-rate multiplier.
 VALIDATION_FRACTION = 0.2
 MIN_IMPROVEMENT = 1e-6
 CLIP_NORM = 5.0
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 LR_SCALE_MIN, LR_SCALE_MAX = 0.5, 2.0
 
 

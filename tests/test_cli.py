@@ -6,9 +6,10 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from fedspoof import cli, domain
+from fedspoof import cli, domain, lstm
 from fedspoof.config import (
     _DERIVED_SEEDS, _FIELD_TYPES, _SECTIONS, ConfigError, ExperimentConfig, _coerce, config_hash,
     load_config,
@@ -253,6 +254,24 @@ class TestCliFlows:
 
         assert _run("report", "--out", out) == 0
         assert "auc" in capsys.readouterr().out
+
+    def test_train_scores_the_checkpoint_it_wrote(self, tmp_path, monkeypatch):
+        # a checkpoint written as the all-zero model scores every window
+        # alike, so train's AUC is that of the saved model, not of the trained one
+        save = lstm.save_checkpoint
+
+        def save_zeros(params, path):
+            save(lstm.LstmModelParams(params.input_size, params.hidden_size,
+                                      np.zeros_like(params.vector)), path)
+
+        monkeypatch.setattr(lstm, "save_checkpoint", save_zeros)
+        config = _write_config(tmp_path)
+        out = tmp_path / "run"
+        assert _run("generate", "--config", config, "--out", str(out)) == 0
+        for mode in ("federated", "centralized"):
+            assert _run("train", "--mode", mode, "--config", config, "--out", str(out)) == 0
+            header, row = (out / f"auc_{mode}.csv").read_text().splitlines()
+            assert row.split(",")[:2] == [mode, "0.5"]
 
     def test_generate_writes_pinned_corpus(self, tmp_path):
         # sha256 of the quick start's dataset.csv: the corpus, its trace order

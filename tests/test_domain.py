@@ -220,6 +220,8 @@ class TestDatasetRoundTrip:
         ("lon_net_deg", "-inf", "line 3: lon_net_deg is not finite: -inf"),
         ("accel_u_mps2", "nan", "line 3: accel_u_mps2 is not finite: nan"),
         ("omega_x_rads", "inf", "line 3: omega_x_rads is not finite: inf"),
+        ("gps_l1_cn0_ant_dbhz_mean", "inf", "line 3: gps_l1_cn0_ant_dbhz_mean is not finite: inf"),
+        ("gal_e1_doppler_hz_max", "-inf", "line 3: gal_e1_doppler_hz_max is not finite: -inf"),
     ])
     def test_bad_value_names_line(self, tmp_path, column, token, message):
         path = tmp_path / "bad.csv"
@@ -231,6 +233,19 @@ class TestDatasetRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match=re.escape(message)):
             read_dataset(str(path))
+
+    def test_literal_nan_signal_reads_as_missing(self, tmp_path):
+        # only an infinite signal value is rejected; `nan` is missing, as `na` is
+        path = tmp_path / "nan.csv"
+        write_dataset([_trace(n=3)], str(path))
+        lines = path.read_text().splitlines()
+        cols = lines[2].split(",")
+        cols[HEADER_COLUMNS.index("gps_l1_cn0_ant_dbhz_mean")] = "nan"
+        lines[2] = ",".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        (trace,) = read_dataset(str(path))
+        slot = signal_slot("gps_l1", "cn0_ant_dbhz", "mean")
+        assert np.argwhere(np.isnan(trace.signal)).tolist() == [[1, slot]]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"

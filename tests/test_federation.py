@@ -14,7 +14,6 @@ from fedspoof import features, fusion, lstm, metrics, shards
 from fedspoof.federation import (
     SERVER_RECEIVABLE_MESSAGE_TYPES,
     FederationConfig,
-    GlobalModelState,
     LocalClient,
     QualityReport,
     RoundUpdate,
@@ -99,12 +98,11 @@ def _client_from_windows(client_id, x, y, seed=0):
     )
 
 
-def _reports(candidate, clients):
-    """Every other client's report on candidate, in client order, as run_rounds
-    gathers them (None where an evaluator abstains)."""
-    return [c.review(candidate.params, [candidate])[1][0]
-            for c in sorted(clients, key=lambda c: c.client_id)
-            if c.client_id != candidate.client_id]
+def _reports(clients, global_params, candidates):
+    """Every client's reports on the candidates, flattened from their review
+    replies in client order, as run_rounds gathers a gated round's."""
+    return [r for c in sorted(clients, key=lambda c: c.client_id)
+            for r in c.review(global_params, candidates)[1]]
 
 
 def _separable_client(rng, client_id, n=120, seed=0):
@@ -114,16 +112,27 @@ def _separable_client(rng, client_id, n=120, seed=0):
     return _client_from_windows(client_id, x, y, seed=seed)
 
 
+def _trained(rng):
+    """Three clients and the model a short ungated federation trains on them."""
+    clients = [_separable_client(rng, i + 1, n=240, seed=i) for i in range(3)]
+    cfg = FederationConfig(rounds=5, local_epochs=6, gate_enabled=False, init_seed=0)
+    state, _ = run_rounds(clients, cfg, hidden_size=8)
+    return clients, state.params
+
+
+def _shuffled_clone(rng, params):
+    return LstmModelParams(params.input_size, params.hidden_size,
+                           params.vector[rng.permutation(params.vector.size)])
+
+
 class TestQualityGate:
     def test_current_global_accepted_against_itself(self, rng):
         clients = [_separable_client(rng, i + 1, seed=i) for i in range(3)]
         params = init_params(0, 6, 4)
-        state = GlobalModelState(params)
-        aucs = [c.score_candidate(params) for c in clients]
-        state.last_auc = float(np.mean(aucs))
+        last_auc = float(np.mean([c.score_candidate(params) for c in clients]))
         candidate = RoundUpdate(1, 1, params, n_samples=10)
         accepted, reports = quality_gate(
-            candidate, _reports(candidate, clients), state, threshold_delta=0.02
+            candidate, _reports(clients, params, [candidate]), last_auc, threshold_delta=0.02
         )
         assert accepted
         assert {r.evaluating_client_id for r in reports} == {2, 3}
@@ -134,34 +143,49 @@ class TestQualityGate:
         degenerate = _client_from_windows(
             2, rng.uniform(0, 1, (40, 4, 6)).astype(np.float32), np.zeros(40, np.float32)
         )
-        state = GlobalModelState(init_params(0, 6, 4), last_auc=0.0)
         candidate = RoundUpdate(1, 1, init_params(1, 6, 4), n_samples=10)
-        accepted, reports = quality_gate(candidate, _reports(candidate, [good, degenerate]),
-                                         state, 0.02)
+        reports = _reports([good, degenerate], init_params(0, 6, 4), [candidate])
+        accepted, given = quality_gate(candidate, reports, 0.0, 0.02)
         assert accepted  # the only evaluator abstained -> accept by default
-        assert reports == []
+        assert given == []
 
-    def test_needs_an_evaluator(self, rng):
-        client = _separable_client(rng, 1)
-        state = GlobalModelState(init_params(0, 6, 4))
-        candidate = RoundUpdate(1, 1, init_params(0, 6, 4), 5)
-        with pytest.raises(ValueError, match="evaluator"):
-            quality_gate(candidate, _reports(candidate, [client]), state, 0.02)
+    def test_abstaining_client_scores_nothing(self, rng, monkeypatch):
+        degenerate = _client_from_windows(
+            2, rng.uniform(0, 1, (40, 4, 6)).astype(np.float32), np.zeros(40, np.float32)
+        )
+        calls = []
+        predict = lstm.predict
+        monkeypatch.setattr(lstm, "predict", lambda *a: calls.append(1) or predict(*a))
+        candidates = [RoundUpdate(k, 1, init_params(k, 6, 4), n_samples=10) for k in (1, 2, 3)]
+        assert degenerate.review(init_params(0, 6, 4), candidates) == (None, [])
+        assert calls == []
 
     def test_shuffled_parameters_rejected(self, rng):
         # train a competent global, then gate a parameter-shuffled clone of it
-        clients = [_separable_client(rng, i + 1, n=240, seed=i) for i in range(3)]
-        cfg = FederationConfig(rounds=5, local_epochs=6, gate_enabled=False, init_seed=0)
-        state, _ = run_rounds(clients, cfg, hidden_size=8)
-        aucs = [c.score_candidate(state.params) for c in clients]
-        state.last_auc = float(np.mean(aucs))
-        assert state.last_auc > 0.8
+        clients, params = _trained(rng)
+        last_auc = float(np.mean([c.score_candidate(params) for c in clients]))
+        assert last_auc > 0.8
 
-        vector = state.params.vector[rng.permutation(state.params.vector.size)]
-        bad = RoundUpdate(1, 6, LstmModelParams(6, 8, vector), n_samples=240)
-        accepted, reports = quality_gate(bad, _reports(bad, clients), state, threshold_delta=0.02)
+        bad = RoundUpdate(1, 6, _shuffled_clone(rng, params), n_samples=240)
+        accepted, reports = quality_gate(bad, _reports(clients, params, [bad]), last_auc,
+                                         threshold_delta=0.02)
         assert not accepted
-        assert np.mean([r.auc_vs_reference for r in reports]) < state.last_auc - 0.02
+        assert np.mean([r.auc_vs_reference for r in reports]) < last_auc - 0.02
+
+    def test_each_candidate_judged_on_its_own_reports(self, rng):
+        # one round's reports on two candidates: client 1 uploads the trained
+        # global itself, client 2 a parameter-shuffled clone of it
+        clients, params = _trained(rng)
+        last_auc = float(np.mean([c.score_candidate(params) for c in clients]))
+        good = RoundUpdate(1, 6, params, n_samples=240)
+        bad = RoundUpdate(2, 6, _shuffled_clone(rng, params), n_samples=240)
+        reports = _reports(clients, params, [good, bad])
+        assert len(reports) == 4  # every client reports on each candidate but its own
+        verdicts = {c.client_id: quality_gate(c, reports, last_auc, 0.02) for c in (good, bad)}
+        assert verdicts[1][0] and not verdicts[2][0]
+        for candidate_id, (_, given) in verdicts.items():
+            assert {r.candidate_client_id for r in given} == {candidate_id}
+            assert {r.evaluating_client_id for r in given} == {1, 2, 3} - {candidate_id}
 
     def test_report_validates_auc_range(self):
         with pytest.raises(ValueError):
