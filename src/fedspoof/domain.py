@@ -63,6 +63,17 @@ RECORD = {
 #: Shape of one sample's entry in each Trace column.
 COLUMN_SHAPES = {name: () if len(cols) == 1 else (len(cols),) for name, cols in RECORD.items()}
 
+HEADER_COLUMNS = ("platform_id", "trace_id", *(c for cols in RECORD.values() for c in cols))
+
+MISSING_TOKEN = "na"
+
+#: A record's values: every Trace column but the attacked flag, in file
+#: order; the offsets that split a record's values into those columns; and
+#: the signal's slice of the values.
+_VALUES = tuple(RECORD)[:-1]
+_SPLITS = np.cumsum([len(RECORD[c]) for c in _VALUES])[:-1]
+_SIGNAL = slice(int(_SPLITS[-1]), None)
+
 #: The (lat, lon) position columns, and their latitude and longitude limits.
 _POSITIONS = ("p_true", "p_gnss", "p_net")
 _DEGREE_LIMITS = np.array([90.0, 180.0] * len(_POSITIONS))
@@ -75,11 +86,19 @@ def frozen_column(values, dtype=np.float64) -> np.ndarray:
     return col
 
 
-def _first_bad_position(columns) -> tuple[int, str] | None:
-    """Row and message of the first value outside the WGS-84 degree ranges in
-    the position columns of a name -> column mapping, or None; NaN is out of range."""
+def _first_bad_value(columns) -> tuple[int, str] | None:
+    """Row and message of the first bad value, in file order, in the _VALUES
+    of a name -> column mapping, or None: a value that is not finite (a NaN
+    signal value marks a missing one and passes), else a position outside
+    the WGS-84 degree ranges."""
+    values = np.column_stack([columns[name] for name in _VALUES])
+    bad = ~np.isfinite(values)
+    bad[:, _SIGNAL] = np.isinf(values[:, _SIGNAL])
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), values.shape[1])
+        return row, f"{HEADER_COLUMNS[2 + col]} is not finite: {float(values[row, col])}"
     latlon = np.hstack([columns[name] for name in _POSITIONS])
-    bad = np.flatnonzero(~(np.abs(latlon) <= _DEGREE_LIMITS))
+    bad = np.flatnonzero(np.abs(latlon) > _DEGREE_LIMITS)
     if bad.size == 0:
         return None
     row, col = divmod(int(bad[0]), latlon.shape[1])
@@ -127,7 +146,7 @@ class Trace:
         lengths = {name: len(getattr(self, name)) for name in COLUMN_SHAPES}
         if set(lengths.values()) != {n}:
             raise ValueError(f"column lengths differ in trace {self.trace_id}: {lengths}")
-        fault = _first_bad_position(vars(self))
+        fault = _first_bad_value(vars(self))
         if fault is not None:
             raise ValueError(fault[1])
         if not np.all(np.diff(self.t) > 0.0):
@@ -142,32 +161,15 @@ class Trace:
         return Trace, tuple(getattr(self, f.name) for f in fields(self))
 
 
-HEADER_COLUMNS = ("platform_id", "trace_id", *(c for cols in RECORD.values() for c in cols))
-
-MISSING_TOKEN = "na"
-
-#: Record columns between the ids and the signal block, in file order, and
-#: the offsets that split a record's numeric values into them.
-_NUMERIC_COLUMNS = tuple(RECORD)[: tuple(RECORD).index("signal")]
-_NUMERIC_SPLITS = np.cumsum([len(RECORD[c]) for c in _NUMERIC_COLUMNS])[:-1]
-_SIGNAL_START = HEADER_COLUMNS.index(SIGNAL_SLOTS[0])
-
-
-def _rows(block: np.ndarray) -> list[str]:
-    """Each row of a 2-D float block as its values' reprs joined by commas."""
-    return [",".join(map(repr, row)) for row in block.tolist()]
-
-
 def _format_block(trace: Trace) -> str:
     """The dataset lines of one trace."""
     ids = f"{trace.platform_id},{trace.trace_id},"
-    numeric = _rows(np.column_stack([getattr(trace, c) for c in _NUMERIC_COLUMNS]))
-    # repr round-trips doubles exactly under float(); in the signal block
-    # only a NaN formats to a token holding "nan"
-    signal = [row.replace("nan", MISSING_TOKEN) for row in _rows(trace.signal)]
+    values = np.column_stack([getattr(trace, c) for c in _VALUES]).tolist()
+    # repr round-trips doubles exactly under float(); of a Trace's values
+    # only a missing signal value, NaN, formats to a token holding "nan"
     return "".join(
-        ids + row + "," + sig + (",1\n" if hit else ",0\n")
-        for row, sig, hit in zip(numeric, signal, trace.attacked.tolist())
+        ids + ",".join(map(repr, row)).replace("nan", MISSING_TOKEN) + (",1\n" if hit else ",0\n")
+        for row, hit in zip(values, trace.attacked.tolist())
     )
 
 
@@ -190,14 +192,14 @@ def write_dataset(traces: list[Trace], path: str) -> None:
 def read_dataset(path: str) -> list[Trace]:
     """Read a dataset file back into traces, one line at a time.
 
-    Traces are grouped by (platform_id, trace_id) and ordered by t.  Malformed
-    records, a non-finite time, position or motion value, an infinite signal
-    value, an attacked flag other than 0/1 and an out-of-range position raise
-    DatasetFormatError naming the line; a repeated timestamp within a trace
-    raises naming the trace.  A `nan` signal value reads as missing.
+    Traces are grouped by (platform_id, trace_id) and ordered by t.  A
+    malformed record, an attacked flag other than 0/1 and a value that Trace
+    rejects raise DatasetFormatError naming the line; a repeated timestamp
+    within a trace raises naming the trace.  `na`, like `nan`, reads as NaN,
+    which only a signal value may be.
     """
-    # (numeric values, signal values, attacked flags, line numbers) per trace
-    groups: dict[tuple[int, int], tuple[array, array, bytearray, list[int]]] = {}
+    # (values, attacked flags, line numbers) per trace
+    groups: dict[tuple[int, int], tuple[array, bytearray, list[int]]] = {}
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         if header.split(",") != list(HEADER_COLUMNS):
@@ -210,56 +212,40 @@ def read_dataset(path: str) -> list[Trace]:
                 )
             try:
                 key = (int(cols[0]), int(cols[1]))
-                numeric = [float(c) for c in cols[2:_SIGNAL_START]]
-                signal = [
-                    math.nan if c == MISSING_TOKEN else float(c) for c in cols[_SIGNAL_START:-1]
-                ]
+                values = [math.nan if c == MISSING_TOKEN else float(c) for c in cols[2:-1]]
             except ValueError as exc:
                 raise DatasetFormatError(f"line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, numeric)):
-                j = 2 + next(i for i, x in enumerate(numeric) if not math.isfinite(x))
-                raise DatasetFormatError(
-                    f"line {lineno}: {HEADER_COLUMNS[j]} is not finite: {cols[j]}"
-                )
             if cols[-1] not in ("0", "1"):
                 raise DatasetFormatError(
                     f"line {lineno}: attacked must be 0 or 1, got {cols[-1]!r}"
                 )
             group = groups.get(key)
             if group is None:
-                group = groups[key] = (array("d"), array("d"), bytearray(), [])
-            group[0].extend(numeric)
-            group[1].extend(signal)
-            group[2].append(cols[-1] == "1")
-            group[3].append(lineno)
+                group = groups[key] = (array("d"), bytearray(), [])
+            group[0].extend(values)
+            group[1].append(cols[-1] == "1")
+            group[2].append(lineno)
 
     traces = []
     for pid, tid in sorted(groups):
-        numeric_buf, signal_buf, attacked_buf, lines = groups.pop((pid, tid))
-        signal = np.frombuffer(signal_buf).reshape(len(lines), N_SIGNAL_SLOTS)
-        infinite = np.isinf(signal)
-        if infinite.any():  # checked on each trace's block, not per line
-            row, slot = np.argwhere(infinite)[0]
-            raise DatasetFormatError(
-                f"line {lines[row]}: {SIGNAL_SLOTS[slot]} is not finite: {signal[row, slot]}"
-            )
-        num = np.frombuffer(numeric_buf).reshape(len(lines), -1)
-        columns = dict(zip(_NUMERIC_COLUMNS, np.split(num, _NUMERIC_SPLITS, axis=1)))
-        order = np.argsort(columns["t"].ravel(), kind="stable")
-        columns = {c: col[order].reshape(-1, *COLUMN_SHAPES[c]) for c, col in columns.items()}
-        fault = _first_bad_position(columns)
-        if fault is not None:
-            row, message = fault
-            raise DatasetFormatError(f"line {lines[order[row]]}: {message}")
-        if np.any(np.diff(columns["t"]) <= 0.0):
-            raise DatasetFormatError(f"non-monotone timestamps in trace {tid}")
-        traces.append(Trace(
-            trace_id=tid,
-            platform_id=pid,
-            **columns,
-            signal=signal[order],
-            attacked=np.frombuffer(attacked_buf, dtype=bool)[order],
-        ))
+        values_buf, attacked_buf, lines = groups.pop((pid, tid))
+        values = np.frombuffer(values_buf).reshape(len(lines), -1)
+        order = np.argsort(values[:, 0], kind="stable")
+        columns = {
+            c: col.reshape(-1, *COLUMN_SHAPES[c])
+            for c, col in zip(_VALUES, np.split(values[order], _SPLITS, axis=1))
+        }
+        try:
+            traces.append(Trace(
+                trace_id=tid,
+                platform_id=pid,
+                **columns,
+                attacked=np.frombuffer(attacked_buf, dtype=bool)[order],
+            ))
+        except ValueError as exc:
+            fault = _first_bad_value(columns)  # None for a repeated timestamp
+            where = "" if fault is None else f"line {lines[order[fault[0]]]}: "
+            raise DatasetFormatError(where + str(exc)) from exc
     return traces
 
 

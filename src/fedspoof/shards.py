@@ -65,7 +65,7 @@ def _serve(conn, clients: list, inherited: list) -> None:
         while True:
             try:
                 method, args = _recv(conn)
-            except EOFError:
+            except (EOFError, ConnectionResetError):  # reset: hung up on an unread reply
                 return
             try:
                 reply = ("ok", _shard_reply(clients, method, args), None)

@@ -12,6 +12,7 @@ from fedspoof.domain import (
     DatasetFormatError,
     HEADER_COLUMNS,
     RECORD,
+    SIGNAL_SLOTS,
     Trace,
     local_meters,
     offset_geopos,
@@ -38,6 +39,15 @@ def _trace(n=1, tid=1, pid=1, t=None, lat=10.0, lon=20.0, **columns):
     )
     cols.update(columns)
     return Trace(trace_id=tid, platform_id=pid, **cols)
+
+
+def _with_value(trace, column, value, row=1):
+    """The Trace column holding a file column, as a copy of trace's with the
+    value at row replaced, keyed by its name."""
+    name = next(name for name, cols in RECORD.items() if column in cols)
+    col = getattr(trace, name).copy()
+    col[(row, RECORD[name].index(column))[: col.ndim]] = value
+    return {name: col}
 
 
 def _assert_traces_equal(a, b):
@@ -82,8 +92,31 @@ class TestTrace:
             _trace(lat=91.0)
         with pytest.raises(ValueError, match="longitude out of range: -180.5"):
             _trace(p_gnss=[[0.0, -180.5]])
-        with pytest.raises(ValueError, match="latitude out of range: nan"):
+        # a NaN position is not finite before it is out of range
+        with pytest.raises(ValueError, match="lat_net_deg is not finite: nan"):
             _trace(n=2, p_net=[[0.0, 0.0], [np.nan, 0.0]])
+
+    @pytest.mark.parametrize("column, value", [
+        *((c, v) for c in HEADER_COLUMNS[2:HEADER_COLUMNS.index(SIGNAL_SLOTS[0])]
+          for v in (math.nan, math.inf)),
+        *((c, v) for c in (SIGNAL_SLOTS[0], SIGNAL_SLOTS[-1]) for v in (math.inf, -math.inf)),
+    ])
+    def test_non_finite_value_names_column(self, column, value):
+        trace = _trace(n=3)
+        with pytest.raises(ValueError, match=re.escape(f"{column} is not finite: {value}")):
+            dataclasses.replace(trace, **_with_value(trace, column, value))
+
+    def test_nan_signal_value_marks_missing(self):
+        trace = _trace(n=3)
+        missing = dataclasses.replace(trace, **_with_value(trace, SIGNAL_SLOTS[5], math.nan))
+        assert np.argwhere(np.isnan(missing.signal)).tolist() == [[1, 5]]
+
+    def test_copy_of_generated_trace_rejects_infinite_signal(self):
+        (trace,) = simulate.generate(simulate.SimConfig(n_traces=1, duration_s=12.0))
+        signal = trace.signal.copy()
+        signal[3, 5] = math.inf
+        with pytest.raises(ValueError, match=f"{SIGNAL_SLOTS[5]} is not finite: inf"):
+            dataclasses.replace(trace, signal=signal)
 
     def test_boundary_positions_ok(self):
         _trace(lat=90.0, lon=180.0, p_gnss=[[90.0, 180.0]], p_net=[[90.0, 180.0]])
@@ -146,7 +179,7 @@ class TestDatasetWriter:
         signal[2, 31] = np.nan
         odd = _trace(
             n=3, tid=2, t=odd_values, v=odd_values, signal=signal,
-            a=np.tile(odd_values, (3, 1)), omega=[[np.nan, -0.0, 1e-05]] * 3,
+            a=np.tile(odd_values, (3, 1)), omega=[[1e16, -0.0, 1e-05]] * 3,
             p_gnss=[[-0.0, 1e-05], [1e-05, -0.0], [89.999999, 1e-300]],
             attacked=np.array([True, False, True]),
         )
@@ -157,9 +190,10 @@ class TestDatasetWriter:
             write_dataset(traces, str(path))
             assert path.read_bytes() == dataset_text(traces).encode("ascii")
         text = path.read_text()
-        # NaN reads "na" in the signal block only; read_dataset rejects it elsewhere
-        for token in (",na,", ",nan,", ",-0.0,", ",1e-05,", ",1e+16,", ",1e-300,"):
+        # a missing signal value reads "na"; a Trace holds NaN nowhere else
+        for token in (",na,", ",-0.0,", ",1e-05,", ",1e+16,", ",1e-300,"):
             assert token in text, token
+        assert "nan" not in text
 
 
 class TestDatasetRoundTrip:
@@ -217,6 +251,7 @@ class TestDatasetRoundTrip:
         ("attacked", "yes", "line 3: attacked must be 0 or 1, got 'yes'"),
         ("t_s", "nan", "line 3: t_s is not finite: nan"),
         ("speed_mps", "inf", "line 3: speed_mps is not finite: inf"),
+        ("speed_mps", "na", "line 3: speed_mps is not finite: nan"),
         ("lon_net_deg", "-inf", "line 3: lon_net_deg is not finite: -inf"),
         ("accel_u_mps2", "nan", "line 3: accel_u_mps2 is not finite: nan"),
         ("omega_x_rads", "inf", "line 3: omega_x_rads is not finite: inf"),
@@ -232,6 +267,18 @@ class TestDatasetRoundTrip:
         lines[2] = ",".join(cols)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match=re.escape(message)):
+            read_dataset(str(path))
+
+    def test_bad_value_on_a_line_the_sort_moves_names_that_line(self, tmp_path):
+        # the lines hold t = 2, 1, 0, so the first of them is the trace's last sample
+        path = tmp_path / "reversed.csv"
+        write_dataset([_trace(n=3)], str(path))
+        header, *lines = path.read_text().splitlines()
+        cols = lines[-1].split(",")
+        cols[HEADER_COLUMNS.index("omega_y_rads")] = "inf"
+        lines = [",".join(cols), lines[1], lines[0]]
+        path.write_text("\n".join([header, *lines]) + "\n")
+        with pytest.raises(DatasetFormatError, match="^line 2: omega_y_rads is not finite: inf$"):
             read_dataset(str(path))
 
     def test_literal_nan_signal_reads_as_missing(self, tmp_path):

@@ -5,6 +5,7 @@ import logging
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -586,6 +587,27 @@ class TestShardWire:
         remote = str(excinfo.value.__cause__)
         assert "in shard 1" in remote and "_raise_in_shard" in remote
         assert multiprocessing.active_children() == []
+
+    def test_hang_up_with_a_reply_unread_ends_the_shard_quietly(self):
+        # closing a pipe end with a reply still unread resets the shard's
+        # end, so its next receive fails with a connection reset, not EOF
+        here, there = multiprocessing.Pipe()
+        raised = []
+
+        def serve():
+            try:
+                shards._serve(there, [int], [])
+            except BaseException as exc:  # noqa: BLE001 - the test's finding
+                raised.append(exc)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        shards._send(here, ("__call__", ()))
+        assert here.poll(10)
+        here.close()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert raised == []
 
     def test_broadcast_is_not_copied_whole(self, monkeypatch):
         # the review broadcast: the global model and six candidates
