@@ -277,6 +277,46 @@ class FederationConfig:
             raise ValueError("gate_warmup_rounds and gate_threshold_delta must be >= 0")
 
 
+def _round(pool, params, round_index, cfg, announced_mean, gate_active, last_auc):
+    """One round of `run_rounds`: the new global parameters, the rolling AUC,
+    the count accepted and the gate's AUCs.  No update or report outlives it."""
+    updates = pool.ask("train", params, round_index, cfg.local_epochs, announced_mean)
+
+    # a non-finite update is neither scored by the gate nor averaged
+    finite = []
+    for update in updates:
+        if np.isfinite(update.params.vector).all():
+            finite.append(update)
+        else:
+            log.warning("round %d: dropped non-finite update from client %d",
+                        round_index, update.client_id)
+
+    gate_aucs: list[float] = []
+    accepted = finite
+    if gate_active:
+        reviews = pool.ask("review", params, finite)
+        # the broadcast model's rolling AUC, on the evidence the candidates are judged on
+        global_aucs = [auc for auc, _ in reviews if auc is not None]
+        if global_aucs:
+            last_auc = float(np.mean(global_aucs))
+        # in evaluator client-id order, as the pool returns the replies
+        reports = [r for _, given in reviews for r in given]
+        accepted = []
+        for update in finite:
+            ok, given = quality_gate(update, reports, last_auc, cfg.gate_threshold_delta)
+            gate_aucs.extend(r.auc_vs_reference for r in given)
+            if ok:
+                accepted.append(update)
+            else:
+                log.info("round %d: rejected update from client %d", round_index, update.client_id)
+
+    if accepted:
+        params = fedavg(accepted)
+    else:
+        log.warning("round %d: no update accepted; global model unchanged", round_index)
+    return params, last_auc, len(accepted), gate_aucs
+
+
 def run_rounds(
     clients: list[LocalClient],
     cfg: FederationConfig,
@@ -316,50 +356,14 @@ def run_rounds(
 
     with shards._Shards(active) as pool:
         for round_index in range(1, cfg.rounds + 1):
-            updates = pool.ask("train", params, round_index, cfg.local_epochs, announced_mean)
-
-            # a non-finite update is neither scored by the gate nor averaged
-            finite = []
-            for update in updates:
-                if np.isfinite(update.params.vector).all():
-                    finite.append(update)
-                else:
-                    log.warning("round %d: dropped non-finite update from client %d",
-                                round_index, update.client_id)
-
             gate_active = gate_enabled and round_index > cfg.gate_warmup_rounds
-            gate_aucs: list[float] = []
-            if gate_active:
-                reviews = pool.ask("review", params, finite)
-                # rolling AUC of the model broadcast this round, on the same
-                # evidence the candidates are judged on
-                global_aucs = [auc for auc, _ in reviews if auc is not None]
-                if global_aucs:
-                    last_auc = float(np.mean(global_aucs))
-                # in evaluator client-id order, as the pool returns the replies
-                reports = [r for _, given in reviews for r in given]
-                accepted = []
-                for update in finite:
-                    ok, given = quality_gate(update, reports, last_auc, cfg.gate_threshold_delta)
-                    gate_aucs.extend(r.auc_vs_reference for r in given)
-                    if ok:
-                        accepted.append(update)
-                    else:
-                        log.info("round %d: rejected update from client %d",
-                                 round_index, update.client_id)
-            else:
-                accepted = finite
-
-            if accepted:
-                params = fedavg(accepted)
-            else:
-                log.warning("round %d: no update accepted; global model unchanged", round_index)
-
+            params, last_auc, n_accepted, gate_aucs = _round(
+                pool, params, round_index, cfg, announced_mean, gate_active, last_auc)
             val_mses = np.array(pool.ask("validation_mse", params))
             rows.append(
                 {
                     "round": round_index,
-                    "accepted_clients": len(accepted),
+                    "accepted_clients": n_accepted,
                     "mean_gate_auc": float(np.mean(gate_aucs)) if gate_aucs else math.nan,
                     "global_val_mse": float(np.average(val_mses, weights=weights)),
                 }

@@ -14,12 +14,14 @@ step t, `gates[t]`, is one contiguous (B, 4H) block; layer 2 reads layer 1's
 (T, B, H) output as it is.  The forward pass fills the buffer with the input
 projection of every step in a single (T*B, D) @ (D, 4H) GEMM plus the bias;
 step t then adds h_{t-1} @ wh into its slab and overwrites the slab with the
-gate activations, which stay there for BPTT.  Sigmoids use the exact,
-overflow-free form 0.5 * (1 + tanh(z / 2)): per call, the sigmoid gates'
-(i, f, o) columns of wx, wh and b are multiplied by 0.5 in copies (a power
-of two, so the GEMMs yield z/2 bit for bit and the stored parameters are
-untouched), and one tanh covers the whole slab.  The backward pass
-overwrites each slab with the gradient on its (unscaled) gate
+gate activations.  For a backward pass the buffer stays, and so do every
+step's c, tanh(c) and h; for `predict` only layer 1's h sequence is kept, the
+rest rolls in two slots, and each layer's buffers die as it returns.
+Sigmoids use the exact, overflow-free form 0.5 * (1 + tanh(z / 2)): per call,
+the sigmoid gates' (i, f, o) columns of wx, wh and b are multiplied by 0.5 in
+copies (a power of two, so the GEMMs yield z/2 bit for bit and the stored
+parameters are untouched), and one tanh covers the whole slab.  The backward
+pass overwrites each slab with the gradient on its (unscaled) gate
 pre-activations, so the input-weight, bias and input gradients are one GEMM
 or reduction over the whole buffer after the time loop.
 """
@@ -129,9 +131,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layer_forward(wx, wh, b, x):
-    """One LSTM layer over a time-major batch.  x is (T, B, D); returns the
-    hidden sequence (T, B, H) and the cache BPTT needs.
+def _layer_forward(wx, wh, b, x, keep, keep_hs=True):
+    """One LSTM layer over a time-major batch x, (T, B, D).  Returns hs, with
+    step t's hidden state in hs[t % len(hs)], and with keep the cache BPTT needs,
+    else None; c and tanh(c) then roll in two slots, as hs does unless keep_hs.
 
     With the sigmoid columns of the weights halved, one tanh over a step's
     slab gives tanh(z/2) on (i, f, o) and tanh(z) on the cell candidate g.
@@ -150,24 +153,25 @@ def _layer_forward(wx, wh, b, x):
     gates = np.matmul(x.reshape(steps * bsz, in_dim), wx * scale).reshape(steps, bsz, 4 * h_dim)
     gates += b * scale
     wh_half = wh * scale
-    cs = np.empty((steps, bsz, h_dim), dtype=gates.dtype)
+    n, n_h = (steps, steps) if keep else (2, steps if keep_hs else 2)
+    cs = np.empty((n, bsz, h_dim), dtype=gates.dtype)
     tc = np.empty_like(cs)
-    hs = np.empty_like(cs)
+    hs = np.empty((n_h, bsz, h_dim), dtype=gates.dtype)
     rec = np.empty((bsz, 4 * h_dim), dtype=gates.dtype)
     fc = np.empty((bsz, h_dim), dtype=gates.dtype)
     for t in range(steps):
         z = gates[t]
         if t > 0:
-            z += np.matmul(hs[t - 1], wh_half, out=rec)
+            z += np.matmul(hs[(t - 1) % n_h], wh_half, out=rec)
         np.tanh(z, out=z)
         z *= scale_slab
         z += shift_slab
         i, f, g, o = (z[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
-        c = np.multiply(i, g, out=cs[t])
+        c = np.multiply(i, g, out=cs[t % n])
         if t > 0:
-            c += np.multiply(f, cs[t - 1], out=fc)
-        np.multiply(o, np.tanh(c, out=tc[t]), out=hs[t])
-    return hs, {"x": x, "gates": gates, "c": cs, "tc": tc, "hs": hs}
+            c += np.multiply(f, cs[(t - 1) % n], out=fc)
+        np.multiply(o, np.tanh(c, out=tc[t % n]), out=hs[t % n_h])
+    return hs, {"x": x, "gates": gates, "c": cs, "tc": tc, "hs": hs} if keep else None
 
 
 def _batch_major(a):
@@ -246,11 +250,12 @@ def _layer_backward(wx, wh, cache, d_hs, need_dx=True):
     return d_x, d_wx, d_wh, d_b
 
 
-def forward(params: LstmModelParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def forward(params: LstmModelParams, x: np.ndarray,
+            keep_cache: bool = True) -> tuple[np.ndarray, dict | None]:
     """Model output for a batch of sequences.
 
-    x is (B, W, input_size).  Returns (predictions in (0, 1), cached
-    activations, which one backward pass consumes).
+    x is (B, W, input_size).  Returns (predictions in (0, 1), the cached
+    activations one backward pass consumes, or None without keep_cache).
     """
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[2] != params.input_size:
@@ -260,14 +265,15 @@ def forward(params: LstmModelParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     x = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=params.vector.dtype)
 
     blocks = params.blocks()
-    h1, cache1 = _layer_forward(blocks["l1_wx"], blocks["l1_wh"], blocks["l1_b"], x)
-    h2, cache2 = _layer_forward(blocks["l2_wx"], blocks["l2_wh"], blocks["l2_b"], h1)
+    h1, cache1 = _layer_forward(blocks["l1_wx"], blocks["l1_wh"], blocks["l1_b"], x, keep_cache)
+    h2, cache2 = _layer_forward(blocks["l2_wx"], blocks["l2_wh"], blocks["l2_b"], h1, keep_cache,
+                                keep_hs=keep_cache)
 
-    h_last = h2[-1]
+    h_last = h2[(x.shape[0] - 1) % len(h2)]
     u = h_last @ blocks["head_w"] + blocks["head_b"][0]
     y = _sigmoid(u)
     cache = {"cache1": cache1, "cache2": cache2, "h2_last": h_last, "y": y}
-    return y, cache
+    return y, cache if keep_cache else None
 
 
 def predict(params: LstmModelParams, x: np.ndarray) -> np.ndarray:
@@ -282,7 +288,7 @@ def predict(params: LstmModelParams, x: np.ndarray) -> np.ndarray:
     """
     out = np.empty(len(x), dtype=np.float64)
     for start in range(0, len(x), PREDICT_CHUNK):
-        y = forward(params, x[start : start + PREDICT_CHUNK])[0]  # the cache dies here
+        y = forward(params, x[start : start + PREDICT_CHUNK], keep_cache=False)[0]
         out[start : start + y.shape[0]] = y
     return out
 
@@ -487,7 +493,8 @@ def train_local(
     time order (no shuffling across the split, to avoid temporal leakage).
     Mini-batches of `batch_size` are drawn from a per-epoch shuffle of the
     training windows, the final short batch kept.  Returns the parameters of
-    the best validation epoch; deterministic per seed.  x needs only `len`,
+    the best validation epoch, or a copy of params if no epoch ran or none had
+    a finite validation loss; deterministic per seed.  x needs only `len`,
     slicing and index arrays, so each batch is gathered when it is used.
     """
     targets = np.asarray(targets, dtype=np.float32)
@@ -499,8 +506,7 @@ def train_local(
     train_y, val_y = targets[:n_train], targets[n_train:]
 
     work = params.copy()
-    best_vec = work.vector.copy()
-    best_loss = np.inf
+    best, best_loss = None, np.inf
     lr = scaled_learning_rate(cfg, n_train, announced_mean_size)
     opt = AdamOptimizer(work.vector.size, lr, dtype=work.vector.dtype)
     # the min_delta rule governs only the stopping counter; the returned model
@@ -517,6 +523,7 @@ def train_local(
             grad, mse = backward(work, train_x[idx], train_y[idx])
             clip_gradient_norm(grad, CLIP_NORM)
             opt.step(work.vector, grad)
+            del grad  # dead before the next batch's backward
             sq_err_sum += mse * idx.size
         if not np.isfinite(work.vector).all():
             raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
@@ -525,13 +532,12 @@ def train_local(
         val_mse = batch_mse(work, val_x, val_y)
         report.val_mse_curve.append(val_mse)
         if val_mse < best_loss:
-            best_loss = val_mse
-            best_vec = work.vector.copy()
+            best, best_loss = work.copy(), val_mse
         stopper.update(val_mse)
         if stopper.should_stop:
             break
 
-    return LstmModelParams(params.input_size, params.hidden_size, best_vec), report
+    return (params.copy() if best is None else best), report
 
 
 CHECKPOINT_MAGIC = "fedspoof-lstm-checkpoint v1"

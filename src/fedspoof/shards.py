@@ -17,10 +17,13 @@ unpickled array then owns; neither side ever holds a message's bytes whole.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import pickle
 import traceback
+
+log = logging.getLogger(__name__)
 
 
 def _send(conn, obj) -> None:
@@ -158,11 +161,11 @@ def _shard_count(n_clients: int) -> int:
     """One shard per CPU this process may run on, at most one per client
     and at least one: shard 0, the server, answers for an empty list.
 
-    A process that already runs other threads stays one shard: an unpinned
-    BLAS keeps a thread per CPU, so forked shards would each bring a pool to
-    the same CPUs (a gated six-client federation ran 3.3x slower on two),
-    and a forked child can inherit a lock held by a thread it does not have.
-    A forked shard stays one shard too: as a daemon it may not fork.
+    A process that already runs other threads stays one shard and warns: an
+    unpinned BLAS keeps a thread per CPU, so forked shards would each bring a
+    pool to the same CPUs (a gated six-client federation ran 3.3x slower on
+    two), and a forked child can inherit a lock held by a thread it lacks.  A
+    forked shard, a daemon, may not fork: it stays one shard, silently.
     """
     if multiprocessing.parent_process() is not None:
         return 1
@@ -171,4 +174,6 @@ def _shard_count(n_clients: int) -> int:
         threads = len(os.listdir("/proc/self/task"))
     except (AttributeError, OSError):  # no affinity mask or /proc: not Linux
         return 1
+    if threads > 1 < min(cpus, n_clients):
+        log.warning("%d threads already run in this process: one shard, none forked", threads)
     return max(1, min(cpus, n_clients)) if threads == 1 else 1

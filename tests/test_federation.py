@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import io
 import logging
 import multiprocessing
@@ -7,6 +8,7 @@ import os
 import pickle
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -464,6 +466,48 @@ class TestShardedRounds:
         _fake_process(monkeypatch, cpus=8, threads=1)
         job = functools.partial(shards._shard_count, 6)
         assert shards.run([job, job]) == [6, 1]
+
+    def test_threaded_process_warns_of_its_one_shard(self, monkeypatch, caplog):
+        caplog.set_level(logging.WARNING, logger="fedspoof.shards")
+        _fake_process(monkeypatch, cpus=8, threads=9)
+        assert shards._shard_count(6) == 1
+        assert caplog.messages == ["9 threads already run in this process: one shard, none forked"]
+        # no fallback where one shard is all there is to run
+        caplog.clear()
+        assert shards._shard_count(1) == 1
+        _fake_process(monkeypatch, cpus=1, threads=9)
+        assert shards._shard_count(6) == 1
+        # a forked shard is one shard without a word, threads or not
+        _fake_process(monkeypatch, cpus=8, threads=9)
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        assert shards._shard_count(6) == 1
+        assert caplog.messages == []
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_no_update_outlives_its_round(self, rng, monkeypatch, n_shards):
+        # when a round's training is asked, every RoundUpdate of the rounds
+        # before it, and its vector, is dead: gated, rejected and dropped
+        # updates alike
+        _force_shards(monkeypatch, n_shards)
+        clients = self._clients(rng)
+        clients[3] = FaultyClient(clients[3], 3, not_finite)
+        ask = shards._Shards.ask
+        received, dead_at_train = [], []
+
+        def watching_ask(pool, method, *args):
+            if method == "train":
+                gc.collect()
+                dead_at_train.append(sum(ref() is not None for ref in received))
+            replies = ask(pool, method, *args)
+            if method == "train":
+                received.extend(weakref.ref(obj) for update in replies
+                                for obj in (update, update.params.vector))
+            return replies
+
+        monkeypatch.setattr(shards._Shards, "ask", watching_ask)
+        run_rounds(clients, self.GATED, hidden_size=4)
+        assert len(received) == 2 * 4 * self.GATED.rounds
+        assert dead_at_train == [0] * self.GATED.rounds
 
     def test_shard_error_raised_in_server(self, rng, monkeypatch):
         _force_shards(monkeypatch, 2)

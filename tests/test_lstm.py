@@ -147,12 +147,20 @@ class TestForward:
         assert np.all((y > 0.0) & (y < 1.0))
 
     def test_predict_frees_each_chunk_before_the_next(self, rng):
-        # 4 chunks of 64 windows peak as high as one: a chunk's BPTT cache
-        # is not kept through the next chunk's forward
+        # 4 chunks of 64 windows peak well below one training forward of a
+        # chunk: predict keeps no BPTT cache, so no chunk outlives its scores
         p = init_params(3)
         x = rng.uniform(0, 1, (4 * lstm.PREDICT_CHUNK, 10, p.input_size)).astype(np.float32)
         one_chunk = traced_peak(lambda: forward(p, x[: lstm.PREDICT_CHUNK]))
-        assert traced_peak(lambda: predict(p, x)) <= 1.2 * one_chunk
+        assert traced_peak(lambda: predict(p, x)) <= 0.6 * one_chunk
+
+    def test_forward_without_cache_gives_the_same_scores(self, rng):
+        p = init_params(3, input_size=6, hidden_size=5)
+        for steps in (1, 2, 7):
+            x = rng.uniform(0, 1, (9, steps, 6)).astype(np.float32)
+            y, cache = forward(p, x, keep_cache=False)
+            assert cache is None
+            assert np.array_equal(y, forward(p, x)[0])
 
     def test_order_sensitivity(self, rng):
         p = init_params(4, input_size=6, hidden_size=5)
@@ -398,6 +406,35 @@ class TestTrainLocal:
         with pytest.raises(ValueError, match="validation split"):
             train_local(init_params(0, 3, 2), x, np.zeros(3, dtype=np.float32), TrainConfig(),
                         1, 0)
+
+    def test_holds_no_dead_vector(self, rng):
+        # beyond backward's own peak, training holds its working copy and
+        # Adam's two moments: not the last batch's gradient, and no best copy
+        # before the first validation
+        p = init_params(3)
+        x = rng.uniform(0, 1, (180, 10, p.input_size)).astype(np.float32)
+        y = rng.uniform(0, 1, 180).astype(np.float32)
+        cfg = TrainConfig()
+        assert validation_split(len(x)) == 2 * cfg.batch_size
+        backward_peak = traced_peak(lambda: backward(p, x[: cfg.batch_size], y[: cfg.batch_size]))
+        train_peak = traced_peak(lambda: train_local(p, x, y, cfg, 1, 0))
+        assert train_peak <= backward_peak + 3.5 * p.vector.nbytes
+
+    def test_zero_epochs_return_the_input_parameters(self, rng):
+        x, y = _toy_dataset(rng)
+        p = init_params(7, 5, 6)
+        trained, report = train_local(p, x, y, TrainConfig(batch_size=16), 0, 1)
+        assert np.array_equal(trained.vector, p.vector)
+        assert trained.vector is not p.vector
+        assert report.epochs_run == 0
+
+    def test_no_finite_validation_loss_returns_the_input_parameters(self, rng):
+        x, y = _toy_dataset(rng)
+        y[validation_split(len(y)):] = np.nan
+        p = init_params(7, 5, 6)
+        trained, report = train_local(p, x, y, TrainConfig(batch_size=16), 2, 1)
+        assert np.isnan(report.val_mse_curve).all()
+        assert np.array_equal(trained.vector, p.vector)
 
     def test_input_params_not_mutated(self, rng):
         x, y = _toy_dataset(rng)
