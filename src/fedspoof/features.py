@@ -31,18 +31,19 @@ FEATURE_NAMES = POSITION_FEATURES + SIGNAL_SLOTS
 N_FEATURES = len(FEATURE_NAMES)
 N_POSITION = len(POSITION_FEATURES)
 
-#: Valid measurement range per signal property; invalid values are replaced
-#: with the range minimum before scaling.
-DEFAULT_VALID_RANGES = {
-    "agc_db": (-100.0, 100.0),
-    "cn0_ant_dbhz": (0.0, 64.0),
-    "cn0_base_dbhz": (0.0, 64.0),
-    "doppler_hz": (-10_000.0, 10_000.0),
+#: The value that replaces a NaN signal value of each property before
+#: scaling: the minimum of the property's valid range.  Only NaN is
+#: replaced; no value is checked against the range.
+NAN_REPLACEMENTS = {
+    "agc_db": -100.0,
+    "cn0_ant_dbhz": 0.0,
+    "cn0_base_dbhz": 0.0,
+    "doppler_hz": -10_000.0,
 }
 
-#: The replacement for an invalid value in each signal slot, in SIGNAL_SLOTS order.
+#: The replacement for a NaN value in each signal slot, in SIGNAL_SLOTS order.
 SIGNAL_REPLACEMENTS = np.array(
-    [DEFAULT_VALID_RANGES[p][0] for _ in CONSTELLATIONS for p in PROPERTIES for _ in STATISTICS]
+    [NAN_REPLACEMENTS[p] for _ in CONSTELLATIONS for p in PROPERTIES for _ in STATISTICS]
 )
 
 
@@ -111,7 +112,7 @@ class Windows:
     rows[ends[k] - window_len + 1 : ends[k] + 1].  A slice or an index array
     gives the `Windows` of those windows.  `np.asarray` gathers the
     (k, window_len, d) array, laid out time-major, so that the LSTM's
-    (window_len, k, d) view of it is contiguous; `shape`, `dtype`, `len` and
+    (window_len, k, d) view of it is contiguous; `shape`, `len` and
     `tobytes()` are the gathered array's.
     """
 
@@ -134,10 +135,6 @@ class Windows:
     @property
     def shape(self) -> tuple[int, int, int]:
         return (len(self), self.window_len, self.rows.shape[1])
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.rows.dtype
 
     def __getitem__(self, index) -> Windows:
         return Windows(self.rows, self.ends[index], self.window_len)

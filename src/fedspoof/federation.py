@@ -61,10 +61,9 @@ class QualityReport:
 
 @dataclass(frozen=True)
 class GlobalModelState:
-    """The final global parameters and the gate's last rolling AUC (0.0 ungated)."""
+    """The final global parameters."""
 
     params: lstm.LstmModelParams
-    last_auc: float
 
 
 #: Every message type the server can receive from clients.  The privacy
@@ -236,27 +235,29 @@ class LocalClient:
 
 def quality_gate(
     candidate: RoundUpdate,
-    reports: list[QualityReport],
-    last_auc: float,
+    reviews: list[tuple[float | None, list[QualityReport]]],
     threshold_delta: float,
 ) -> tuple[bool, list[QualityReport]]:
     """Cross-client screening of one candidate update.
 
-    `reports` may hold a whole round's reports; the candidate is judged on
-    those whose candidate_client_id names it, each one evaluator's AUC of
-    the candidate on its gate windows against its binarized self-labels.
-    The update is accepted iff their mean is at least last_auc, the global
-    model's rolling AUC, minus threshold_delta; with no report on it (every
+    `reviews` are one gated round's `review` replies, in evaluator client-id
+    order.  The candidate is judged on the reports that name it, each one
+    evaluator's AUC of the candidate on its gate windows against its
+    binarized self-labels.  The update is accepted iff their mean is at
+    least the reference, the broadcast model's mean AUC over the evaluators
+    that did not abstain, minus threshold_delta; with no report on it (every
     evaluator abstained) it is accepted with a warning.  Returns the verdict
-    and the reports it was judged on, in the order given.
+    and the reports it was judged on, in evaluator order.
     """
-    given = [r for r in reports if r.candidate_client_id == candidate.client_id]
+    given = [r for _, reports in reviews for r in reports
+             if r.candidate_client_id == candidate.client_id]
     if not given:
         log.warning("all evaluators abstained for client %d; accepting by default",
                     candidate.client_id)
         return True, []
+    reference = float(np.mean([auc for auc, _ in reviews if auc is not None]))
     mean_auc = float(np.mean([r.auc_vs_reference for r in given]))
-    return mean_auc >= last_auc - threshold_delta, given
+    return mean_auc >= reference - threshold_delta, given
 
 
 @dataclass(frozen=True)
@@ -277,9 +278,9 @@ class FederationConfig:
             raise ValueError("gate_warmup_rounds and gate_threshold_delta must be >= 0")
 
 
-def _round(pool, params, round_index, cfg, announced_mean, gate_active, last_auc):
-    """One round of `run_rounds`: the new global parameters, the rolling AUC,
-    the count accepted and the gate's AUCs.  No update or report outlives it."""
+def _round(pool, params, round_index, cfg, announced_mean, gate_active):
+    """One round of `run_rounds`: the new global parameters, the count
+    accepted and the gate's AUCs.  No update or report outlives it."""
     updates = pool.ask("train", params, round_index, cfg.local_epochs, announced_mean)
 
     # a non-finite update is neither scored by the gate nor averaged
@@ -293,17 +294,11 @@ def _round(pool, params, round_index, cfg, announced_mean, gate_active, last_auc
 
     gate_aucs: list[float] = []
     accepted = finite
-    if gate_active:
+    if gate_active and finite:
         reviews = pool.ask("review", params, finite)
-        # the broadcast model's rolling AUC, on the evidence the candidates are judged on
-        global_aucs = [auc for auc, _ in reviews if auc is not None]
-        if global_aucs:
-            last_auc = float(np.mean(global_aucs))
-        # in evaluator client-id order, as the pool returns the replies
-        reports = [r for _, given in reviews for r in given]
         accepted = []
         for update in finite:
-            ok, given = quality_gate(update, reports, last_auc, cfg.gate_threshold_delta)
+            ok, given = quality_gate(update, reviews, cfg.gate_threshold_delta)
             gate_aucs.extend(r.auc_vs_reference for r in given)
             if ok:
                 accepted.append(update)
@@ -314,7 +309,7 @@ def _round(pool, params, round_index, cfg, announced_mean, gate_active, last_auc
         params = fedavg(accepted)
     else:
         log.warning("round %d: no update accepted; global model unchanged", round_index)
-    return params, last_auc, len(accepted), gate_aucs
+    return params, len(accepted), gate_aucs
 
 
 def run_rounds(
@@ -326,10 +321,9 @@ def run_rounds(
 
     Per round: broadcast the global parameters, train every client locally,
     drop any update with a non-finite parameter, screen the rest through the
-    quality gate once the warm-up has passed (every client's review reply is
-    flattened into the round's reports, and the gate picks each candidate's
-    by the id they carry), aggregate the accepted updates
-    with FedAvg, and record metrics.  The model's input size is the feature
+    quality gate once the warm-up has passed (each candidate judged on the
+    round's review replies alone), aggregate the accepted updates with
+    FedAvg, and record metrics.  The model's input size is the feature
     count of the clients' windows.  A federation with one active client
     runs ungated: no other client can review its updates.  Client work runs
     in shards, as many as the pool picks; results are gathered in client
@@ -350,15 +344,14 @@ def run_rounds(
     announced_mean = float(np.mean([c.n_train for c in active]))
     input_size = active[0].train_x.shape[2]
     params = lstm.init_params(cfg.init_seed, input_size, hidden_size)
-    last_auc = 0.0
     weights = np.array([c.n_train for c in active], dtype=np.float64)
     rows: list[dict] = []
 
     with shards._Shards(active) as pool:
         for round_index in range(1, cfg.rounds + 1):
             gate_active = gate_enabled and round_index > cfg.gate_warmup_rounds
-            params, last_auc, n_accepted, gate_aucs = _round(
-                pool, params, round_index, cfg, announced_mean, gate_active, last_auc)
+            params, n_accepted, gate_aucs = _round(
+                pool, params, round_index, cfg, announced_mean, gate_active)
             val_mses = np.array(pool.ask("validation_mse", params))
             rows.append(
                 {
@@ -368,4 +361,4 @@ def run_rounds(
                     "global_val_mse": float(np.average(val_mses, weights=weights)),
                 }
             )
-    return GlobalModelState(params, last_auc), rows
+    return GlobalModelState(params), rows

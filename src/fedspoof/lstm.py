@@ -98,7 +98,6 @@ def init_params(
     seed: int,
     input_size: int = DEFAULT_INPUT_SIZE,
     hidden_size: int = DEFAULT_HIDDEN_SIZE,
-    dtype=np.float32,
 ) -> LstmModelParams:
     """Glorot-uniform weights per gate block, zero biases, forget bias 1.0.
 
@@ -106,7 +105,7 @@ def init_params(
     """
     rng = np.random.default_rng(seed)
     params = LstmModelParams(
-        input_size, hidden_size, np.zeros(param_count(input_size, hidden_size), dtype=dtype)
+        input_size, hidden_size, np.zeros(param_count(input_size, hidden_size), dtype=np.float32)
     )
     h = hidden_size
     blocks = params.blocks()
@@ -114,9 +113,9 @@ def init_params(
         w = blocks[name]
         fan_in = w.shape[0]
         limit = np.sqrt(6.0 / (fan_in + h))
-        w[:] = rng.uniform(-limit, limit, size=w.shape).astype(dtype)
+        w[:] = rng.uniform(-limit, limit, size=w.shape).astype(np.float32)
     limit = np.sqrt(6.0 / (h + 1))
-    blocks["head_w"][:] = rng.uniform(-limit, limit, size=h).astype(dtype)
+    blocks["head_w"][:] = rng.uniform(-limit, limit, size=h).astype(np.float32)
     blocks["l1_b"][h : 2 * h] = 1.0
     blocks["l2_b"][h : 2 * h] = 1.0
     return params
@@ -272,7 +271,7 @@ def forward(params: LstmModelParams, x: np.ndarray,
     h_last = h2[(x.shape[0] - 1) % len(h2)]
     u = h_last @ blocks["head_w"] + blocks["head_b"][0]
     y = _sigmoid(u)
-    cache = {"cache1": cache1, "cache2": cache2, "h2_last": h_last, "y": y}
+    cache = {"cache1": cache1, "cache2": cache2, "h2_last": h_last}
     return y, cache if keep_cache else None
 
 

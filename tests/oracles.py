@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 
 from fedspoof.domain import EARTH_RADIUS_M, HEADER_COLUMNS, SIGNAL_SLOTS
-from fedspoof.features import DEFAULT_VALID_RANGES
+from fedspoof.features import NAN_REPLACEMENTS
 
 
 def haversine_m(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
@@ -107,11 +107,11 @@ def apply_cap_minmax(values, cap, lo, hi) -> np.ndarray:
 
 
 def _signal_replacements() -> np.ndarray:
-    """The minimum of each signal slot's valid range, found by slot name."""
+    """Each signal slot's NaN replacement, found by slot name."""
     reps = []
     for name in SIGNAL_SLOTS:
-        (prop,) = [p for p in DEFAULT_VALID_RANGES if f"_{p}_" in name]
-        reps.append(DEFAULT_VALID_RANGES[prop][0])
+        (prop,) = [p for p in NAN_REPLACEMENTS if f"_{p}_" in name]
+        reps.append(NAN_REPLACEMENTS[prop])
     return np.array(reps)
 
 

@@ -86,7 +86,7 @@ class TestBundles:
                                                     np.empty(0)))
         x, y = pooled_training_set(bundles)
         order = [(0, 0), (2, 0), (0, 1), (2, 1), (0, 2)]
-        assert x.dtype == y.dtype == np.float32
+        assert np.asarray(x).dtype == y.dtype == np.float32
         windows = [np.asarray(b.client.train_x) for b in bundles]
         assert np.array_equal(x, np.stack([windows[c][w] for c, w in order]))
         assert np.array_equal(y, np.array([bundles[c].client.train_y[w] for c, w in order]))
@@ -119,7 +119,8 @@ class TestSharedIidSet:
             fused = [fusion.fuse_trace(t, fusion.FusionConfig()) for t in split.test]
             rebuilt = experiments._build_test_set(b.client, split.test, fused, fc, iid=False)
             for shared, built in zip((b.test_x, b.test_truth, b.test_pds), rebuilt):
-                assert shared.dtype == built.dtype and shared.shape == built.shape
+                assert np.asarray(shared).dtype == np.asarray(built).dtype
+                assert shared.shape == built.shape
                 assert shared.tobytes() == built.tobytes()
         assert bundles[0].test_x.shape[0] == sum(
             max(0, len(t) - fc.window_len + 1) for t in own)

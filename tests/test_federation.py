@@ -101,11 +101,11 @@ def _client_from_windows(client_id, x, y, seed=0):
     )
 
 
-def _reports(clients, global_params, candidates):
-    """Every client's reports on the candidates, flattened from their review
-    replies in client order, as run_rounds gathers a gated round's."""
-    return [r for c in sorted(clients, key=lambda c: c.client_id)
-            for r in c.review(global_params, candidates)[1]]
+def _reviews(clients, global_params, candidates):
+    """Every client's review reply on the candidates, in client order, as
+    run_rounds gathers a gated round's."""
+    return [c.review(global_params, candidates)
+            for c in sorted(clients, key=lambda c: c.client_id)]
 
 
 def _separable_client(rng, client_id, n=120, seed=0):
@@ -132,10 +132,9 @@ class TestQualityGate:
     def test_current_global_accepted_against_itself(self, rng):
         clients = [_separable_client(rng, i + 1, seed=i) for i in range(3)]
         params = init_params(0, 6, 4)
-        last_auc = float(np.mean([c.score_candidate(params) for c in clients]))
         candidate = RoundUpdate(1, 1, params, n_samples=10)
         accepted, reports = quality_gate(
-            candidate, _reports(clients, params, [candidate]), last_auc, threshold_delta=0.02
+            candidate, _reviews(clients, params, [candidate]), threshold_delta=0.02
         )
         assert accepted
         assert {r.evaluating_client_id for r in reports} == {2, 3}
@@ -147,8 +146,8 @@ class TestQualityGate:
             2, rng.uniform(0, 1, (40, 4, 6)).astype(np.float32), np.zeros(40, np.float32)
         )
         candidate = RoundUpdate(1, 1, init_params(1, 6, 4), n_samples=10)
-        reports = _reports([good, degenerate], init_params(0, 6, 4), [candidate])
-        accepted, given = quality_gate(candidate, reports, 0.0, 0.02)
+        reviews = _reviews([good, degenerate], init_params(0, 6, 4), [candidate])
+        accepted, given = quality_gate(candidate, reviews, 0.02)
         assert accepted  # the only evaluator abstained -> accept by default
         assert given == []
 
@@ -166,29 +165,40 @@ class TestQualityGate:
     def test_shuffled_parameters_rejected(self, rng):
         # train a competent global, then gate a parameter-shuffled clone of it
         clients, params = _trained(rng)
-        last_auc = float(np.mean([c.score_candidate(params) for c in clients]))
-        assert last_auc > 0.8
+        reference = float(np.mean([c.score_candidate(params) for c in clients]))
+        assert reference > 0.8
 
         bad = RoundUpdate(1, 6, _shuffled_clone(rng, params), n_samples=240)
-        accepted, reports = quality_gate(bad, _reports(clients, params, [bad]), last_auc,
+        accepted, reports = quality_gate(bad, _reviews(clients, params, [bad]),
                                          threshold_delta=0.02)
         assert not accepted
-        assert np.mean([r.auc_vs_reference for r in reports]) < last_auc - 0.02
+        assert np.mean([r.auc_vs_reference for r in reports]) < reference - 0.02
 
     def test_each_candidate_judged_on_its_own_reports(self, rng):
         # one round's reports on two candidates: client 1 uploads the trained
         # global itself, client 2 a parameter-shuffled clone of it
         clients, params = _trained(rng)
-        last_auc = float(np.mean([c.score_candidate(params) for c in clients]))
         good = RoundUpdate(1, 6, params, n_samples=240)
         bad = RoundUpdate(2, 6, _shuffled_clone(rng, params), n_samples=240)
-        reports = _reports(clients, params, [good, bad])
-        assert len(reports) == 4  # every client reports on each candidate but its own
-        verdicts = {c.client_id: quality_gate(c, reports, last_auc, 0.02) for c in (good, bad)}
+        reviews = _reviews(clients, params, [good, bad])
+        # every client reports on each candidate but its own
+        assert sum(len(reports) for _, reports in reviews) == 4
+        verdicts = {c.client_id: quality_gate(c, reviews, 0.02) for c in (good, bad)}
         assert verdicts[1][0] and not verdicts[2][0]
         for candidate_id, (_, given) in verdicts.items():
             assert {r.candidate_client_id for r in given} == {candidate_id}
             assert {r.evaluating_client_id for r in given} == {1, 2, 3} - {candidate_id}
+
+    def test_reference_is_the_mean_over_evaluators_that_did_not_abstain(self):
+        # evaluator 2 scores the broadcast model 0.9 and candidate 1 0.87;
+        # evaluator 3 abstains, evaluator 4 reports only on candidate 5
+        candidate = _update(1, np.zeros(param_count(4, 3)))
+        reviews = [(0.9, [QualityReport(1, 2, 0.87)]), (None, []),
+                   (0.7, [QualityReport(5, 4, 0.1)])]
+        # reference (0.9 + 0.7) / 2 = 0.8: 0.87 passes at any delta
+        assert quality_gate(candidate, reviews, 0.0) == (True, [QualityReport(1, 2, 0.87)])
+        # without evaluator 4 the reference is 0.9, and 0.87 < 0.9 - 0.02
+        assert quality_gate(candidate, reviews[:2], 0.02) == (False, [QualityReport(1, 2, 0.87)])
 
     def test_report_validates_auc_range(self):
         with pytest.raises(ValueError):
@@ -286,6 +296,41 @@ class TestRunRounds:
                                for k in (2, 3)]
         assert not np.isnan(rows[2]["mean_gate_auc"])
 
+    def test_no_review_without_a_finite_update(self, rng, monkeypatch):
+        # every update is dropped, so the gate has no candidate and no client
+        # scores the broadcast model for it
+        _force_shards(monkeypatch, 1)
+        clients = [FaultyClient(_separable_client(rng, i + 1, seed=i), 1, not_finite)
+                   for i in range(3)]
+        reviews = []
+        review = LocalClient.review
+        monkeypatch.setattr(LocalClient, "review",
+                            lambda *a: reviews.append(1) or review(*a))
+        gated = FederationConfig(rounds=2, local_epochs=1, gate_warmup_rounds=0, init_seed=3)
+        state, rows = run_rounds(clients, gated, hidden_size=4)
+        assert reviews == []
+        assert state.params.vector.tobytes() == init_params(3, 6, 4).vector.tobytes()
+        ungated = dataclasses.replace(gated, gate_enabled=False)
+        ref_state, ref_rows = run_rounds(clients, ungated, hidden_size=4)
+        assert state.params.vector.tobytes() == ref_state.params.vector.tobytes()
+        assert repr(rows) == repr(ref_rows)
+        assert [r["accepted_clients"] for r in rows] == [0, 0]
+
+    def test_every_evaluator_abstaining_equals_the_ungated_run(self, rng, caplog):
+        # single-class targets give no client gate evidence: each gated round
+        # accepts every update, with no reference carried from another round
+        clients = [_client_from_windows(i + 1, rng.uniform(0, 1, (60, 4, 6)).astype(np.float32),
+                                        np.full(60, 0.05, np.float32), seed=i)
+                   for i in range(3)]
+        gated = FederationConfig(rounds=3, local_epochs=1, gate_warmup_rounds=0, init_seed=2)
+        with caplog.at_level(logging.WARNING, logger="fedspoof.federation"):
+            state, rows = run_rounds(clients, gated, hidden_size=4)
+        assert "all evaluators abstained for client 1; accepting by default" in caplog.messages
+        ref_state, ref_rows = run_rounds(clients, dataclasses.replace(gated, gate_enabled=False),
+                                         hidden_size=4)
+        assert state.params.vector.tobytes() == ref_state.params.vector.tobytes()
+        assert repr(rows) == repr(ref_rows)
+
     def test_metrics_rows_and_csv(self, rng, tmp_path):
         clients = [_separable_client(rng, i + 1, seed=i) for i in range(2)]
         cfg = FederationConfig(rounds=3, local_epochs=1, gate_enabled=True,
@@ -317,7 +362,7 @@ class TestWindowlessClient:
         with caplog.at_level(logging.WARNING, logger="fedspoof.federation"):
             client = self._client(traces)
         assert client.train_x.shape == (0, self.CFG.window_len, features.N_FEATURES)
-        assert client.train_x.dtype == np.float32
+        assert np.asarray(client.train_x).dtype == np.float32
         assert client.train_y.shape == (0,) and client.train_y.dtype == np.float32
         assert [r.getMessage() for r in caplog.records] == [
             f"trace {t.trace_id} of client 9 shorter than window; skipped" for t in traces[:3]]
@@ -332,8 +377,7 @@ class TestWindowlessClient:
         assert "client 9 has no training windows; skipped" in caplog.messages
         ref_state, ref_rows = run_rounds(trainable, cfg, hidden_size=4)
         assert state.params.vector.tobytes() == ref_state.params.vector.tobytes()
-        assert np.float64(state.last_auc).tobytes() == np.float64(ref_state.last_auc).tobytes()
-        assert state.last_auc > 0.0  # the gate ran
+        assert all(np.isfinite(r["mean_gate_auc"]) for r in rows[1:])  # the gate ran
         assert rows[0].keys() == ref_rows[0].keys()
         assert (np.array([list(r.values()) for r in rows]).tobytes()
                 == np.array([list(r.values()) for r in ref_rows]).tobytes())
@@ -437,7 +481,6 @@ class TestShardedRounds:
         assert [r["accepted_clients"] for r in rows] == [4, 3, 3]
         for n in (2, 3):
             assert np.array_equal(outcomes[n][0].params.vector, state.params.vector)
-            assert outcomes[n][0].last_auc == state.last_auc
             assert repr(outcomes[n][1]) == repr(rows)  # equal, NaN included
 
     def test_shard_count_from_affinity_and_threads(self, monkeypatch):
