@@ -111,18 +111,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, mode: str) -> int:
 
 def cmd_eval(cfg: ExperimentConfig, out_dir: str) -> int:
     traces = _load_traces(cfg, out_dir)
-    rows = experiments.experiment_matrix(
-        traces,
-        cfg.sim,
-        cfg.fusion,
-        cfg.features,
-        cfg.train,
-        cfg.federation,
-        cfg.seed,
-        out_dir=out_dir,
-        cells=cfg.cells,
-        splits=cfg.splits,
-    )
+    rows = experiments.experiment_matrix(traces, cfg, out_dir)
     if not rows:
         raise domain.DatasetFormatError(f"the matrix has no row for cells = {', '.join(cfg.cells)}"
                                         f" and splits = {', '.join(cfg.splits)}")

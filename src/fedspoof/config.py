@@ -8,7 +8,6 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
-from .experiments import ALL_CELLS, ALL_SPLITS
 from .features import FeatureConfig
 from .federation import FederationConfig
 from .fusion import FusionConfig
@@ -18,6 +17,11 @@ from .simulate import SimConfig
 
 class ConfigError(ValueError):
     """Raised for unreadable, unknown or ill-typed configuration values."""
+
+
+#: the comparison matrix's cells and splits, in the order its rows take
+ALL_CELLS = ("clfl", "per_device", "per_model", "cross_model")
+ALL_SPLITS = ("iid", "trace")
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ import numpy as np
 
 from . import features as feat
 from . import lstm, metrics, shards
+from .config import ALL_CELLS, ExperimentConfig
 from .domain import DatasetFormatError, Trace
 from .federation import FederationConfig, LocalClient, run_rounds
 from .fusion import FusedEstimate, FusionConfig, fuse_trace, pds_score
-from .simulate import ClientSplit, SimConfig, device_models, partition
+from .simulate import ClientSplit, device_model, partition
 
 
 @dataclass
@@ -57,12 +58,13 @@ def _build_test_set(
     return test_x, truth, pds_vals
 
 
-def fuse_each(traces: list[Trace], fusion_cfg: FusionConfig) -> dict[int, FusedEstimate]:
-    """`fuse_trace` of every distinct trace object, keyed by `id(trace)`."""
-    fused: dict[int, FusedEstimate] = {}
+def fuse_each(traces: list[Trace], fusion_cfg: FusionConfig) -> dict[Trace, FusedEstimate]:
+    """`fuse_trace` of every distinct trace object, keyed by the trace, which
+    hashes by identity."""
+    fused: dict[Trace, FusedEstimate] = {}
     for trace in traces:
-        if id(trace) not in fused:
-            fused[id(trace)] = fuse_trace(trace, fusion_cfg)
+        if trace not in fused:
+            fused[trace] = fuse_trace(trace, fusion_cfg)
     return fused
 
 
@@ -72,7 +74,7 @@ def build_bundles(
     feature_cfg: feat.FeatureConfig,
     train_cfg: lstm.TrainConfig,
     master_seed: int,
-    fused: dict[int, FusedEstimate] | None = None,
+    fused: dict[Trace, FusedEstimate] | None = None,
 ) -> list[ClientBundle]:
     """Run every client's local pipeline and assemble its evaluation data.
 
@@ -90,7 +92,7 @@ def build_bundles(
         client = LocalClient.from_traces(
             client_id,
             split.train,
-            [fused[id(t)] for t in split.train],
+            [fused[t] for t in split.train],
             feature_cfg,
             train_cfg,
             master_seed + client_id,
@@ -100,9 +102,9 @@ def build_bundles(
                 lstm.validation_split(client.n_train)
             except ValueError as exc:
                 raise DatasetFormatError(f"client {client_id}: {exc}") from exc
-        # Trace compares by identity: equal lists hold the same trace objects
+        # Trace compares and hashes by identity: equal lists hold the same trace objects
         test_x, truth, pds_vals = _build_test_set(
-            client, split.test, [fused[id(t)] for t in split.test], feature_cfg,
+            client, split.test, [fused[t] for t in split.test], feature_cfg,
             iid=split.test == split.train,
         )
         bundles.append(
@@ -188,100 +190,83 @@ set output 'roc.png'
 plot for [file in system('ls roc_*.csv')] file using 2:3 every ::1 with lines title file
 """
 
-ALL_CELLS = ("clfl", "per_device", "per_model", "cross_model")
-ALL_SPLITS = ("iid", "trace")
 
-
-def experiment_matrix(
-    traces: list[Trace],
-    sim_cfg: SimConfig,
-    fusion_cfg: FusionConfig,
-    feature_cfg: feat.FeatureConfig,
-    train_cfg: lstm.TrainConfig,
-    fed_cfg: FederationConfig,
-    master_seed: int,
-    out_dir: str,
-    cells: tuple[str, ...] = ALL_CELLS,
-    splits: tuple[str, ...] = ALL_SPLITS,
-) -> list[MatrixRow]:
-    """Run the comparison matrix: its rows, with each two-class row's ROC
-    CSV written to out_dir; `write_matrix` writes the table of the rows.
+def experiment_matrix(traces: list[Trace], cfg: ExperimentConfig, out_dir: str) -> list[MatrixRow]:
+    """Run the comparison matrix over `cfg.cells` and `cfg.splits`: its rows,
+    with each two-class row's ROC CSV written to out_dir; `write_matrix`
+    writes the table of the rows.
 
     Cells: clfl (centralized vs federated vs position baseline), per_device
     (each device trains and tests alone), per_model (federation within each
     hardware family), cross_model (federation on one family, tested on the
     others); each in an iid variant (test traces are the training traces) and
-    a trace-split variant (held-out test traces).
+    a trace-split variant (held-out test traces).  A device's family is the
+    one `simulate.device_model` gives its id.
     """
-    models = device_models(sim_cfg)
+    cells, fed_cfg, seed = cfg.cells, cfg.federation, cfg.seed
     # every partition below holds these trace objects; fuse each one once
-    fused = fuse_each(traces, fusion_cfg)
+    fused = fuse_each(traces, cfg.fusion)
     budget_epochs = fed_cfg.rounds * fed_cfg.local_epochs
     # every split is partitioned and built before the first training, so a
-    # split that cannot be fails the run before any work or file write
-    plans = []
-    for split in splits:
+    # split that cannot be fails the run before any work or file write; one
+    # job per model to train, on one pool for every split: the training plus
+    # the rows it is scored on, each (cell, split, method, detail, tag, test
+    # bundles); the first split's centralized training, the largest, is job
+    # 1, so it runs in a forked shard whenever there is one
+    jobs = []
+    pds_rows = []  # scored by the server itself
+    for split in cfg.splits:
         holdout = split == "trace"
-        # one job per model to train: the training plus the rows it is scored
-        # on, each (cell, method, detail, tag, test bundles); the centralized
-        # training, the largest, is job 1, so it runs in a forked shard
-        # whenever there is one
-        jobs = []
-        pds_rows = []  # scored by the server itself
-
         if "clfl" in cells:
-            part = partition(traces, "iid", sim_cfg.n_clients, master_seed, holdout)
-            clfl = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed, fused)
+            part = partition(traces, "iid", cfg.sim.n_clients, seed, holdout)
+            clfl = build_bundles(part, cfg.fusion, cfg.features, cfg.train, seed, fused)
             jobs.append((partial(run_federated, clfl, fed_cfg),
-                         [("clfl", "federated", "all", "federated", clfl)]))
-            jobs.append((partial(run_centralized, clfl, train_cfg, master_seed, budget_epochs),
-                         [("clfl", "centralized", "all", "centralized", clfl)]))
-            pds_rows.append((("clfl", "pds", "all", "pds", clfl), pds_pooled(clfl)))
+                         [("clfl", split, "federated", "all", "federated", clfl)]))
+            jobs.append((partial(run_centralized, clfl, cfg.train, seed, budget_epochs),
+                         [("clfl", split, "centralized", "all", "centralized", clfl)]))
+            pds_rows.append((("clfl", split, "pds", "all", "pds", clfl), pds_pooled(clfl)))
 
         if {"per_device", "per_model", "cross_model"} & set(cells):
             n_devices = len({t.platform_id for t in traces})
-            part = partition(traces, "non-iid-by-device", n_devices, master_seed, holdout)
-            bundles = build_bundles(part, fusion_cfg, feature_cfg, train_cfg, master_seed, fused)
+            part = partition(traces, "non-iid-by-device", n_devices, seed, holdout)
+            bundles = build_bundles(part, cfg.fusion, cfg.features, cfg.train, seed, fused)
             by_model: dict[str, list[ClientBundle]] = {}
             for b in bundles:
-                by_model.setdefault(models[b.client.client_id], []).append(b)
+                by_model.setdefault(device_model(b.client.client_id), []).append(b)
             # one federation per hardware family serves both its per_model row
             # and its cross_model row, tested on the other families; a family
             # that covers every bundle trains only for per_model
             for name, group in sorted(by_model.items()):
-                others = [b for b in bundles if models[b.client.client_id] != name]
+                others = [b for b in bundles if device_model(b.client.client_id) != name]
                 family_rows = []
                 if "per_model" in cells:
-                    family_rows.append(("per_model", "federated", name, name, group))
+                    family_rows.append(("per_model", split, "federated", name, name, group))
                 if "cross_model" in cells and others:
-                    family_rows.append(("cross_model", "federated", f"train_{name}", name, others))
+                    family_rows.append(
+                        ("cross_model", split, "federated", f"train_{name}", name, others))
                 if family_rows:
                     jobs.append((partial(run_federated, group, fed_cfg), family_rows))
             if "per_device" in cells:
-                init = lstm.init_params(master_seed)  # train_local trains a copy
+                init = lstm.init_params(seed)  # train_local trains a copy
                 for b in bundles:
                     c = b.client
                     if c.n_train and b.test_x.shape[0]:
                         jobs.append((partial(lstm.train_local, init, c.train_x, c.train_y,
                                              c.train_cfg, budget_epochs, c.seed),
-                                     [("per_device", "local", f"device_{c.client_id}",
+                                     [("per_device", split, "local", f"device_{c.client_id}",
                                        str(c.client_id), [b])]))
-        plans.append((split, jobs, pds_rows))
 
+    calls = [partial(_scores, train, [r[5] for r in job_rows]) for train, job_rows in jobs]
+    scored = [row for (_, job_rows), job_scores in zip(jobs, shards.run(calls))
+              for row in zip(job_rows, job_scores)]
+    scored += pds_rows
+    # stable: split by split, cell by cell, in job order, a cell's pds row last
+    scored.sort(key=lambda row: (cfg.splits.index(row[0][1]), ALL_CELLS.index(row[0][0])))
     rows: list[MatrixRow] = []
-    for split, jobs, pds_rows in plans:
-        scored = []
-        calls = [partial(_scores, train, [r[4] for r in job_rows]) for train, job_rows in jobs]
-        for (_, job_rows), job_scores in zip(jobs, shards.run(calls)):
-            scored += zip(job_rows, job_scores)
-        scored += pds_rows
-        scored.sort(key=lambda row: ALL_CELLS.index(row[0][0]))  # stable: cell by cell
-        for (cell, method, detail, tag, group), scores in scored:
-            truth = np.concatenate([b.test_truth for b in group])
-            path = os.path.join(out_dir, f"roc_{cell}_{split}_{tag}.csv")
-            rows.append(MatrixRow(cell, split, method, detail,
-                                  *metrics.score_row(scores, truth, path)))
-
+    for (cell, split, method, detail, tag, group), scores in scored:
+        truth = np.concatenate([b.test_truth for b in group])
+        path = os.path.join(out_dir, f"roc_{cell}_{split}_{tag}.csv")
+        rows.append(MatrixRow(cell, split, method, detail, *metrics.score_row(scores, truth, path)))
     return rows
 
 

@@ -98,14 +98,18 @@ class SimConfig:
             raise ValueError(f"unknown partition mode {self.partition_mode!r}")
 
 
+def _profile(device_id: int) -> DeviceProfile:
+    return DEFAULT_PROFILES[_PROFILE_PATTERN[(device_id - 1) % len(_PROFILE_PATTERN)]]
+
+
 def device_profiles(cfg: SimConfig) -> dict[int, DeviceProfile]:
     """Profile of each device id (1-based)."""
-    return {dev: DEFAULT_PROFILES[_PROFILE_PATTERN[(dev - 1) % len(_PROFILE_PATTERN)]]
-            for dev in range(1, cfg.n_devices + 1)}
+    return {dev: _profile(dev) for dev in range(1, cfg.n_devices + 1)}
 
 
-def device_models(cfg: SimConfig) -> dict[int, str]:
-    return {dev: prof.model_name for dev, prof in device_profiles(cfg).items()}
+def device_model(device_id: int) -> str:
+    """The hardware family that `generate` gives the device with this id."""
+    return _profile(device_id).model_name
 
 
 def _assign_traces(cfg: SimConfig) -> list[int]:

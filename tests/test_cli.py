@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fedspoof import cli, domain, lstm
+from fedspoof import cli, domain, lstm, simulate
 from fedspoof.config import (
     _DERIVED_SEEDS, _FIELD_TYPES, _SECTIONS, ConfigError, ExperimentConfig, _coerce, config_hash,
     load_config,
@@ -375,6 +375,23 @@ class TestCliFlows:
                 in capsys.readouterr().err)
         assert (out / "manifest.txt").read_text() == manifest
         assert not (out / "auc_table.csv").exists() and not (out / "plot_roc.gp").exists()
+
+    def test_matrix_reads_each_family_from_the_data(self, tmp_path):
+        # a corpus of six devices evaluated under a config that names two:
+        # each device's family is the one its id gives it in the simulator
+        six = _write_config(tmp_path, MICRO_CONFIG.replace(
+            "n_traces = 8\nn_devices = 2", "n_traces = 12\nn_devices = 6"), name="six.ini")
+        two = _write_config(tmp_path, MICRO_CONFIG.replace("cells = clfl", "cells = per_model"),
+                            name="two.ini")
+        out = tmp_path / "six_devices"
+        assert _run("generate", "--config", six, "--out", str(out)) == 0
+        traces = domain.read_dataset(str(out / "dataset.csv"))
+        assert len({t.platform_id for t in traces}) == 6
+        assert _run("eval", "--config", two, "--out", str(out)) == 0
+        table = [line.split(",") for line in (out / "auc_table.csv").read_text().splitlines()[1:]]
+        assert {row[0] for row in table} == {"per_model"}
+        assert [row[3] for row in table] == sorted(
+            {simulate.device_model(t.platform_id) for t in traces})
 
     def test_unknown_mode_is_usage_error(self, tmp_path):
         config = _write_config(tmp_path)

@@ -33,6 +33,12 @@ def _micro_setup(seed=5, **sim_kwargs):
     return sim, traces, fc, tc
 
 
+def _matrix_config(sim, fc, tc, fed_cfg, **experiment):
+    """The run config a matrix over the micro set-up's corpus takes."""
+    return config.ExperimentConfig(seed=sim.rng_seed, sim=sim, features=fc, train=tc,
+                                   federation=fed_cfg, **experiment)
+
+
 class TestBundles:
     def test_bundle_invariants(self):
         sim, traces, fc, tc = _micro_setup()
@@ -163,8 +169,8 @@ class TestMatrixFederations:
         monkeypatch.setattr(experiments, "run_federated", spy)
         # the spy sees the calls of one process only: no forked shards
         monkeypatch.setattr(shards, "_shard_count", lambda n: 1)
-        rows = experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg,
-                                 sim.rng_seed, str(tmp_path), cells=cells)
+        rows = experiment_matrix(traces, _matrix_config(sim, fc, tc, fed_cfg, cells=cells),
+                                 str(tmp_path))
         return calls, rows
 
     def test_one_federation_per_split_and_family(self, monkeypatch, tmp_path):
@@ -196,8 +202,8 @@ class TestMatrixFederations:
         sim, traces, fc, tc = _micro_setup(n_traces=6)
         fed_cfg = FederationConfig(rounds=1, local_epochs=1, gate_enabled=False,
                                    init_seed=sim.rng_seed)
-        experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed,
-                          str(tmp_path), cells=("clfl", "per_device"))
+        cfg = _matrix_config(sim, fc, tc, fed_cfg, cells=("clfl", "per_device"))
+        experiment_matrix(traces, cfg, str(tmp_path))
         assert sorted(fused) == sorted(t.trace_id for t in traces)
 
 
@@ -269,17 +275,16 @@ class TestPooledScoring:
 
 
 class TestMatrixJobs:
-    """experiment_matrix trains each split's models as jobs on one pool of
+    """experiment_matrix trains every split's models as jobs on one pool of
     shards; the rows and files do not depend on its size."""
 
     FED = dict(rounds=1, local_epochs=1, gate_enabled=False)
 
-    def _matrix(self, corpus, out_dir, cells=experiments.ALL_CELLS,
-                splits=experiments.ALL_SPLITS):
+    def _matrix(self, corpus, out_dir, cells=config.ALL_CELLS, splits=config.ALL_SPLITS):
         sim, traces, fc, tc = corpus
         fed_cfg = FederationConfig(init_seed=sim.rng_seed, **self.FED)
-        rows = experiment_matrix(traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg,
-                                 sim.rng_seed, out_dir=out_dir, cells=cells, splits=splits)
+        cfg = _matrix_config(sim, fc, tc, fed_cfg, cells=cells, splits=splits)
+        rows = experiment_matrix(traces, cfg, out_dir)
         experiments.write_matrix(rows, out_dir)
         return rows
 
@@ -310,16 +315,16 @@ class TestMatrixJobs:
             rows = self._matrix(corpus, out_dir=str(out))
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             outcomes[n] = (repr(rows), files)  # repr: NaN rows compare equal
-            # one job pool per split, each with n shards of at least n jobs;
+            # one job pool for every split, with n shards of at least n jobs;
             # every fork is the server's, n - 1 per pool it made, and job 0,
             # the clfl federation, runs in the server and forks its clients;
             # a job scores its models in its own shard, with no pool of its own
-            assert [k for kind, k in pools if kind == "jobs"] == [n, n]
+            assert [k for kind, k in pools if kind == "jobs"] == [n]
             assert "scores" not in {kind for kind, _ in pools}
             assert len(forks) == sum(k - 1 for _, k in pools)
             assert any(kind == "clients" and k == min(n, 2) for kind, k in pools)
         table = outcomes[1][1]["auc_table.csv"].decode().splitlines()[1:]
-        assert {line.split(",")[0] for line in table} == set(experiments.ALL_CELLS)
+        assert {line.split(",")[0] for line in table} == set(config.ALL_CELLS)
         for n in (2, 3):
             assert outcomes[n] == outcomes[1]
 
@@ -402,10 +407,7 @@ class TestEndToEnd:
         sim, traces, fc, tc = _micro_setup(n_traces=10)
         fed_cfg = FederationConfig(rounds=2, local_epochs=1, gate_enabled=False,
                                    init_seed=sim.rng_seed)
-        rows = experiment_matrix(
-            traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed,
-            out_dir=str(tmp_path),
-        )
+        rows = experiment_matrix(traces, _matrix_config(sim, fc, tc, fed_cfg), str(tmp_path))
         experiments.write_matrix(rows, str(tmp_path))
         cells = {(r.cell, r.split) for r in rows}
         for cell in ("clfl", "per_device", "per_model", "cross_model"):
@@ -424,10 +426,8 @@ class TestEndToEnd:
         sim, traces, fc, tc = _micro_setup()
         fed_cfg = FederationConfig(rounds=1, local_epochs=1, gate_enabled=False,
                                    init_seed=sim.rng_seed)
-        rows = experiment_matrix(
-            traces, sim, fusion.FusionConfig(), fc, tc, fed_cfg, sim.rng_seed,
-            out_dir=str(tmp_path), cells=("clfl",), splits=("iid",),
-        )
+        cfg = _matrix_config(sim, fc, tc, fed_cfg, cells=("clfl",), splits=("iid",))
+        rows = experiment_matrix(traces, cfg, str(tmp_path))
         assert {r.cell for r in rows} == {"clfl"}
         assert {r.split for r in rows} == {"iid"}
 

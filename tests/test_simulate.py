@@ -11,7 +11,7 @@ from fedspoof.simulate import (
     ATTACK_RAMP_S,
     DeviceProfile,
     SimConfig,
-    device_models,
+    device_model,
     device_profiles,
     generate,
     partition,
@@ -220,7 +220,9 @@ class TestGenerate:
 
 class TestProfiles:
     def test_paired_family_pattern(self):
-        models = device_models(SimConfig())
+        # device_model gives each id the family of the profile generate gives it
+        models = {dev: device_model(dev) for dev in range(1, 7)}
+        assert models == {dev: p.model_name for dev, p in device_profiles(SimConfig()).items()}
         assert models[1] == models[4]
         assert models[2] == models[6]
         assert models[3] == models[5]
