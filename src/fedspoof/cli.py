@@ -76,8 +76,8 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str, mode: str) -> int:
-    traces = _load_traces(cfg, out_dir)
-    bundles = _bundles(cfg, traces)
+    # the corpus is unreachable once the clients are built, before any training
+    bundles = _bundles(cfg, _load_traces(cfg, out_dir))
     truth = np.concatenate([b.test_truth for b in bundles])
     if truth.all() or not truth.any():  # checked before any training or writing
         raise metrics.SingleClassError(f"{mode} evaluation on {cfg.sim.partition_mode!r} "
@@ -110,8 +110,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, mode: str) -> int:
 
 
 def cmd_eval(cfg: ExperimentConfig, out_dir: str) -> int:
-    traces = _load_traces(cfg, out_dir)
-    rows = experiments.experiment_matrix(traces, cfg, out_dir)
+    # as in `train`, the corpus is unreachable once the plan's clients are built
+    rows = experiments.experiment_matrix(
+        experiments.plan_matrix(_load_traces(cfg, out_dir), cfg), out_dir)
     if not rows:
         raise domain.DatasetFormatError(f"the matrix has no row for cells = {', '.join(cfg.cells)}"
                                         f" and splits = {', '.join(cfg.splits)}")

@@ -191,10 +191,22 @@ plot for [file in system('ls roc_*.csv')] file using 2:3 every ::1 with lines ti
 """
 
 
-def experiment_matrix(traces: list[Trace], cfg: ExperimentConfig, out_dir: str) -> list[MatrixRow]:
-    """Run the comparison matrix over `cfg.cells` and `cfg.splits`: its rows,
-    with each two-class row's ROC CSV written to out_dir; `write_matrix`
-    writes the table of the rows.
+@dataclass
+class MatrixPlan:
+    """What `experiment_matrix` runs: one job per model to train, each a
+    training and the rows it is scored on, (cell, split, method, detail,
+    tag, test bundles); the PDS rows with their scores, which the server
+    makes itself; and the splits in row order.  It holds clients and their
+    windows but no trace, so the corpus can go before any training starts."""
+
+    jobs: list[tuple[partial, list[tuple]]]
+    pds_rows: list[tuple[tuple, np.ndarray]]
+    splits: tuple[str, ...]
+
+
+def plan_matrix(traces: list[Trace], cfg: ExperimentConfig) -> MatrixPlan:
+    """Every client of the comparison matrix over `cfg.cells` and
+    `cfg.splits`, built, and the models to train on them.
 
     Cells: clfl (centralized vs federated vs position baseline), per_device
     (each device trains and tests alone), per_model (federation within each
@@ -202,19 +214,18 @@ def experiment_matrix(traces: list[Trace], cfg: ExperimentConfig, out_dir: str) 
     others); each in an iid variant (test traces are the training traces) and
     a trace-split variant (held-out test traces).  A device's family is the
     one `simulate.device_model` gives its id.
+
+    Every split is partitioned and built here, so a split that cannot be
+    fails the run before any training or file write.
     """
     cells, fed_cfg, seed = cfg.cells, cfg.federation, cfg.seed
     # every partition below holds these trace objects; fuse each one once
     fused = fuse_each(traces, cfg.fusion)
     budget_epochs = fed_cfg.rounds * fed_cfg.local_epochs
-    # every split is partitioned and built before the first training, so a
-    # split that cannot be fails the run before any work or file write; one
-    # job per model to train, on one pool for every split: the training plus
-    # the rows it is scored on, each (cell, split, method, detail, tag, test
-    # bundles); the first split's centralized training, the largest, is job
-    # 1, so it runs in a forked shard whenever there is one
+    # the first split's centralized training, the largest, is job 1, so it
+    # runs in a forked shard whenever there is one
     jobs = []
-    pds_rows = []  # scored by the server itself
+    pds_rows = []
     for split in cfg.splits:
         holdout = split == "trace"
         if "clfl" in cells:
@@ -255,13 +266,19 @@ def experiment_matrix(traces: list[Trace], cfg: ExperimentConfig, out_dir: str) 
                                              c.train_cfg, budget_epochs, c.seed),
                                      [("per_device", split, "local", f"device_{c.client_id}",
                                        str(c.client_id), [b])]))
+    return MatrixPlan(jobs, pds_rows, cfg.splits)
 
-    calls = [partial(_scores, train, [r[5] for r in job_rows]) for train, job_rows in jobs]
-    scored = [row for (_, job_rows), job_scores in zip(jobs, shards.run(calls))
+
+def experiment_matrix(plan: MatrixPlan, out_dir: str) -> list[MatrixRow]:
+    """Train `plan`'s models as jobs on one pool for every split and score
+    them: the matrix's rows, with each two-class row's ROC CSV written to
+    out_dir; `write_matrix` writes the table of the rows."""
+    calls = [partial(_scores, train, [r[5] for r in job_rows]) for train, job_rows in plan.jobs]
+    scored = [row for (_, job_rows), job_scores in zip(plan.jobs, shards.run(calls))
               for row in zip(job_rows, job_scores)]
-    scored += pds_rows
+    scored += plan.pds_rows
     # stable: split by split, cell by cell, in job order, a cell's pds row last
-    scored.sort(key=lambda row: (cfg.splits.index(row[0][1]), ALL_CELLS.index(row[0][0])))
+    scored.sort(key=lambda row: (plan.splits.index(row[0][1]), ALL_CELLS.index(row[0][0])))
     rows: list[MatrixRow] = []
     for (cell, split, method, detail, tag, group), scores in scored:
         truth = np.concatenate([b.test_truth for b in group])

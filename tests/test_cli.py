@@ -1,15 +1,17 @@
+import gc
 import glob
 import hashlib
 import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from fedspoof import cli, domain, lstm, simulate
+from fedspoof import cli, domain, lstm, shards, simulate
 from fedspoof.config import (
     _DERIVED_SEEDS, _FIELD_TYPES, _SECTIONS, ConfigError, ExperimentConfig, _coerce, config_hash,
     load_config,
@@ -422,6 +424,37 @@ class TestCliFlows:
         # the run's BLAS thread count, recorded beside the config hash
         blas = f"openblas_num_threads={os.environ['OPENBLAS_NUM_THREADS']}\n"
         assert blas in manifest_a and blas in manifest_b
+
+
+class TestCorpusLifetime:
+    """No trace outlives client set-up: once the clients exist, every trace
+    the dataset reader returned is garbage, before any model trains."""
+
+    @pytest.mark.parametrize("command", [["eval"], ["train", "--mode", "federated"]])
+    def test_no_trace_alive_at_first_training(self, tmp_path, monkeypatch, command):
+        config = _write_config(tmp_path)
+        out = str(tmp_path / "run")
+        assert _run("generate", "--config", config, "--out", out) == 0
+        real_read, real_train = domain.read_dataset, lstm.train_local
+        refs, alive = [], []
+
+        def read_dataset(path):
+            traces = real_read(path)
+            refs.extend(map(weakref.ref, traces))
+            return traces
+
+        def train_local(*args, **kwargs):
+            if not alive:  # the first training
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in refs))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(domain, "read_dataset", read_dataset)
+        monkeypatch.setattr(lstm, "train_local", train_local)
+        # one shard: every training runs in this process, where the traces were read
+        monkeypatch.setattr(shards, "_shard_count", lambda n: 1)
+        assert _run(*command, "--config", config, "--out", out) == 0
+        assert len(refs) == 8 and alive == [0]
 
 
 class TestBlasPin:

@@ -12,6 +12,7 @@ from fedspoof.experiments import (
     experiment_matrix,
     model_scores,
     pds_pooled,
+    plan_matrix,
     pooled_test,
     pooled_training_set,
     run_centralized,
@@ -169,8 +170,8 @@ class TestMatrixFederations:
         monkeypatch.setattr(experiments, "run_federated", spy)
         # the spy sees the calls of one process only: no forked shards
         monkeypatch.setattr(shards, "_shard_count", lambda n: 1)
-        rows = experiment_matrix(traces, _matrix_config(sim, fc, tc, fed_cfg, cells=cells),
-                                 str(tmp_path))
+        cfg = _matrix_config(sim, fc, tc, fed_cfg, cells=cells)
+        rows = experiment_matrix(plan_matrix(traces, cfg), str(tmp_path))
         return calls, rows
 
     def test_one_federation_per_split_and_family(self, monkeypatch, tmp_path):
@@ -203,7 +204,7 @@ class TestMatrixFederations:
         fed_cfg = FederationConfig(rounds=1, local_epochs=1, gate_enabled=False,
                                    init_seed=sim.rng_seed)
         cfg = _matrix_config(sim, fc, tc, fed_cfg, cells=("clfl", "per_device"))
-        experiment_matrix(traces, cfg, str(tmp_path))
+        experiment_matrix(plan_matrix(traces, cfg), str(tmp_path))
         assert sorted(fused) == sorted(t.trace_id for t in traces)
 
 
@@ -284,7 +285,7 @@ class TestMatrixJobs:
         sim, traces, fc, tc = corpus
         fed_cfg = FederationConfig(init_seed=sim.rng_seed, **self.FED)
         cfg = _matrix_config(sim, fc, tc, fed_cfg, cells=cells, splits=splits)
-        rows = experiment_matrix(traces, cfg, out_dir)
+        rows = experiment_matrix(plan_matrix(traces, cfg), out_dir)
         experiments.write_matrix(rows, out_dir)
         return rows
 
@@ -407,7 +408,8 @@ class TestEndToEnd:
         sim, traces, fc, tc = _micro_setup(n_traces=10)
         fed_cfg = FederationConfig(rounds=2, local_epochs=1, gate_enabled=False,
                                    init_seed=sim.rng_seed)
-        rows = experiment_matrix(traces, _matrix_config(sim, fc, tc, fed_cfg), str(tmp_path))
+        cfg = _matrix_config(sim, fc, tc, fed_cfg)
+        rows = experiment_matrix(plan_matrix(traces, cfg), str(tmp_path))
         experiments.write_matrix(rows, str(tmp_path))
         cells = {(r.cell, r.split) for r in rows}
         for cell in ("clfl", "per_device", "per_model", "cross_model"):
@@ -427,7 +429,7 @@ class TestEndToEnd:
         fed_cfg = FederationConfig(rounds=1, local_epochs=1, gate_enabled=False,
                                    init_seed=sim.rng_seed)
         cfg = _matrix_config(sim, fc, tc, fed_cfg, cells=("clfl",), splits=("iid",))
-        rows = experiment_matrix(traces, cfg, str(tmp_path))
+        rows = experiment_matrix(plan_matrix(traces, cfg), str(tmp_path))
         assert {r.cell for r in rows} == {"clfl"}
         assert {r.split for r in rows} == {"iid"}
 

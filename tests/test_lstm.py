@@ -1,5 +1,9 @@
 import copy
+import os
 import pickle
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -491,3 +495,50 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint\n\nxxxx")
         with pytest.raises(ValueError, match="unrecognized"):
             load_checkpoint(str(path))
+
+
+BACKWARD_FAULTS = """
+import resource
+import numpy as np
+import fedspoof
+from fedspoof import lstm
+rng = np.random.default_rng(0)
+p = lstm.init_params(0)
+x = rng.uniform(0, 1, (72, 10, p.input_size)).astype(np.float32)
+y = rng.uniform(0, 1, 72).astype(np.float32)
+lstm.backward(p, x, y)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    lstm.backward(p, x, y)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc settings")
+class TestMallocPin:
+    """`import fedspoof` makes glibc keep the kernels' freed buffers, unless
+    the user tunes malloc."""
+
+    MALLOC = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+    def _backward_faults(self, **user) -> float:
+        """Minor page faults per `backward` call on 72 windows, after one
+        warm-up call, in a fresh interpreter whose environment sets only
+        `user` of the malloc settings."""
+        env = {k: v for k, v in os.environ.items() if k not in self.MALLOC}
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        out = subprocess.run([sys.executable, "-c", BACKWARD_FAULTS], env={**env, **user},
+                             capture_output=True, text=True, check=True)
+        return float(out.stdout)
+
+    def test_backward_reuses_its_buffers(self):
+        assert self._backward_faults() <= 100
+
+    @pytest.mark.parametrize("user", [{"MALLOC_TRIM_THRESHOLD_": "0"},
+                                      {"MALLOC_MMAP_THRESHOLD_": "131072"},
+                                      {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=0"}])
+    def test_user_malloc_setting_kept(self, user):
+        # trimming on every free, or a mapping of its own for each buffer
+        # over 128 KiB, as the user asked: each call faults its buffers in again
+        assert self._backward_faults(**user) > 100
