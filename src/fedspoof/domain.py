@@ -161,16 +161,18 @@ class Trace:
         return Trace, tuple(getattr(self, f.name) for f in fields(self))
 
 
-def _format_block(trace: Trace) -> str:
-    """The dataset lines of one trace."""
+def _format_block(trace: Trace) -> np.ndarray:
+    """The dataset lines of one trace, as a read-only uint8 array of their
+    ASCII bytes, which a forked shard sends back out of band."""
     ids = f"{trace.platform_id},{trace.trace_id},"
     values = np.column_stack([getattr(trace, c) for c in _VALUES]).tolist()
     # repr round-trips doubles exactly under float(); of a Trace's values
     # only a missing signal value, NaN, formats to a token holding "nan"
-    return "".join(
+    text = "".join(
         ids + ",".join(map(repr, row)).replace("nan", MISSING_TOKEN) + (",1\n" if hit else ",0\n")
         for row, hit in zip(values, trace.attacked.tolist())
     )
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
 def write_dataset(traces: list[Trace], path: str) -> None:
@@ -182,8 +184,8 @@ def write_dataset(traces: list[Trace], path: str) -> None:
     """
     blocks = shards.run([partial(_format_block, trace) for trace in traces])
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(",".join(HEADER_COLUMNS) + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(HEADER_COLUMNS) + "\n").encode("ascii"))
             fh.writelines(blocks)
     except OSError as exc:
         raise OSError(f"cannot write dataset {path!r}: {exc}") from exc

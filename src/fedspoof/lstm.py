@@ -15,8 +15,9 @@ step t, `gates[t]`, is one contiguous (B, 4H) block; layer 2 reads layer 1's
 projection of every step in a single (T*B, D) @ (D, 4H) GEMM plus the bias;
 step t then adds h_{t-1} @ wh into its slab and overwrites the slab with the
 gate activations.  For a backward pass the buffer stays, and so do every
-step's c, tanh(c) and h; for `predict` only layer 1's h sequence is kept, the
-rest rolls in two slots, and each layer's buffers die as it returns.
+step's c and h; BPTT recomputes tanh(c) a step at a time, which gives the
+same bits.  For `predict` only layer 1's h sequence is kept, c and layer 2's
+h roll in two slots, and each layer's buffers die as it returns.
 Sigmoids use the exact, overflow-free form 0.5 * (1 + tanh(z / 2)): per call,
 the sigmoid gates' (i, f, o) columns of wx, wh and b are multiplied by 0.5 in
 copies (a power of two, so the GEMMs yield z/2 bit for bit and the stored
@@ -132,8 +133,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _layer_forward(wx, wh, b, x, keep, keep_hs=True):
     """One LSTM layer over a time-major batch x, (T, B, D).  Returns hs, with
-    step t's hidden state in hs[t % len(hs)], and with keep the cache BPTT needs,
-    else None; c and tanh(c) then roll in two slots, as hs does unless keep_hs.
+    step t's hidden state in hs[t % len(hs)], and with keep the cache BPTT needs:
+    x, the gate buffer and every step's c and h.  tanh(c) goes through one
+    (B, H) buffer, and BPTT recomputes it.  Without keep the cache is None, and
+    c rolls in two slots, as hs does unless keep_hs.
 
     With the sigmoid columns of the weights halved, one tanh over a step's
     slab gives tanh(z/2) on (i, f, o) and tanh(z) on the cell candidate g.
@@ -154,8 +157,8 @@ def _layer_forward(wx, wh, b, x, keep, keep_hs=True):
     wh_half = wh * scale
     n, n_h = (steps, steps) if keep else (2, steps if keep_hs else 2)
     cs = np.empty((n, bsz, h_dim), dtype=gates.dtype)
-    tc = np.empty_like(cs)
     hs = np.empty((n_h, bsz, h_dim), dtype=gates.dtype)
+    tc = np.empty((bsz, h_dim), dtype=gates.dtype)
     rec = np.empty((bsz, 4 * h_dim), dtype=gates.dtype)
     fc = np.empty((bsz, h_dim), dtype=gates.dtype)
     for t in range(steps):
@@ -169,8 +172,8 @@ def _layer_forward(wx, wh, b, x, keep, keep_hs=True):
         c = np.multiply(i, g, out=cs[t % n])
         if t > 0:
             c += np.multiply(f, cs[(t - 1) % n], out=fc)
-        np.multiply(o, np.tanh(c, out=tc[t % n]), out=hs[t % n_h])
-    return hs, {"x": x, "gates": gates, "c": cs, "tc": tc, "hs": hs} if keep else None
+        np.multiply(o, np.tanh(c, out=tc), out=hs[t % n_h])
+    return hs, {"x": x, "gates": gates, "c": cs, "hs": hs} if keep else None
 
 
 def _batch_major(a):
@@ -179,23 +182,27 @@ def _batch_major(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(bsz * steps, n)
 
 
-def _layer_backward(wx, wh, cache, d_hs, need_dx=True):
-    """BPTT through one layer given upstream gradients on every hidden state,
-    all time-major.
+def _layer_backward(wx, wh, cache, d_h, need_dx=True):
+    """BPTT through one layer given upstream gradients on its hidden states:
+    on every step, time-major (T, B, H), or on the last step only, (B, H).
 
     Each step's gradient on the gate pre-activations (the unscaled z, so the
     stored weights serve as they are) overwrites that step's activations in
     the cache's gate buffer, which is then reduced with one GEMM per weight.
-    The arrays are taken out of the cache, which is left empty, so the cell
-    and hidden states are freed once the time loop is done.  The input-weight
-    and bias reductions run over batch-major copies of the buffer and the
-    input: a sum over the B*T rows in another order would change their bits.
+    tanh(c) is recomputed a step at a time into one (B, H) buffer.  The
+    arrays are taken out of the cache, which is left empty, so the cell and
+    hidden states are freed once the time loop is done, and the time-major
+    buffer once its batch-major copy exists.  The input-weight and bias
+    reductions run over batch-major copies of the buffer and the input: a
+    sum over the B*T rows in another order would change their bits.
     Returns gradients for the layer inputs (time-major; None unless need_dx)
     and for (wx, wh, b).
     """
-    x, gates, cs, tc, hs = (cache.pop(k) for k in ("x", "gates", "c", "tc", "hs"))
+    x, gates, cs, hs = (cache.pop(k) for k in ("x", "gates", "c", "hs"))
     steps, bsz, in_dim = x.shape
     h_dim = wh.shape[0]
+    every_step = d_h.ndim == 3
+    t_c = np.empty((bsz, h_dim), dtype=gates.dtype)
     d_act = np.empty((bsz, 4 * h_dim), dtype=gates.dtype)
     d_gate = np.empty_like(d_act)
     d_wh = np.zeros_like(wh)
@@ -203,12 +210,13 @@ def _layer_backward(wx, wh, cache, d_hs, need_dx=True):
     for t in range(steps - 1, -1, -1):
         z = gates[t]
         i, f, g, o = (z[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
-        t_c = tc[t]
+        np.tanh(cs[t], out=t_c)
         if dh_rec is None:
-            dh = d_hs[t]
+            dh = d_h[t] if every_step else d_h
         else:
             dh = dh_rec
-            dh += d_hs[t]
+            if every_step:
+                dh += d_h[t]
 
         # dc = dh * o * (1 - tanh(c)^2) + dc from step t + 1
         dc = np.multiply(t_c, t_c)
@@ -238,14 +246,16 @@ def _layer_backward(wx, wh, cache, d_hs, need_dx=True):
         if t > 0:
             d_wh += hs[t - 1].T @ z
             dh_rec = z @ wh.T
-    del cs, tc, hs, t_c
+    # the loop's views hold the gate buffer: drop them with the scratch
+    del z, i, f, g, o, dh, dh_rec, dc, dc_rec, cs, hs, t_c, d_act, d_gate
 
-    dz = _batch_major(gates)
-    d_wx = _batch_major(x).T @ dz
-    d_b = dz.sum(axis=0)
     d_x = None
     if need_dx:
         d_x = (gates.reshape(steps * bsz, 4 * h_dim) @ wx.T).reshape(steps, bsz, in_dim)
+    dz = _batch_major(gates)
+    del gates
+    d_wx = _batch_major(x).T @ dz
+    d_b = dz.sum(axis=0)
     return d_x, d_wx, d_wh, d_b
 
 
@@ -318,14 +328,12 @@ def backward(
     dy = (2.0 / bsz) * resid
     du = (dy * y * (1.0 - y)).astype(dtype)
 
-    # layer 2's cache, h2_last (a view of it) included, and d_h2 die before
-    # the layer-1 BPTT, and the gradient vector is made after both layers
+    # layer 2's cache, h2_last (a view of it) included, dies before the
+    # layer-1 BPTT, and the gradient vector is made after both layers; only
+    # layer 2's last hidden state feeds the head, so only it gets a gradient
     d_head_w = cache.pop("h2_last").T @ du
-    steps = x.shape[1]
-    d_h2 = np.zeros((steps, bsz, params.hidden_size), dtype=dtype)
-    d_h2[-1] = np.outer(du, blocks["head_w"])
-    d_h1, *d_l2 = _layer_backward(blocks["l2_wx"], blocks["l2_wh"], cache.pop("cache2"), d_h2)
-    del d_h2
+    d_h1, *d_l2 = _layer_backward(blocks["l2_wx"], blocks["l2_wh"], cache.pop("cache2"),
+                                  np.outer(du, blocks["head_w"]))
     _, *d_l1 = _layer_backward(
         blocks["l1_wx"], blocks["l1_wh"], cache.pop("cache1"), d_h1, need_dx=False
     )

@@ -21,7 +21,7 @@ from fedspoof.domain import (
     write_dataset,
 )
 
-from oracles import dataset_text, haversine_m
+from oracles import dataset_text, haversine_m, traced_peak
 
 
 def _trace(n=1, tid=1, pid=1, t=None, lat=10.0, lon=20.0, **columns):
@@ -194,6 +194,14 @@ class TestDatasetWriter:
         for token in (",na,", ",-0.0,", ",1e-05,", ",1e+16,", ",1e-300,"):
             assert token in text, token
         assert "nan" not in text
+
+    def test_holds_the_corpus_text_once(self, tmp_path, monkeypatch, tiny_corpus):
+        # a forked shard's blocks cross as bytes out of band, so the server
+        # never holds a reply's pickle beside its blocks (parent: 1.53x)
+        monkeypatch.setattr(shards, "_shard_count", lambda n_items: max(1, min(2, n_items)))
+        path = tmp_path / "d.csv"
+        peak = traced_peak(lambda: write_dataset(tiny_corpus[1], str(path)))
+        assert peak <= 1.25 * path.stat().st_size
 
 
 class TestDatasetRoundTrip:

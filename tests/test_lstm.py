@@ -265,6 +265,18 @@ class TestBackward:
         forward_peak = traced_peak(lambda: forward(p, x))
         assert traced_peak(lambda: backward(p, x, y)) <= 1.25 * forward_peak
 
+    def test_caches_hold_only_what_bptt_reads(self, rng):
+        # in (T, B, 4H) float32 gate buffers of one layer: a cached forward
+        # holds each layer's buffer, c and h, and x, not tanh(c) (parent 4.11);
+        # backward gives layer 2 no zero gradients and holds no time-major
+        # buffer beside its batch-major copy (parent 4.88)
+        p = init_params(3)
+        x = rng.uniform(0, 1, (72, 10, p.input_size)).astype(np.float32)
+        y = rng.uniform(0, 1, 72).astype(np.float32)
+        gate_buffer = x.shape[0] * x.shape[1] * 4 * p.hidden_size * 4
+        assert traced_peak(lambda: forward(p, x)) <= 3.8 * gate_buffer
+        assert traced_peak(lambda: backward(p, x, y)) <= 4.2 * gate_buffer
+
     def test_target_mismatch_rejected(self, rng):
         p = init_params(0, input_size=3, hidden_size=2)
         with pytest.raises(ValueError, match="targets"):
