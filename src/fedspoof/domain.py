@@ -161,18 +161,27 @@ class Trace:
         return Trace, tuple(getattr(self, f.name) for f in fields(self))
 
 
+#: Samples that `_format_block` turns into text at a time.
+_FORMAT_ROWS = 32
+
+
 def _format_block(trace: Trace) -> np.ndarray:
     """The dataset lines of one trace, as a read-only uint8 array of their
-    ASCII bytes, which a forked shard sends back out of band."""
+    ASCII bytes, which a forked shard sends back out of band.  One chunk of
+    _FORMAT_ROWS samples at a time lives as Python floats and text."""
     ids = f"{trace.platform_id},{trace.trace_id},"
-    values = np.column_stack([getattr(trace, c) for c in _VALUES]).tolist()
-    # repr round-trips doubles exactly under float(); of a Trace's values
-    # only a missing signal value, NaN, formats to a token holding "nan"
-    text = "".join(
-        ids + ",".join(map(repr, row)).replace("nan", MISSING_TOKEN) + (",1\n" if hit else ",0\n")
-        for row, hit in zip(values, trace.attacked.tolist())
-    )
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    chunks = []
+    for start in range(0, len(trace), _FORMAT_ROWS):
+        part = slice(start, start + _FORMAT_ROWS)
+        rows = np.column_stack([getattr(trace, c)[part] for c in _VALUES]).tolist()
+        # repr round-trips doubles exactly under float(); of a Trace's values
+        # only a missing signal value, NaN, formats to a token holding "nan"
+        chunks.append("".join(
+            ids + ",".join(map(repr, row)).replace("nan", MISSING_TOKEN)
+            + (",1\n" if hit else ",0\n") for row, hit in zip(rows, trace.attacked[part].tolist())
+        ).encode("ascii"))
+        del rows  # before the next chunk's floats exist
+    return np.frombuffer(b"".join(chunks), dtype=np.uint8)
 
 
 def write_dataset(traces: list[Trace], path: str) -> None:

@@ -28,8 +28,10 @@ from .fusion import CapMinMax, FusedEstimate
 
 log = logging.getLogger(__name__)
 
-#: The most windows a client scores per model in a gated round.
+#: The most windows a client scores per model in a gated round, and how far
+#: below the broadcast model's mean AUC a candidate's may fall and pass.
 GATE_EVAL_MAX_WINDOWS = 512
+GATE_THRESHOLD_DELTA = 0.02
 
 
 @dataclass(frozen=True)
@@ -236,7 +238,6 @@ class LocalClient:
 def quality_gate(
     candidate: RoundUpdate,
     reviews: list[tuple[float | None, list[QualityReport]]],
-    threshold_delta: float,
 ) -> tuple[bool, list[QualityReport]]:
     """Cross-client screening of one candidate update.
 
@@ -245,9 +246,9 @@ def quality_gate(
     evaluator's AUC of the candidate on its gate windows against its
     binarized self-labels.  The update is accepted iff their mean is at
     least the reference, the broadcast model's mean AUC over the evaluators
-    that did not abstain, minus threshold_delta; with no report on it (every
-    evaluator abstained) it is accepted with a warning.  Returns the verdict
-    and the reports it was judged on, in evaluator order.
+    that did not abstain, minus GATE_THRESHOLD_DELTA; with no report on it
+    (every evaluator abstained) it is accepted with a warning.  Returns the
+    verdict and the reports it was judged on, in evaluator order.
     """
     given = [r for _, reports in reviews for r in reports
              if r.candidate_client_id == candidate.client_id]
@@ -257,7 +258,7 @@ def quality_gate(
         return True, []
     reference = float(np.mean([auc for auc, _ in reviews if auc is not None]))
     mean_auc = float(np.mean([r.auc_vs_reference for r in given]))
-    return mean_auc >= reference - threshold_delta, given
+    return mean_auc >= reference - GATE_THRESHOLD_DELTA, given
 
 
 @dataclass(frozen=True)
@@ -268,14 +269,13 @@ class FederationConfig:
     local_epochs: int = 5
     gate_enabled: bool = True
     gate_warmup_rounds: int = 10
-    gate_threshold_delta: float = 0.02
     init_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.rounds < 1 or self.local_epochs < 1:
             raise ValueError("rounds and local_epochs must be >= 1")
-        if self.gate_warmup_rounds < 0 or self.gate_threshold_delta < 0.0:
-            raise ValueError("gate_warmup_rounds and gate_threshold_delta must be >= 0")
+        if self.gate_warmup_rounds < 0:
+            raise ValueError("gate_warmup_rounds must be >= 0")
 
 
 def _round(pool, params, round_index, cfg, announced_mean, gate_active):
@@ -298,7 +298,7 @@ def _round(pool, params, round_index, cfg, announced_mean, gate_active):
         reviews = pool.ask("review", params, finite)
         accepted = []
         for update in finite:
-            ok, given = quality_gate(update, reviews, cfg.gate_threshold_delta)
+            ok, given = quality_gate(update, reviews)
             gate_aucs.extend(r.auc_vs_reference for r in given)
             if ok:
                 accepted.append(update)

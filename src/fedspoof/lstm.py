@@ -134,9 +134,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def _layer_forward(wx, wh, b, x, keep, keep_hs=True):
     """One LSTM layer over a time-major batch x, (T, B, D).  Returns hs, with
     step t's hidden state in hs[t % len(hs)], and with keep the cache BPTT needs:
-    x, the gate buffer and every step's c and h.  tanh(c) goes through one
-    (B, H) buffer, and BPTT recomputes it.  Without keep the cache is None, and
-    c rolls in two slots, as hs does unless keep_hs.
+    x, the gate buffer and every step's c and h, but not tanh(c), which BPTT
+    recomputes.  Without keep the cache is None, and c rolls in two slots, as
+    hs does unless keep_hs.
 
     With the sigmoid columns of the weights halved, one tanh over a step's
     slab gives tanh(z/2) on (i, f, o) and tanh(z) on the cell candidate g.
@@ -158,21 +158,18 @@ def _layer_forward(wx, wh, b, x, keep, keep_hs=True):
     n, n_h = (steps, steps) if keep else (2, steps if keep_hs else 2)
     cs = np.empty((n, bsz, h_dim), dtype=gates.dtype)
     hs = np.empty((n_h, bsz, h_dim), dtype=gates.dtype)
-    tc = np.empty((bsz, h_dim), dtype=gates.dtype)
-    rec = np.empty((bsz, 4 * h_dim), dtype=gates.dtype)
-    fc = np.empty((bsz, h_dim), dtype=gates.dtype)
     for t in range(steps):
         z = gates[t]
         if t > 0:
-            z += np.matmul(hs[(t - 1) % n_h], wh_half, out=rec)
+            z += hs[(t - 1) % n_h] @ wh_half
         np.tanh(z, out=z)
         z *= scale_slab
         z += shift_slab
         i, f, g, o = (z[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
         c = np.multiply(i, g, out=cs[t % n])
         if t > 0:
-            c += np.multiply(f, cs[(t - 1) % n], out=fc)
-        np.multiply(o, np.tanh(c, out=tc), out=hs[t % n_h])
+            c += f * cs[(t - 1) % n]
+        np.multiply(o, np.tanh(c), out=hs[t % n_h])
     return hs, {"x": x, "gates": gates, "c": cs, "hs": hs} if keep else None
 
 
@@ -189,28 +186,25 @@ def _layer_backward(wx, wh, cache, d_h, need_dx=True):
     Each step's gradient on the gate pre-activations (the unscaled z, so the
     stored weights serve as they are) overwrites that step's activations in
     the cache's gate buffer, which is then reduced with one GEMM per weight.
-    tanh(c) is recomputed a step at a time into one (B, H) buffer.  The
-    arrays are taken out of the cache, which is left empty, so the cell and
-    hidden states are freed once the time loop is done, and the time-major
-    buffer once its batch-major copy exists.  The input-weight and bias
-    reductions run over batch-major copies of the buffer and the input: a
-    sum over the B*T rows in another order would change their bits.
-    Returns gradients for the layer inputs (time-major; None unless need_dx)
-    and for (wx, wh, b).
+    tanh(c) is recomputed a step at a time.  The arrays are taken out of the
+    cache, which is left empty, so the cell and hidden states are freed once
+    the time loop is done, and the time-major buffer once its batch-major
+    copy exists.  The input-weight and bias reductions run over batch-major
+    copies of the buffer and the input: a sum over the B*T rows in another
+    order would change their bits.  Returns gradients for the layer inputs
+    (time-major; None unless need_dx) and for (wx, wh, b).
     """
     x, gates, cs, hs = (cache.pop(k) for k in ("x", "gates", "c", "hs"))
     steps, bsz, in_dim = x.shape
     h_dim = wh.shape[0]
     every_step = d_h.ndim == 3
-    t_c = np.empty((bsz, h_dim), dtype=gates.dtype)
     d_act = np.empty((bsz, 4 * h_dim), dtype=gates.dtype)
-    d_gate = np.empty_like(d_act)
     d_wh = np.zeros_like(wh)
     dh_rec = dc_rec = None
     for t in range(steps - 1, -1, -1):
         z = gates[t]
         i, f, g, o = (z[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
-        np.tanh(cs[t], out=t_c)
+        t_c = np.tanh(cs[t])
         if dh_rec is None:
             dh = d_h[t] if every_step else d_h
         else:
@@ -239,7 +233,7 @@ def _layer_backward(wx, wh, cache, d_h, need_dx=True):
         # 1 - g^2 for the cell candidate, whose column holds 1 once g^2 has
         # gone into 1 - z; then z holds dz
         np.multiply(g, g, out=g)
-        np.subtract(1.0, z, out=d_gate)
+        d_gate = 1.0 - z
         g[...] = 1.0
         z *= d_gate
         z *= d_act
@@ -420,10 +414,12 @@ class EarlyStopping:
 
 #: The fixed local training recipe: the share of windows held out for
 #: validation, the least validation-loss drop that counts as an improvement,
-#: the gradient clipping norm, Adam's moment decays and denominator offset,
-#: and the clamp on the learning-rate multiplier.
+#: the epochs without one after which training stops, the gradient clipping
+#: norm, Adam's moment decays and denominator offset, and the clamp on the
+#: learning-rate multiplier.
 VALIDATION_FRACTION = 0.2
 MIN_IMPROVEMENT = 1e-6
+EARLY_STOP_PATIENCE = 20
 CLIP_NORM = 5.0
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 LR_SCALE_MIN, LR_SCALE_MAX = 0.5, 2.0
@@ -435,13 +431,10 @@ class TrainConfig:
 
     batch_size: int = 72
     base_learning_rate: float = 1e-3
-    early_stop_patience: int = 20
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
         # a rate of 0 freezes the model, which pins early stopping in tests
         if self.base_learning_rate < 0.0:
             raise ValueError("base_learning_rate must be >= 0")
@@ -518,7 +511,7 @@ def train_local(
     opt = AdamOptimizer(work.vector.size, lr, dtype=work.vector.dtype)
     # the min_delta rule governs only the stopping counter; the returned model
     # is the plain argmin of the validation curve
-    stopper = EarlyStopping(cfg.early_stop_patience, MIN_IMPROVEMENT)
+    stopper = EarlyStopping(EARLY_STOP_PATIENCE, MIN_IMPROVEMENT)
     rng = np.random.default_rng(seed)
     report = TrainReport()
 

@@ -28,8 +28,14 @@ CHAIKIN_ITERATIONS = 3
 TEST_FRACTION = 0.1
 #: Where every trajectory's local plane is anchored, degrees.
 ANCHOR_LAT, ANCHOR_LON = 59.35, 18.07
-#: Seconds a ramp attack takes to reach its full deviation.
-ATTACK_RAMP_S = 30.0
+#: GNSS position noise per axis (m), outside any attack.
+GNSS_NOISE_M = 3.0
+#: The share of all time that is attacked, the band an attack's deviation is
+#: drawn from (m), the chance that its offset steps to that deviation at
+#: once, and the seconds a ramp takes to reach it.
+ATTACK_FRACTION = 0.2
+ATTACK_DEV_MIN_M, ATTACK_DEV_MAX_M = 60.0, 250.0
+ATTACK_STEP_PROB, ATTACK_RAMP_S = 0.15, 30.0
 #: An attack raises the attacked satellites' C/N0 (dB), shifts their AGC (dB)
 #: and scales each value's distance to the satellites' mean by a compression.
 CN0_UPLIFT_DB, AGC_SHIFT_DB, SIGNAL_COMPRESSION = 6.0, -3.0, 0.25
@@ -72,28 +78,18 @@ class SimConfig:
     n_traces: int = 40
     duration_s: float = 150.0
     sample_rate_hz: float = 1.0
-    attack_fraction: float = 0.2
     rng_seed: int = 7
     partition_mode: str = "iid"
     n_clients: int = 6
-    gnss_noise_m: float = 3.0
     attack_trace_prob: float = 0.8
-    attack_dev_min_m: float = 60.0
-    attack_dev_max_m: float = 250.0
-    attack_step_prob: float = 0.15
 
     def __post_init__(self) -> None:
-        for name in ("attack_fraction", "attack_trace_prob", "attack_step_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0.0 <= self.attack_trace_prob <= 1.0:
+            raise ValueError("attack_trace_prob must be in [0, 1]")
         if self.n_devices < 1 or self.n_traces < 1 or self.n_clients < 1:
             raise ValueError("need at least one device, one trace and one client")
         if self.sample_rate_hz <= 0 or round(self.duration_s * self.sample_rate_hz) < 2:
             raise ValueError("need sample_rate_hz > 0 and duration_s of at least two samples")
-        if self.gnss_noise_m < 0:
-            raise ValueError("gnss_noise_m must be >= 0")
-        if not 0.0 <= self.attack_dev_min_m <= self.attack_dev_max_m:
-            raise ValueError("need 0 <= attack_dev_min_m <= attack_dev_max_m")
         if self.partition_mode not in ("iid", "non-iid-by-device", "non-iid-by-trace"):
             raise ValueError(f"unknown partition mode {self.partition_mode!r}")
 
@@ -174,19 +170,19 @@ def _attack(
     """One trace's attacked flags and north and east GNSS offsets (m).
 
     With probability attack_trace_prob, the trace is spoofed for
-    attack_fraction / attack_trace_prob of its duration (at most 80%): in one
+    ATTACK_FRACTION / attack_trace_prob of its duration (at most 80%): in one
     interval, or in two if that totals at least 60 s and they fit.  Every
     interval keeps 5 s from the trace's ends and 10 s from the other.  The
     offset, along one bearing, ramps to its deviation over ATTACK_RAMP_S or,
-    with probability attack_step_prob, holds it from the start.
+    with probability ATTACK_STEP_PROB, holds it from the start.
     """
     # ramp: the share of the deviation each sample's offset has reached
     attacked, ramp = np.zeros(t.shape, dtype=bool), np.zeros(t.shape)
-    if cfg.attack_fraction == 0.0 or rng.random() >= cfg.attack_trace_prob:
+    if rng.random() >= cfg.attack_trace_prob:
         return attacked, ramp, ramp
     margin, gap = 5.0, 10.0
     total = min(
-        cfg.duration_s * cfg.attack_fraction / cfg.attack_trace_prob,
+        cfg.duration_s * ATTACK_FRACTION / cfg.attack_trace_prob,
         0.8 * cfg.duration_s,
         cfg.duration_s - 2.0 * margin,
     )
@@ -206,9 +202,9 @@ def _attack(
         ramp[active] = np.minimum(1.0, (t[active] - start) / ATTACK_RAMP_S)
         slack -= start - cursor
         cursor = start + length + gap
-    if rng.random() < cfg.attack_step_prob:
+    if rng.random() < ATTACK_STEP_PROB:
         ramp = attacked.astype(np.float64)
-    dev = rng.uniform(cfg.attack_dev_min_m, cfg.attack_dev_max_m) * ramp
+    dev = rng.uniform(ATTACK_DEV_MIN_M, ATTACK_DEV_MAX_M) * ramp
     bearing = rng.uniform(0.0, 2.0 * math.pi)
     return attacked, dev * math.cos(bearing), dev * math.sin(bearing)
 
@@ -316,8 +312,8 @@ def _generate_trace(
 
     net_n = north + rng.normal(0.0, profile.net_pos_noise_m, n)
     net_e = east + rng.normal(0.0, profile.net_pos_noise_m, n)
-    gnss_n = north + off_n + rng.normal(0.0, cfg.gnss_noise_m, n)
-    gnss_e = east + off_e + rng.normal(0.0, cfg.gnss_noise_m, n)
+    gnss_n = north + off_n + rng.normal(0.0, GNSS_NOISE_M, n)
+    gnss_e = east + off_e + rng.normal(0.0, GNSS_NOISE_M, n)
 
     signal = _signal_matrix(rng, profile, n, speed, attacked)
 

@@ -60,7 +60,7 @@ def default_scenario():
     sim_cfg = simulate.SimConfig()
     assert sim_cfg.n_clients == 6 and sim_cfg.n_devices == 6
     assert sim_cfg.n_traces == 40
-    assert sim_cfg.attack_fraction == 0.2
+    assert simulate.ATTACK_FRACTION == 0.2
     assert len({p.model_name for p in simulate.device_profiles(sim_cfg).values()}) == 3
     assert sim_cfg.rng_seed == SEED
     return sim_cfg, simulate.generate(sim_cfg)
@@ -389,7 +389,7 @@ class TestC9EarlyStopping:
         rng = np.random.default_rng(SEED)
         x = rng.uniform(0, 1, (60, 5, 4)).astype(np.float32)
         y = rng.uniform(0, 1, 60).astype(np.float32)
-        cfg = TrainConfig(batch_size=16, base_learning_rate=0.0, early_stop_patience=20)
+        cfg = TrainConfig(batch_size=16, base_learning_rate=0.0)
         _, rep = train_local(init_params(SEED, 4, 3), x, y, cfg, 500, SEED)
         outcomes.append(rep.epochs_run == 21)
 

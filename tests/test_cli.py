@@ -11,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fedspoof import cli, domain, lstm, shards, simulate
+from fedspoof import cli, domain, federation, lstm, shards, simulate
 from fedspoof.config import (
     _DERIVED_SEEDS, _FIELD_TYPES, _SECTIONS, ConfigError, ExperimentConfig, _coerce, config_hash,
     load_config,
@@ -62,8 +62,8 @@ class TestConfig:
         assert cfg.seed == 7
         assert cfg.sim.n_traces == 40
         assert cfg.train.batch_size == 72
-        assert cfg.train.early_stop_patience == 20
-        assert cfg.federation.gate_threshold_delta == 0.02
+        assert lstm.EARLY_STOP_PATIENCE == 20
+        assert federation.GATE_THRESHOLD_DELTA == 0.02
 
     def test_file_values_applied(self, tmp_path):
         cfg = load_config(_write_config(tmp_path))
@@ -103,6 +103,18 @@ class TestConfig:
             assert _run("generate", "--config", path, "--out", str(tmp_path / "o")) == 2
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        ("sim", "gnss_noise_m"), ("sim", "attack_fraction"), ("sim", "attack_dev_min_m"),
+        ("sim", "attack_dev_max_m"), ("sim", "attack_step_prob"),
+        ("train", "early_stop_patience"), ("federation", "gate_threshold_delta"),
+    ])
+    def test_retired_key_rejected(self, tmp_path, capsys, section, key):
+        # values that no shipped run changed, now module constants
+        path = _write_config(tmp_path, f"[{section}]\n{key} = 1\n")
+        assert _run("generate", "--config", path, "--out", str(tmp_path / "o")) == 2
+        assert f"unknown key [{section}] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_shipped_configs_load(self):
         paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini")))
         paths.append(os.path.join(ROOT, "bench", "matrix.ini"))
@@ -126,8 +138,6 @@ class TestConfig:
             ("[sim]\nattack_trace_prob = 1.5\n", r"invalid \[sim\] values: attack_trace_prob"),
             ("[sim]\nsample_rate_hz = 0\n", r"invalid \[sim\] values: .*sample_rate_hz"),
             ("[sim]\nduration_s = 0\n", r"invalid \[sim\] values: .*duration_s"),
-            ("[sim]\ngnss_noise_m = -1\n", r"invalid \[sim\] values: .*gnss_noise_m"),
-            ("[sim]\nattack_dev_min_m = 300\n", r"invalid \[sim\] values: .*attack_dev_min_m"),
             ("[sim]\nn_clients = 0\n", r"invalid \[sim\] values: .*client"),
             ("[federation]\nrounds = 0\n", r"invalid \[federation\] values: rounds"),
             ("[train]\nbase_learning_rate = -1\n",
@@ -192,10 +202,10 @@ class TestConfig:
 
     def test_hash_pinned(self):
         # the manifest's config_hash of the default and the shipped configs
-        for path, digest in ((None, "0da6f5c9dfd337b7"),
-                             ("configs/quickstart.ini", "e6a9ef21a61895c9"),
-                             ("configs/default-scenario.ini", "4d4ef1cab5e265b4"),
-                             ("bench/matrix.ini", "1fc006abad5d61ed")):
+        for path, digest in ((None, "972d104aa46e4539"),
+                             ("configs/quickstart.ini", "e7d46dbe8873f68e"),
+                             ("configs/default-scenario.ini", "a5bca5addf3dd5a1"),
+                             ("bench/matrix.ini", "f383d9b380550781")):
             cfg = load_config(path and os.path.join(ROOT, path))
             assert config_hash(cfg) == digest, path
 
@@ -220,6 +230,21 @@ class TestConfig:
             assert listed.keys() == settable.keys(), section
             for key, raw in listed.items():
                 assert _coerce(raw, settable[key], key) == getattr(obj, key), (section, key)
+
+    def test_readme_lists_exactly_the_settable_keys(self, tmp_path):
+        # both ways: every config field but a sub-configuration or a derived
+        # seed is a README key, and every README key loads from a file
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            rows = re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", fh.read(), re.MULTILINE)
+        listed = {(section, key): raw for section, row in rows
+                  for key, raw in re.findall(r"`(\w+)` \(([^)]*)\)", row)}
+        defaults = ExperimentConfig()
+        keys = {("experiment", f.name) for f in fields(defaults) if f.name not in _SECTIONS}
+        keys |= {(s, f.name) for s in _SECTIONS for f in fields(getattr(defaults, s))}
+        assert set(listed) == keys - _DERIVED_SEEDS
+        assert len(listed) == 22
+        for (section, key), raw in listed.items():
+            load_config(_write_config(tmp_path, f"[{section}]\n{key} = {raw}\n"))
 
 
 class TestCliFlows:
@@ -351,7 +376,7 @@ class TestCliFlows:
 
     def test_no_attack_corpus_fails_fast_single_class(self, tmp_path, capsys):
         config = _write_config(
-            tmp_path, MICRO_CONFIG.replace("attack_trace_prob = 1.0", "attack_fraction = 0.0")
+            tmp_path, MICRO_CONFIG.replace("attack_trace_prob = 1.0", "attack_trace_prob = 0.0")
         )
         out = tmp_path / "clean"
         assert _run("generate", "--config", config, "--out", str(out)) == 0
@@ -505,9 +530,6 @@ n_devices = 2
 n_clients = 1
 duration_s = 90.0
 attack_trace_prob = 1.0
-attack_step_prob = 1.0
-attack_dev_min_m = 250.0
-attack_dev_max_m = 400.0
 
 [features]
 window_len = 6
@@ -522,7 +544,11 @@ local_epochs = 4
 gate_enabled = false
 """
 
-    def test_single_client_federated_matches_centralized(self, tmp_path):
+    def test_single_client_federated_matches_centralized(self, tmp_path, monkeypatch):
+        # every attack steps at once to 250-400 m
+        monkeypatch.setattr(simulate, "ATTACK_STEP_PROB", 1.0)
+        monkeypatch.setattr(simulate, "ATTACK_DEV_MIN_M", 250.0)
+        monkeypatch.setattr(simulate, "ATTACK_DEV_MAX_M", 400.0)
         config = _write_config(tmp_path, self.SOLO_CONFIG)
         out = str(tmp_path / "solo")
         assert _run("generate", "--config", config, "--out", out) == 0

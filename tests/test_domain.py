@@ -184,9 +184,11 @@ class TestDatasetWriter:
             attacked=np.array([True, False, True]),
         )
         single = _trace(n=1, tid=3, pid=2)
+        # longer than a chunk of domain._FORMAT_ROWS samples
+        long = _trace(n=70, tid=4, pid=3, v=np.arange(70) / 7.0, attacked=np.arange(70) % 3 == 0)
         generated = simulate.generate(simulate.SimConfig(n_traces=3, duration_s=12.0))
         path = tmp_path / "d.csv"
-        for traces in ([], [single], [odd, single, *generated]):
+        for traces in ([], [single], [odd, single, long, *generated]):
             write_dataset(traces, str(path))
             assert path.read_bytes() == dataset_text(traces).encode("ascii")
         text = path.read_text()
@@ -197,11 +199,14 @@ class TestDatasetWriter:
 
     def test_holds_the_corpus_text_once(self, tmp_path, monkeypatch, tiny_corpus):
         # a forked shard's blocks cross as bytes out of band, so the server
-        # never holds a reply's pickle beside its blocks (parent: 1.53x)
-        monkeypatch.setattr(shards, "_shard_count", lambda n_items: max(1, min(2, n_items)))
+        # never holds a reply's pickle beside its blocks (1.53x before); one
+        # shard formats every block itself, a few rows at a time (1.49x before)
         path = tmp_path / "d.csv"
-        peak = traced_peak(lambda: write_dataset(tiny_corpus[1], str(path)))
-        assert peak <= 1.25 * path.stat().st_size
+        for n_shards in (1, 2):
+            monkeypatch.setattr(shards, "_shard_count",
+                                lambda n_items, n=n_shards: max(1, min(n, n_items)))
+            peak = traced_peak(lambda: write_dataset(tiny_corpus[1], str(path)))
+            assert peak <= 1.25 * path.stat().st_size, n_shards
 
 
 class TestDatasetRoundTrip:

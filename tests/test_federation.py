@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fedspoof import features, fusion, lstm, metrics, shards
+from fedspoof import features, federation, fusion, lstm, metrics, shards
 from fedspoof.federation import (
     SERVER_RECEIVABLE_MESSAGE_TYPES,
     FederationConfig,
@@ -133,9 +133,7 @@ class TestQualityGate:
         clients = [_separable_client(rng, i + 1, seed=i) for i in range(3)]
         params = init_params(0, 6, 4)
         candidate = RoundUpdate(1, 1, params, n_samples=10)
-        accepted, reports = quality_gate(
-            candidate, _reviews(clients, params, [candidate]), threshold_delta=0.02
-        )
+        accepted, reports = quality_gate(candidate, _reviews(clients, params, [candidate]))
         assert accepted
         assert {r.evaluating_client_id for r in reports} == {2, 3}
         assert all(r.candidate_client_id == 1 for r in reports)
@@ -147,7 +145,7 @@ class TestQualityGate:
         )
         candidate = RoundUpdate(1, 1, init_params(1, 6, 4), n_samples=10)
         reviews = _reviews([good, degenerate], init_params(0, 6, 4), [candidate])
-        accepted, given = quality_gate(candidate, reviews, 0.02)
+        accepted, given = quality_gate(candidate, reviews)
         assert accepted  # the only evaluator abstained -> accept by default
         assert given == []
 
@@ -169,8 +167,7 @@ class TestQualityGate:
         assert reference > 0.8
 
         bad = RoundUpdate(1, 6, _shuffled_clone(rng, params), n_samples=240)
-        accepted, reports = quality_gate(bad, _reviews(clients, params, [bad]),
-                                         threshold_delta=0.02)
+        accepted, reports = quality_gate(bad, _reviews(clients, params, [bad]))
         assert not accepted
         assert np.mean([r.auc_vs_reference for r in reports]) < reference - 0.02
 
@@ -183,22 +180,24 @@ class TestQualityGate:
         reviews = _reviews(clients, params, [good, bad])
         # every client reports on each candidate but its own
         assert sum(len(reports) for _, reports in reviews) == 4
-        verdicts = {c.client_id: quality_gate(c, reviews, 0.02) for c in (good, bad)}
+        verdicts = {c.client_id: quality_gate(c, reviews) for c in (good, bad)}
         assert verdicts[1][0] and not verdicts[2][0]
         for candidate_id, (_, given) in verdicts.items():
             assert {r.candidate_client_id for r in given} == {candidate_id}
             assert {r.evaluating_client_id for r in given} == {1, 2, 3} - {candidate_id}
 
-    def test_reference_is_the_mean_over_evaluators_that_did_not_abstain(self):
+    def test_reference_is_the_mean_over_evaluators_that_did_not_abstain(self, monkeypatch):
         # evaluator 2 scores the broadcast model 0.9 and candidate 1 0.87;
         # evaluator 3 abstains, evaluator 4 reports only on candidate 5
         candidate = _update(1, np.zeros(param_count(4, 3)))
         reviews = [(0.9, [QualityReport(1, 2, 0.87)]), (None, []),
                    (0.7, [QualityReport(5, 4, 0.1)])]
         # reference (0.9 + 0.7) / 2 = 0.8: 0.87 passes at any delta
-        assert quality_gate(candidate, reviews, 0.0) == (True, [QualityReport(1, 2, 0.87)])
+        with monkeypatch.context() as m:
+            m.setattr(federation, "GATE_THRESHOLD_DELTA", 0.0)
+            assert quality_gate(candidate, reviews) == (True, [QualityReport(1, 2, 0.87)])
         # without evaluator 4 the reference is 0.9, and 0.87 < 0.9 - 0.02
-        assert quality_gate(candidate, reviews[:2], 0.02) == (False, [QualityReport(1, 2, 0.87)])
+        assert quality_gate(candidate, reviews[:2]) == (False, [QualityReport(1, 2, 0.87)])
 
     def test_report_validates_auc_range(self):
         with pytest.raises(ValueError):
@@ -283,8 +282,8 @@ class TestRunRounds:
         clients = [good[0], FaultyClient(good[1], 2, not_finite), good[2]]
         ungated = FederationConfig(rounds=3, local_epochs=1, gate_enabled=False, init_seed=3)
         # a threshold of 1 accepts every update the gate scores
-        gated = dataclasses.replace(ungated, gate_enabled=True, gate_warmup_rounds=1,
-                                    gate_threshold_delta=1.0)
+        monkeypatch.setattr(federation, "GATE_THRESHOLD_DELTA", 1.0)
+        gated = dataclasses.replace(ungated, gate_enabled=True, gate_warmup_rounds=1)
         for cfg in (ungated, gated):
             caplog.clear()
             state, rows = run_rounds(clients, cfg, hidden_size=4)

@@ -398,7 +398,7 @@ class TestTrainLocal:
         # lr = 0 freezes the model, so validation loss plateaus from epoch 1
         # and training must stop at epoch 1 + patience
         x, y = _toy_dataset(rng)
-        cfg = TrainConfig(batch_size=16, base_learning_rate=0.0, early_stop_patience=20)
+        cfg = TrainConfig(batch_size=16, base_learning_rate=0.0)
         _, report = train_local(init_params(0, 5, 6), x, y, cfg, 500, 4)
         assert report.epochs_run == 21
 

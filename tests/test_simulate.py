@@ -9,6 +9,7 @@ from fedspoof.simulate import (
     ANCHOR_LAT,
     ANCHOR_LON,
     ATTACK_RAMP_S,
+    GNSS_NOISE_M,
     DeviceProfile,
     SimConfig,
     device_model,
@@ -41,24 +42,30 @@ def gnss_offset_m(trace):
     return np.hypot(gnss[0] - true[0], gnss[1] - true[1])
 
 
+def scenario(monkeypatch, **constants):
+    """Set simulate's attack and noise constants for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(simulate, name, value)
+
+
 class TestConfigAndScenario:
-    def test_attack_fraction_validated(self):
+    def test_attack_trace_prob_validated(self):
         with pytest.raises(ValueError):
-            SimConfig(attack_fraction=1.5)
+            SimConfig(attack_trace_prob=1.5)
 
     def test_partition_mode_validated(self):
         with pytest.raises(ValueError):
             SimConfig(partition_mode="bogus")
 
-    def test_ramp_deviation_shape(self):
+    def test_ramp_deviation_shape(self, monkeypatch):
         # noise-free GNSS: within each attacked run the offset from the true
         # position grows by dev / ATTACK_RAMP_S per second, then holds at dev
         dev = 200.0
+        scenario(monkeypatch, ATTACK_FRACTION=0.5, ATTACK_STEP_PROB=0.0, ATTACK_DEV_MIN_M=dev,
+                 ATTACK_DEV_MAX_M=dev, GNSS_NOISE_M=0.0)
         for rate_hz in (1.0, 10.0):
             cfg = SimConfig(n_traces=4, duration_s=200.0, sample_rate_hz=rate_hz,
-                            attack_fraction=0.5, attack_trace_prob=1.0, attack_step_prob=0.0,
-                            attack_dev_min_m=dev, attack_dev_max_m=dev, gnss_noise_m=0.0,
-                            rng_seed=3)
+                            attack_trace_prob=1.0, rng_seed=3)
             dt = 1.0 / rate_hz
             n_runs = 0
             for trace in generate(cfg):
@@ -78,47 +85,46 @@ class TestConfigAndScenario:
             assert n_runs == 8  # 100 s of attack per trace, in two runs
 
     @staticmethod
-    def generated_runs():
+    def generated_runs(monkeypatch):
         """(cfg, attacked runs) of each trace, over rates, attack shares and seeds."""
         for rate_hz in (1.0, 10.0):
             for fraction in (0.2, 0.5, 0.8):
+                scenario(monkeypatch, ATTACK_FRACTION=fraction)
                 for seed in (1, 2, 3):
                     cfg = SimConfig(n_traces=3, duration_s=200.0, sample_rate_hz=rate_hz,
-                                    attack_fraction=fraction, attack_trace_prob=0.9,
-                                    rng_seed=seed)
+                                    attack_trace_prob=0.9, rng_seed=seed)
                     for trace in generate(cfg):
                         yield cfg, trace, attacked_runs(trace.attacked)
 
-    def test_scenario_rejects_overlap(self):
+    def test_scenario_rejects_overlap(self, monkeypatch):
         # the attack plan admits at most two runs, 10 s apart
-        for _, trace, runs in self.generated_runs():
+        for _, trace, runs in self.generated_runs(monkeypatch):
             assert len(runs) <= 2
             if len(runs) == 2:
                 assert trace.t[runs[1][0]] - trace.t[runs[0][-1]] >= 10.0
 
-    def test_scenario_rejects_out_of_range(self):
+    def test_scenario_rejects_out_of_range(self, monkeypatch):
         # the attack plan admits no run within 5 s of the trace's ends
-        for cfg, trace, runs in self.generated_runs():
+        for cfg, trace, runs in self.generated_runs(monkeypatch):
             for run in runs:
                 assert trace.t[run[0]] >= 5.0
                 assert trace.t[run[-1]] < cfg.duration_s - 5.0
 
 
 class TestGenerate:
-    def test_no_attack_means_no_flags_and_clean_gnss(self):
-        cfg = SimConfig(n_traces=4, duration_s=60.0, attack_fraction=0.0, rng_seed=5)
+    def test_no_attack_means_no_flags_and_clean_gnss(self, monkeypatch):
+        scenario(monkeypatch, ATTACK_FRACTION=0.0)
+        cfg = SimConfig(n_traces=4, duration_s=60.0, rng_seed=5)
         traces = generate(cfg)
         for trace in traces:
             assert not trace.attacked.any()
             for k in range(len(trace)):
-                assert haversine_m(*trace.p_gnss[k], *trace.p_true[k]) < 6.0 * cfg.gnss_noise_m
+                assert haversine_m(*trace.p_gnss[k], *trace.p_true[k]) < 6.0 * GNSS_NOISE_M
 
-    def test_step_offset_lands_in_band(self):
-        cfg = SimConfig(
-            n_traces=6, duration_s=80.0, rng_seed=9,
-            attack_step_prob=1.0, attack_dev_min_m=300.0, attack_dev_max_m=300.0,
-            attack_trace_prob=1.0,
-        )
+    def test_step_offset_lands_in_band(self, monkeypatch):
+        scenario(monkeypatch, ATTACK_STEP_PROB=1.0, ATTACK_DEV_MIN_M=300.0,
+                 ATTACK_DEV_MAX_M=300.0)
+        cfg = SimConfig(n_traces=6, duration_s=80.0, rng_seed=9, attack_trace_prob=1.0)
         traces = generate(cfg)
         attacked_found = 0
         for trace in traces:
@@ -175,7 +181,7 @@ class TestGenerate:
             assert np.all(trace.v <= 25.0)
 
     def test_attack_fraction_roughly_respected(self):
-        cfg = SimConfig(n_traces=30, duration_s=120.0, attack_fraction=0.2, rng_seed=13)
+        cfg = SimConfig(n_traces=30, duration_s=120.0, rng_seed=13)
         traces = generate(cfg)
         flags = np.concatenate([t.attacked for t in traces])
         assert 0.12 <= flags.mean() <= 0.28
@@ -195,9 +201,9 @@ class TestGenerate:
         assert len(spread_att) > 30 and len(spread_ben) > 30
         assert rank_probability_smaller(spread_att, spread_ben) > 0.9
 
-    def test_benign_doppler_statistics_vary_across_satellites(self):
-        traces = generate(SimConfig(n_traces=4, duration_s=60.0, attack_fraction=0.0,
-                                    rng_seed=23))
+    def test_benign_doppler_statistics_vary_across_satellites(self, monkeypatch):
+        scenario(monkeypatch, ATTACK_FRACTION=0.0)
+        traces = generate(SimConfig(n_traces=4, duration_s=60.0, rng_seed=23))
         lo = signal_slot("gps_l1", "doppler_hz", "min")
         hi = signal_slot("gps_l1", "doppler_hz", "max")
         signal = np.concatenate([t.signal for t in traces])

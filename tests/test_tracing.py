@@ -38,11 +38,12 @@ def test_tracer_installs_and_uninstalls():
     assert fusion.fuse_trace is original and experiments.fuse_trace is original
 
 
-def test_tracer_counts_the_epochs_train_local_ran(rng):
+def test_tracer_counts_the_epochs_train_local_ran(rng, monkeypatch):
     # a frozen model stops early, at epoch 1 + patience of the 10 allowed
+    monkeypatch.setattr(lstm, "EARLY_STOP_PATIENCE", 2)
     x = rng.uniform(0, 1, (20, 3, 2)).astype(np.float32)
     y = rng.uniform(0, 1, 20).astype(np.float32)
-    cfg = lstm.TrainConfig(batch_size=8, base_learning_rate=0.0, early_stop_patience=2)
+    cfg = lstm.TrainConfig(batch_size=8, base_learning_rate=0.0)
     tracer = _tracing().Tracer()
     tracer.install()
     try:
